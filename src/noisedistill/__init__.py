@@ -15,11 +15,9 @@ __version__ = "0.1.0"
 from .diffusion import (
     TrainConfig,
     ambient_sample,
-    ambient_tweedie_loss,
     load_checkpoint,
     pretrain,
     save_checkpoint,
-    standard_diffusion_loss,
 )
 from .distill import (
     DistillConfig,
@@ -75,7 +73,7 @@ from .metrics import (
     select_best_checkpoint,
 )
 from .nets import Adam, DenseNet
-from .rng import derive, make_rng, split
+from .rng import derive, make_rng
 from .schedule import NoiseSchedule
 from .stiefel import OptConfig, OptTrace, euclidean_gradient, optimize, random_params, riemannian_step
 from .toydata import ToyDataset, make_dataset, sample_clean

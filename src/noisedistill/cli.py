@@ -14,12 +14,19 @@ import sys
 import numpy as np
 
 from . import __version__
-from .config import ExperimentConfig, load_config, write_csv_atomic
-from .diffusion import TrainConfig, ambient_sample, load_checkpoint, pretrain, save_checkpoint
-from .distill import DistillConfig, generator_forward, run_distillation
+from .config import ExperimentConfig, from_section, load_config, provenance, write_csv_atomic
+from .diffusion import (
+    SAMPLER_STEPS,
+    TrainConfig,
+    ambient_sample,
+    load_checkpoint,
+    pretrain,
+    save_checkpoint,
+)
+from .distill import PAIRED_MODE, DistillConfig, generator_forward, run_distillation
 from .errors import ConfigError, DivergenceError, PreconditionError
 from .linear_theory import LinearModel
-from .metrics import evaluate_sources, make_eval_hook, select_best_checkpoint
+from .metrics import N_EVAL, evaluate_sources, make_eval_hook, select_best_checkpoint
 from .nets import DenseNet
 from .rng import derive
 from .schedule import NoiseSchedule
@@ -33,13 +40,11 @@ EXIT_PROPERTY_FAILURE = 1
 EXIT_CONFIG = 2
 EXIT_DIVERGENCE = 3
 
-# Pretraining modes pair with distillation consistency modes.
-PAIRED_MODE = {"standard": "standard", "ambient": "adjusted"}
+HIDDEN = [64, 64, 64]  # denoiser hidden widths when train.hidden is omitted
 
 
 def _schedule(cfg: ExperimentConfig) -> NoiseSchedule:
-    sec = cfg.section("schedule")
-    return NoiseSchedule(sec.get("sigma_min", 0.02), sec.get("sigma_max", 5.0))
+    return from_section(NoiseSchedule, cfg.section("schedule"))
 
 
 def _dataset(cfg: ExperimentConfig):
@@ -47,42 +52,9 @@ def _dataset(cfg: ExperimentConfig):
     return make_dataset(sec["kind"], sec["n"], sec["sigma_data"], cfg.seed)
 
 
-def _train_config(cfg: ExperimentConfig, schedule: NoiseSchedule, sigma_hat=None) -> TrainConfig:
-    sec = cfg.section("train")
-    return TrainConfig(
-        batch_size=sec.get("batch_size", 128),
-        lr=sec.get("lr", 1e-3),
-        steps=sec.get("steps", 20000),
-        schedule=schedule,
-        sigma_hat=sec.get("sigma_hat", 0.0) if sigma_hat is None else sigma_hat,
-        seed=cfg.seed,
-    )
-
-
 def _fresh_net(cfg: ExperimentConfig, data_dim: int) -> DenseNet:
-    hidden = cfg.section("train").get("hidden", [64, 64, 64])
+    hidden = cfg.section("train").get("hidden", HIDDEN)
     return DenseNet([data_dim + 1, *hidden, data_dim], derive(cfg.seed, 201))
-
-
-def _distill_config(
-    cfg: ExperimentConfig, schedule: NoiseSchedule, mode=None, sigma_hat=None
-) -> DistillConfig:
-    sec = cfg.section("distill")
-    return DistillConfig(
-        method=sec.get("method", "sid"),
-        mode=sec.get("mode", "adjusted") if mode is None else mode,
-        alpha=sec.get("alpha", 1.2),
-        lr_fake=sec.get("lr_fake", 1e-3),
-        lr_gen=sec.get("lr_gen", 2e-4),
-        steps=sec.get("steps", 20000),
-        batch_size=sec.get("batch_size", 128),
-        sigma_hat=sec.get("sigma_hat", 0.0) if sigma_hat is None else sigma_hat,
-        schedule=schedule,
-        seed=cfg.seed,
-        eval_every=sec.get("eval_every", 500),
-        weighting=sec.get("weighting", "sid-normalized"),
-        fake_steps_per_gen=sec.get("fake_steps_per_gen", 1),
-    )
 
 
 def _meta(cfg: ExperimentConfig) -> dict:
@@ -92,7 +64,10 @@ def _meta(cfg: ExperimentConfig) -> dict:
 def _load_checkpoint_input(path: str):
     if not os.path.exists(path):
         raise ConfigError(f"missing input: checkpoint {path!r} does not exist")
-    return load_checkpoint(path)
+    try:
+        return load_checkpoint(path)
+    except (OSError, KeyError, TypeError, ValueError) as exc:  # ValueError covers bad JSON
+        raise ConfigError(f"unreadable checkpoint {path!r}: {type(exc).__name__}: {exc}") from exc
 
 
 # -- commands ----------------------------------------------------------------
@@ -107,32 +82,16 @@ def cmd_verify(cfg: ExperimentConfig, out: str) -> int:
             LinearModel(basis=basis, sigma=lin["sigma"])  # orthonormality gate
         except PreconditionError as exc:
             raise ConfigError(f"linear.basis rejected: {exc}") from exc
-    opt_raw = lin.get("opt", {})
-    opt_cfg = OptConfig(
-        step_size=opt_raw.get("step_size", 0.2),
-        max_iters=opt_raw.get("max_iters", 2000),
-        grad_tol=opt_raw.get("grad_tol", 1e-7),
-        retraction=opt_raw.get("retraction", "qr"),
-        quad_points=lin.get("quad_points", 64),
-    )
-    checks = run_verification(
-        dim=lin["dim"],
-        rank=lin["rank"],
-        sigma=lin["sigma"],
-        seed=cfg.seed,
-        schedule=_schedule(cfg),
-        opt_cfg=opt_cfg,
-        opt_seeds=opt_raw.get("seeds", 20),
-        mc_instances=lin.get("mc_instances", 20),
-        mc_samples=lin.get("mc_samples", 100000),
-        basis=basis,
-    )
+    opt = lin.get("opt", {})
+    opt_seeds = {"opt_seeds": opt["seeds"]} if "seeds" in opt else {}
+    checks = from_section(run_verification, lin, seed=cfg.seed, schedule=_schedule(cfg),
+                          opt_cfg=from_section(OptConfig, {**lin, **opt}), basis=basis, **opt_seeds)
     rows = [
         {"check": c.name, "value": c.value, "threshold": c.threshold,
          "passed": c.passed, "detail": c.detail}
         for c in checks
     ]
-    write_csv_atomic(os.path.join(out, "report.csv"), cfg, __version__,
+    write_csv_atomic(os.path.join(out, "report.csv"), cfg,
                      ["check", "value", "threshold", "passed", "detail"], rows)
     for c in checks:
         print(f"[{'PASS' if c.passed else 'FAIL'}] {c.name}: value={c.value:.3e} threshold={c.threshold:.3e}")
@@ -142,26 +101,22 @@ def cmd_verify(cfg: ExperimentConfig, out: str) -> int:
 def cmd_pretrain(cfg: ExperimentConfig, out: str) -> int:
     data = _dataset(cfg)
     schedule = _schedule(cfg)
-    tcfg = _train_config(cfg, schedule)
+    tcfg = from_section(TrainConfig, cfg.section("train"), schedule=schedule, seed=cfg.seed)
     mode = cfg.section("train").get("mode", "ambient")
     net = _fresh_net(cfg, data.points.shape[1])
     net, curve = pretrain(net, data, tcfg, mode)
 
     save_checkpoint(os.path.join(out, "teacher.json"), net, tcfg, tcfg.steps, mode, meta=_meta(cfg))
-    write_csv_atomic(os.path.join(out, "pretrain_loss.csv"), cfg, __version__,
+    write_csv_atomic(os.path.join(out, "pretrain_loss.csv"), cfg,
                      ["step", "loss"], list(enumerate(curve)))
-    write_csv_atomic(os.path.join(out, "dataset.csv"), cfg, __version__,
+    write_csv_atomic(os.path.join(out, "dataset.csv"), cfg,
                      ["x", "y", "clean_x", "clean_y"],
                      np.column_stack([data.points, data.clean]).tolist())
     if cfg.plots:
         emit_scatter_svg([("noisy", data.points), ("clean", data.clean)],
-                         os.path.join(out, "dataset.svg"), meta=_meta_str(cfg))
+                         os.path.join(out, "dataset.svg"), meta=provenance(cfg))
     print(f"pretrained {mode} teacher for {tcfg.steps} steps; final loss {curve[-1] if curve else float('nan'):.4f}")
     return EXIT_OK
-
-
-def _meta_str(cfg: ExperimentConfig) -> str:
-    return f"config_hash={cfg.config_hash()} seed={cfg.seed} version={__version__}"
 
 
 def cmd_distill(cfg: ExperimentConfig, out: str) -> int:
@@ -171,11 +126,11 @@ def cmd_distill(cfg: ExperimentConfig, out: str) -> int:
     if "teacher" not in dsec:
         raise ConfigError("distill.teacher (checkpoint path) is required")
     teacher, t_cfg, _, t_mode = _load_checkpoint_input(dsec["teacher"])
-    dcfg = _distill_config(cfg, schedule, mode=dsec.get("mode", PAIRED_MODE[t_mode]),
-                           sigma_hat=dsec.get("sigma_hat", t_cfg.sigma_hat))
-    esec = cfg.section("eval")
+    # The teacher sets the defaults of mode and sigma_hat; the section overrides them.
+    dcfg = from_section(DistillConfig, {"mode": PAIRED_MODE[t_mode], "sigma_hat": t_cfg.sigma_hat,
+                                        **dsec}, schedule=schedule, seed=cfg.seed)
     hook = make_eval_hook(data, dcfg.sigma_hat, schedule,
-                          n_eval=esec.get("n_eval", 16384), eval_seed=cfg.seed)
+                          n_eval=cfg.section("eval").get("n_eval", N_EVAL), eval_seed=cfg.seed)
 
     snapshot_dir = os.path.join(out, "snapshots")
     snap_z = derive(cfg.seed, 401).standard_normal((1024, teacher.data_dim))
@@ -184,7 +139,7 @@ def cmd_distill(cfg: ExperimentConfig, out: str) -> int:
         metrics = hook(state)
         snap = generator_forward(state.generator, snap_z, schedule)
         write_csv_atomic(os.path.join(snapshot_dir, f"step_{state.step:06d}.csv"),
-                         cfg, __version__, ["x", "y"], snap.tolist())
+                         cfg, ["x", "y"], snap.tolist())
         return metrics
 
     try:
@@ -198,7 +153,7 @@ def cmd_distill(cfg: ExperimentConfig, out: str) -> int:
             exc.diagnostics["checkpoint_path"] = path
         raise
 
-    write_csv_atomic(os.path.join(out, "metrics.csv"), cfg, __version__,
+    write_csv_atomic(os.path.join(out, "metrics.csv"), cfg,
                      ["step", "frechet_clean", "proximal_fid", "fake_loss", "gen_grad_norm"],
                      history)
     save_checkpoint(os.path.join(out, "generator.json"), state.generator, t_cfg,
@@ -206,7 +161,7 @@ def cmd_distill(cfg: ExperimentConfig, out: str) -> int:
     save_checkpoint(os.path.join(out, "fake.json"), state.fake, t_cfg,
                     dcfg.steps, t_mode, meta=_meta(cfg))
     selection = select_best_checkpoint(history)
-    write_csv_atomic(os.path.join(out, "selection.csv"), cfg, __version__,
+    write_csv_atomic(os.path.join(out, "selection.csv"), cfg,
                      ["selected_step", "proximal_fid", "frechet_clean", "best_frechet_clean"],
                      [[selection.step, selection.proximal_fid, selection.frechet_to_clean,
                        selection.best_frechet_to_clean]])
@@ -214,7 +169,7 @@ def cmd_distill(cfg: ExperimentConfig, out: str) -> int:
         z = derive(cfg.seed, 402).standard_normal((2048, teacher.data_dim))
         emit_scatter_svg([("generator", generator_forward(state.generator, z, schedule)),
                           ("noisy data", data.points)],
-                         os.path.join(out, "generator.svg"), meta=_meta_str(cfg))
+                         os.path.join(out, "generator.svg"), meta=provenance(cfg))
     final = history[-1]
     print(f"distilled {dcfg.method} for {dcfg.steps} steps; "
           f"final frechet_clean={final.get('frechet_clean', float('nan')):.6f}")
@@ -232,13 +187,12 @@ def cmd_sample(cfg: ExperimentConfig, out: str) -> int:
         z = derive(cfg.seed, 301).standard_normal((n, net.data_dim))
         samples = generator_forward(net, z, t_cfg.schedule)
     else:
-        samples = ambient_sample(net, t_cfg.sigma_hat, sec.get("steps", 64), sampler, n,
+        samples = ambient_sample(net, t_cfg.sigma_hat, sec.get("steps", SAMPLER_STEPS), sampler, n,
                                  derive(cfg.seed, 302), t_cfg.schedule)
-    write_csv_atomic(os.path.join(out, "samples.csv"), cfg, __version__,
-                     ["x", "y"], samples.tolist())
+    write_csv_atomic(os.path.join(out, "samples.csv"), cfg, ["x", "y"], samples.tolist())
     if cfg.plots:
         emit_scatter_svg([(sampler, samples)], os.path.join(out, "samples.svg"),
-                         meta=_meta_str(cfg))
+                         meta=provenance(cfg))
     print(f"wrote {n} samples from {sampler} sampler")
     return EXIT_OK
 
@@ -255,9 +209,9 @@ def cmd_eval(cfg: ExperimentConfig, out: str) -> int:
     if "generator" in esec:
         generator, _, _, _ = _load_checkpoint_input(esec["generator"])
     rows = evaluate_sources(data, schedule, sigma_hat, teacher=teacher, generator=generator,
-                            n_eval=esec.get("n_eval", 16384),
-                            sample_steps=esec.get("sample_steps", 64), eval_seed=cfg.seed)
-    write_csv_atomic(os.path.join(out, "eval.csv"), cfg, __version__,
+                            n_eval=esec.get("n_eval", N_EVAL),
+                            sample_steps=esec.get("sample_steps", SAMPLER_STEPS), eval_seed=cfg.seed)
+    write_csv_atomic(os.path.join(out, "eval.csv"), cfg,
                      ["source", "frechet_clean", "proximal_fid", "w2_fit", "n_samples", "seed"],
                      rows)
     for row in rows:
@@ -275,24 +229,25 @@ def cmd_sigma_sweep(cfg: ExperimentConfig, out: str) -> int:
         sigma_hats = [0.0, sd, 2.0 * sd]
     schedule = _schedule(cfg)
     data = _dataset(cfg)
-    esec = cfg.section("eval")
-    n_eval = esec.get("n_eval", 16384)
+    n_eval = cfg.section("eval").get("n_eval", N_EVAL)
 
     rows = []
     for sigma_hat in sigma_hats:
         sub_out = os.path.join(out, f"sigma_hat_{sigma_hat:g}")
         os.makedirs(sub_out, exist_ok=True)
-        tcfg = _train_config(cfg, schedule, sigma_hat=sigma_hat)
+        tcfg = from_section(TrainConfig, cfg.section("train"), schedule=schedule, seed=cfg.seed,
+                            sigma_hat=sigma_hat)
         net = _fresh_net(cfg, data.points.shape[1])
         net, _ = pretrain(net, data, tcfg, "ambient")
         save_checkpoint(os.path.join(sub_out, "teacher.json"), net, tcfg, tcfg.steps,
                         "ambient", meta=_meta(cfg))
-        dcfg = _distill_config(cfg, schedule, mode="adjusted", sigma_hat=sigma_hat)
+        dcfg = from_section(DistillConfig, cfg.section("distill"), schedule=schedule, seed=cfg.seed,
+                            mode=PAIRED_MODE["ambient"], sigma_hat=sigma_hat)
         hook = make_eval_hook(data, sigma_hat, schedule, n_eval=n_eval, eval_seed=cfg.seed)
         state, history = run_distillation(net, dcfg, eval_hook=hook, teacher_mode="ambient")
         save_checkpoint(os.path.join(sub_out, "generator.json"), state.generator, tcfg,
                         dcfg.steps, "ambient", meta=_meta(cfg))
-        write_csv_atomic(os.path.join(sub_out, "metrics.csv"), cfg, __version__,
+        write_csv_atomic(os.path.join(sub_out, "metrics.csv"), cfg,
                          ["step", "frechet_clean", "proximal_fid", "fake_loss", "gen_grad_norm"],
                          history)
         final = history[-1]
@@ -303,7 +258,7 @@ def cmd_sigma_sweep(cfg: ExperimentConfig, out: str) -> int:
     best = min(rows, key=lambda r: r["frechet_clean"])["sigma_hat"]
     for row in rows:
         row["best"] = row["sigma_hat"] == best
-    write_csv_atomic(os.path.join(out, "report.csv"), cfg, __version__,
+    write_csv_atomic(os.path.join(out, "report.csv"), cfg,
                      ["sigma_hat", "frechet_clean", "proximal_fid", "best"], rows)
     print(f"sweep done; frechet_clean minimized at sigma_hat={best:g}")
     return EXIT_OK
@@ -347,7 +302,7 @@ def main(argv=None) -> int:
     os.makedirs(out, exist_ok=True)
     try:
         return command(cfg, out)
-    except ConfigError as exc:
+    except (ConfigError, PreconditionError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except DivergenceError as exc:

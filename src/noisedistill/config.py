@@ -8,12 +8,14 @@ hashed; every artifact a run writes embeds that hash next to the seed.
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
 import os
 from dataclasses import dataclass
 
 import jsonschema
 
+from . import __version__
 from .errors import ConfigError
 
 CONFIG_VERSION = 1
@@ -222,6 +224,15 @@ def load_config(
     return cfg
 
 
+def from_section(build, section: dict, **fixed):
+    """Call ``build`` (a dataclass or a function) with the keys of a validated
+    config section that name its parameters, then the caller-fixed values on
+    top.  Every parameter the section omits keeps the default ``build``
+    declares, so each default has one home."""
+    params = inspect.signature(build).parameters
+    return build(**{**{k: v for k, v in section.items() if k in params}, **fixed})
+
+
 def write_text_atomic(path: str, text: str) -> None:
     """Write via a sibling temp file and rename, so readers never see a torn file."""
     directory = os.path.dirname(os.path.abspath(path))
@@ -234,21 +245,25 @@ def write_text_atomic(path: str, text: str) -> None:
     os.replace(tmp, path)
 
 
-def artifact_header(cfg: ExperimentConfig, version: str) -> str:
-    return f"# config_hash={cfg.config_hash()} seed={cfg.seed} version={version}"
+def provenance(cfg: ExperimentConfig) -> str:
+    """The {config hash, seed, tool version} triple every artifact embeds."""
+    return f"config_hash={cfg.config_hash()} seed={cfg.seed} version={__version__}"
 
 
 def format_cell(value) -> str:
-    """CSV cell formatting: repr for floats (exact round-trip), str otherwise."""
+    """CSV cell formatting: repr for floats (exact round-trip), str otherwise.
+
+    numpy float scalars are floats too, but their repr carries the type
+    (``np.float64(0.5)``), so they are written as plain floats."""
     if isinstance(value, float):
-        return repr(value)
+        return repr(float(value))
     return str(value)
 
 
-def write_csv_atomic(path: str, cfg: ExperimentConfig, version: str, columns, rows) -> None:
+def write_csv_atomic(path: str, cfg: ExperimentConfig, columns, rows) -> None:
     """Pinned CSV dialect: comma, '.' decimals, LF endings, mandatory header,
-    preceded by one comment line carrying {config hash, seed, tool version}."""
-    lines = [artifact_header(cfg, version), ",".join(columns)]
+    preceded by one comment line carrying the provenance triple."""
+    lines = [f"# {provenance(cfg)}", ",".join(columns)]
     for row in rows:
         lines.append(",".join(format_cell(row[c] if isinstance(row, dict) else row[i])
                               for i, c in enumerate(columns)))

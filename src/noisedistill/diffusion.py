@@ -18,18 +18,19 @@ reduction holds bit for bit under shared draws.
 from __future__ import annotations
 
 import json
-import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
+from .config import write_text_atomic
 from .errors import DivergenceError, PreconditionError
-from .nets import Adam, DenseNet
+from .nets import Adam, DenseNet, cosine_decay
 from .rng import make_rng
 from .schedule import NoiseSchedule
 
 DIVERGENCE_THRESHOLD = 1e6
 MODES = ("standard", "ambient")
+SAMPLER_STEPS = 64  # reverse-process grid points when a config names none
 
 
 @dataclass(frozen=True)
@@ -40,23 +41,12 @@ class TrainConfig:
     schedule: NoiseSchedule = NoiseSchedule()
     sigma_hat: float = 0.0
     seed: int = 0
-    # Cosine decay to lr/50 over the run; the late small-step phase is what
-    # lets the denoiser settle below the batch-noise floor (no weight EMA here).
-    lr_decay: str = "cosine"
 
     def __post_init__(self):
         if self.sigma_hat < 0:
             raise PreconditionError(f"sigma_hat must be nonnegative, got {self.sigma_hat}")
         if self.steps < 0 or self.batch_size < 1 or self.lr <= 0:
             raise PreconditionError("need steps >= 0, batch_size >= 1, lr > 0")
-        if self.lr_decay not in ("none", "cosine"):
-            raise PreconditionError(f"unknown lr_decay {self.lr_decay!r}")
-
-    def lr_at(self, step: int) -> float:
-        if self.lr_decay == "none" or self.steps <= 1:
-            return self.lr
-        frac = 0.5 * (1.0 + np.cos(np.pi * step / max(1, self.steps - 1)))
-        return self.lr * (0.02 + 0.98 * frac)
 
 
 def denoising_loss(
@@ -73,6 +63,8 @@ def denoising_loss(
     sigma_hat) the network weight is exactly zero and the sample contributes
     exactly zero loss and gradient.
     """
+    if sigma_hat < 0:
+        raise PreconditionError(f"sigma_hat must be nonnegative, got {sigma_hat}")
     y = np.atleast_2d(np.asarray(batch, dtype=float))
     if y.shape[0] < 1:
         raise PreconditionError("batch must be nonempty")
@@ -92,26 +84,6 @@ def denoising_loss(
     upstream = (2.0 / n) * w_net * resid
     grads, _ = net.backward(cache, upstream)
     return loss, grads
-
-
-def standard_diffusion_loss(
-    net: DenseNet, batch: np.ndarray, schedule: NoiseSchedule, rng: np.random.Generator
-) -> tuple[float, list[np.ndarray]]:
-    """Plain denoising loss ||f(y + sigma_t eps, t) - y||^2 (sigma_hat = 0 case)."""
-    return denoising_loss(net, batch, 0.0, schedule, rng)
-
-
-def ambient_tweedie_loss(
-    net: DenseNet,
-    batch_noisy: np.ndarray,
-    sigma_hat: float,
-    schedule: NoiseSchedule,
-    rng: np.random.Generator,
-) -> tuple[float, list[np.ndarray]]:
-    """Adjusted denoising loss for observations already at level sigma_hat."""
-    if sigma_hat < 0:
-        raise PreconditionError(f"sigma_hat must be nonnegative, got {sigma_hat}")
-    return denoising_loss(net, batch_noisy, sigma_hat, schedule, rng)
 
 
 def pretrain(
@@ -141,7 +113,7 @@ def pretrain(
                 f"pretraining diverged at step {step}: loss = {loss:.3e}",
                 diagnostics={"step": step, "loss": loss, "mode": mode},
             )
-        opt.lr = cfg.lr_at(step)
+        opt.lr = cfg.lr * cosine_decay(step, cfg.steps)
         opt.step(net.parameters(), grads)
         curve.append(loss)
     return net, curve
@@ -213,22 +185,28 @@ def save_checkpoint(
     path, net: DenseNet, cfg: TrainConfig, step: int, mode: str, meta: dict | None = None
 ) -> None:
     """Write a self-describing JSON checkpoint; floats round-trip exactly."""
-    payload = checkpoint_payload(net, cfg, step, mode, meta=meta)
-    tmp = f"{path}.tmp"
-    with open(tmp, "w") as fh:
-        json.dump(payload, fh)
-    os.replace(tmp, path)
+    write_text_atomic(path, json.dumps(checkpoint_payload(net, cfg, step, mode, meta=meta)))
 
 
 def load_checkpoint(path) -> tuple[DenseNet, TrainConfig, int, str]:
+    """Read a checkpoint; every array must have the shape ``layer_sizes`` gives
+    it and hold finite values."""
     with open(path) as fh:
         payload = json.load(fh)
-    if payload.get("format") != CHECKPOINT_FORMAT:
+    if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
         raise PreconditionError(f"{path} is not a checkpoint file")
+    if payload["mode"] not in MODES:
+        raise PreconditionError(f"{path}: unknown pretraining mode {payload['mode']!r}")
     net = object.__new__(DenseNet)
     net.layer_sizes = [int(v) for v in payload["layer_sizes"]]
     net.weights = [np.array(w, dtype=float) for w in payload["weights"]]
     net.biases = [np.array(b, dtype=float) for b in payload["biases"]]
+    fans = list(zip(net.layer_sizes[:-1], net.layer_sizes[1:]))
+    if (not fans or [w.shape for w in net.weights] != [(fan_out, fan_in) for fan_in, fan_out in fans]
+            or [b.shape for b in net.biases] != [(fan_out,) for _, fan_out in fans]):
+        raise PreconditionError(f"{path}: parameter shapes do not match layer_sizes {net.layer_sizes}")
+    if not all(np.all(np.isfinite(p)) for p in net.parameters()):
+        raise PreconditionError(f"{path}: non-finite parameters")
     tc = payload["train_config"]
     cfg = TrainConfig(
         batch_size=int(tc["batch_size"]),
@@ -238,4 +216,4 @@ def load_checkpoint(path) -> tuple[DenseNet, TrainConfig, int, str]:
         sigma_hat=float(tc["sigma_hat"]),
         seed=int(tc["seed"]),
     )
-    return net, cfg, int(payload["step"]), str(payload["mode"])
+    return net, cfg, int(payload["step"]), payload["mode"]

@@ -24,13 +24,15 @@ import numpy as np
 
 from .diffusion import DIVERGENCE_THRESHOLD, denoising_loss
 from .errors import DivergenceError, DomainError, PreconditionError
-from .nets import Adam, DenseNet
+from .nets import Adam, DenseNet, cosine_decay
 from .rng import make_rng
 from .schedule import NoiseSchedule
 
 METHODS = ("sds", "dmd", "sid")
 CONSISTENCY_MODES = ("standard", "adjusted")
 WEIGHTINGS = ("constant", "sigma2", "sid-normalized")
+# Pretraining modes pair with distillation consistency modes.
+PAIRED_MODE = {"standard": "standard", "ambient": "adjusted"}
 
 
 @dataclass(frozen=True)
@@ -48,9 +50,6 @@ class DistillConfig:
     eval_every: int = 500
     weighting: str = "sid-normalized"
     fake_steps_per_gen: int = 1
-    # Cosine decay of both learning rates over the run (no weight EMA here,
-    # so the settle-down phase is what stabilizes the endpoint).
-    lr_decay: str = "cosine"
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -61,14 +60,6 @@ class DistillConfig:
             raise PreconditionError(f"unknown weighting {self.weighting!r}")
         if self.steps < 1 or not np.isfinite(self.alpha):
             raise PreconditionError("need steps >= 1 and finite alpha")
-        if self.lr_decay not in ("none", "cosine"):
-            raise PreconditionError(f"unknown lr_decay {self.lr_decay!r}")
-
-    def lr_factor(self, step: int) -> float:
-        if self.lr_decay == "none" or self.steps <= 1:
-            return 1.0
-        frac = 0.5 * (1.0 + np.cos(np.pi * (step - 1) / max(1, self.steps - 1)))
-        return 0.02 + 0.98 * frac
 
 
 @dataclass
@@ -81,7 +72,6 @@ class DistillState:
     cfg: DistillConfig
     step: int = 0
     history: list = field(default_factory=list)
-    call_log: list = field(default_factory=list)
 
 
 def init_distillation(teacher: DenseNet, cfg: DistillConfig) -> DistillState:
@@ -258,7 +248,6 @@ def fake_update(state: DistillState, rng: np.random.Generator) -> float:
     sigma_hat_eff = cfg.sigma_hat if cfg.mode == "adjusted" else 0.0
     loss, grads = denoising_loss(state.fake, y_tilde, sigma_hat_eff, cfg.schedule, rng)
     state.fake_opt.step(state.fake.parameters(), grads)
-    state.call_log.append(("fake_update", state.step))
     return loss
 
 
@@ -269,7 +258,6 @@ def generator_update(state: DistillState, rng: np.random.Generator) -> float:
     grads = _GRAD_FNS[cfg.method](state, z, rng)
     grad_norm = float(np.sqrt(sum(np.sum(g * g) for g in grads)))
     state.gen_opt.step(state.generator.parameters(), grads)
-    state.call_log.append(("generator_update", state.step))
     return grad_norm
 
 
@@ -283,21 +271,18 @@ def run_distillation(
 
     ``eval_hook(state) -> dict`` is sampled at the eval cadence (and at the
     start and end) and its values land in the metric history.  When the
-    teacher's pretraining mode is known it must pair with cfg.mode (standard
-    with standard, ambient with adjusted); the run records the resulting
-    (pretrain, fake, generator) mode triple.
+    teacher's pretraining mode is known it must pair with cfg.mode as
+    ``PAIRED_MODE`` says (standard with standard, ambient with adjusted).
     """
-    paired = {"standard": "standard", "ambient": "adjusted"}
     if teacher_mode is not None:
-        if teacher_mode not in paired:
+        if teacher_mode not in PAIRED_MODE:
             raise PreconditionError(f"unknown teacher pretraining mode {teacher_mode!r}")
-        if paired[teacher_mode] != cfg.mode:
+        if PAIRED_MODE[teacher_mode] != cfg.mode:
             raise PreconditionError(
                 f"mode mismatch: teacher pretrained in {teacher_mode!r} pairs with "
-                f"{paired[teacher_mode]!r} distillation, but cfg.mode is {cfg.mode!r}"
+                f"{PAIRED_MODE[teacher_mode]!r} distillation, but cfg.mode is {cfg.mode!r}"
             )
     state = init_distillation(teacher, cfg)
-    state.modes = {"pretrain": teacher_mode or cfg.mode, "fake": cfg.mode, "generator": cfg.mode}
     rng = make_rng(cfg.seed)
     teacher_digest = teacher.params_digest()
     last_healthy = teacher.copy()
@@ -311,7 +296,7 @@ def run_distillation(
     record(0, float("nan"), float("nan"))
     for j in range(1, cfg.steps + 1):
         state.step = j
-        factor = cfg.lr_factor(j)
+        factor = cosine_decay(j - 1, cfg.steps)
         state.fake_opt.lr = cfg.lr_fake * factor
         state.gen_opt.lr = cfg.lr_gen * factor
         fake_loss = float("nan")

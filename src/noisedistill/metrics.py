@@ -13,11 +13,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .diffusion import SAMPLER_STEPS, ambient_sample
+from .distill import generator_forward
 from .errors import InsufficientDataError, PreconditionError
 from .gaussians import fit_gaussian, symmetric_eigen
+from .rng import derive
+from .toydata import sample_clean
 
-PSD_TOL = 1e-8
+PSD_TOL = 1e-8  # relative to the largest entry (absolute for matrices below 1)
 MIN_METRIC_SAMPLES = 100
+N_EVAL = 16384  # evaluation samples per source when a config names none
 
 
 @dataclass(frozen=True)
@@ -37,8 +42,9 @@ class MetricReport:
 
 
 def _psd_sqrt(cov: np.ndarray, name: str) -> np.ndarray:
-    eig = symmetric_eigen(cov, sym_tol=PSD_TOL)
-    if eig.values[-1] < -PSD_TOL:
+    tol = PSD_TOL * float(np.max(np.abs(cov), initial=1.0))
+    eig = symmetric_eigen(cov, sym_tol=tol)
+    if eig.values[-1] < -tol:
         raise PreconditionError(
             f"{name} is indefinite beyond tolerance: smallest eigenvalue {eig.values[-1]:.3e}"
         )
@@ -93,7 +99,27 @@ def proximal_fid(
     return frechet_between_samples(corrupted, noisy_reference)
 
 
-def make_eval_hook(dataset, sigma_hat: float, schedule, n_eval: int = 16384, eval_seed: int = 0):
+def _scorer(dataset, sigma_hat: float, n_eval: int, eval_seed: int):
+    """Frechet distance to one clean reference fit and proximal FID of a sample
+    set; every row of one evaluation shares the reference."""
+    mu_c, cov_c = fit_gaussian(sample_clean(dataset.kind, n_eval, derive(eval_seed, 101)))
+
+    def score(samples: np.ndarray) -> dict:
+        mu, cov = fit_gaussian(samples)
+        return {
+            "frechet_clean": frechet_gaussian(mu, cov, mu_c, cov_c),
+            "proximal_fid": proximal_fid(samples, sigma_hat, dataset.points, derive(eval_seed, 103)),
+        }
+
+    return score
+
+
+def _one_step_samples(generator, schedule, n_eval: int, eval_seed: int) -> np.ndarray:
+    z = derive(eval_seed, 102).standard_normal((n_eval, generator.data_dim))
+    return generator_forward(generator, z, schedule)
+
+
+def make_eval_hook(dataset, sigma_hat: float, schedule, n_eval: int = N_EVAL, eval_seed: int = 0):
     """Standard metric hook for distillation runs.
 
     The clean reference fit, the evaluation latents, and the corruption
@@ -101,21 +127,10 @@ def make_eval_hook(dataset, sigma_hat: float, schedule, n_eval: int = 16384, eva
     deterministic function of the model being evaluated and consecutive
     checkpoints see identical evaluation noise.
     """
-    from .distill import generator_forward
-    from .rng import derive
-    from .toydata import sample_clean
-
-    clean_ref = sample_clean(dataset.kind, n_eval, derive(eval_seed, 101))
-    mu_c, cov_c = fit_gaussian(clean_ref)
+    score = _scorer(dataset, sigma_hat, n_eval, eval_seed)
 
     def hook(state) -> dict:
-        z = derive(eval_seed, 102).standard_normal((n_eval, state.generator.data_dim))
-        x_gen = generator_forward(state.generator, z, schedule)
-        mu_g, cov_g = fit_gaussian(x_gen)
-        return {
-            "frechet_clean": frechet_gaussian(mu_g, cov_g, mu_c, cov_c),
-            "proximal_fid": proximal_fid(x_gen, sigma_hat, dataset.points, derive(eval_seed, 103)),
-        }
+        return score(_one_step_samples(state.generator, schedule, n_eval, eval_seed))
 
     return hook
 
@@ -126,8 +141,8 @@ def evaluate_sources(
     sigma_hat: float,
     teacher=None,
     generator=None,
-    n_eval: int = 16384,
-    sample_steps: int = 64,
+    n_eval: int = N_EVAL,
+    sample_steps: int = SAMPLER_STEPS,
     eval_seed: int = 0,
 ) -> list[dict]:
     """Metric rows for the raw noisy data and every available model.
@@ -136,19 +151,13 @@ def evaluate_sources(
     and as a truncated sampler, and the one-step generator.  All rows share
     one clean reference fit and one evaluation seed.
     """
-    from .diffusion import ambient_sample
-    from .distill import generator_forward
-    from .rng import derive
-    from .toydata import sample_clean
-
-    clean_ref = sample_clean(dataset.kind, n_eval, derive(eval_seed, 101))
-    mu_c, cov_c = fit_gaussian(clean_ref)
+    score = _scorer(dataset, sigma_hat, n_eval, eval_seed)
 
     def row(source: str, samples: np.ndarray, n: int) -> dict:
-        mu, cov = fit_gaussian(samples)
+        dist = score(samples)
         report = MetricReport(
-            frechet_to_clean=frechet_gaussian(mu, cov, mu_c, cov_c),
-            proximal_fid=proximal_fid(samples, sigma_hat, dataset.points, derive(eval_seed, 103)),
+            frechet_to_clean=dist["frechet_clean"],
+            proximal_fid=dist["proximal_fid"],
             w2_gaussian_fit=frechet_between_samples(samples, dataset.points),
             n_samples=n,
             seed=eval_seed,
@@ -171,8 +180,7 @@ def evaluate_sources(
         rows.append(row("teacher_full", full, n_eval))
         rows.append(row("teacher_truncated", trunc, n_eval))
     if generator is not None:
-        z = derive(eval_seed, 102).standard_normal((n_eval, generator.data_dim))
-        rows.append(row("generator", generator_forward(generator, z, schedule), n_eval))
+        rows.append(row("generator", _one_step_samples(generator, schedule, n_eval, eval_seed), n_eval))
     return rows
 
 

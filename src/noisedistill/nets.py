@@ -142,6 +142,16 @@ class DenseNet:
         return h.hexdigest()
 
 
+def cosine_decay(step: int, steps: int) -> float:
+    """Learning-rate factor: cosine from 1 at step 0 to 1/50 at step ``steps - 1``.
+    There is no weight EMA; the late small-step phase is what lets a net settle
+    below its batch-noise floor."""
+    if steps <= 1:
+        return 1.0
+    frac = 0.5 * (1.0 + np.cos(np.pi * step / (steps - 1)))
+    return 0.02 + 0.98 * frac
+
+
 class Adam:
     """Adam with the fixed constants beta1=0.9, beta2=0.999, eps=1e-8."""
 

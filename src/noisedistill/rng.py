@@ -1,11 +1,10 @@
-"""Seeded, splittable random streams.
+"""Seeded random streams.
 
 All randomness in the package flows through ``numpy.random.Generator``
 instances backed by the Philox-4x64-10 counter-based bit generator.  Philox
-produces the same stream on every platform for a given seed, and counter-based
-state makes independent substreams cheap: ``split`` derives children through
-``SeedSequence.spawn``, so parallel work (multi-seed studies, per-point
-sampling) never shares mutable state.
+produces the same stream on every platform for a given seed; ``derive``
+addresses independent substreams by a tuple, so named uses of randomness
+never share mutable state.
 """
 
 from __future__ import annotations
@@ -16,12 +15,6 @@ import numpy as np
 def make_rng(seed: int) -> np.random.Generator:
     """Root stream for a run."""
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-
-
-def split(seed: int, n: int) -> list[np.random.Generator]:
-    """``n`` independent substreams derived from ``seed``."""
-    children = np.random.SeedSequence(seed).spawn(n)
-    return [np.random.Generator(np.random.Philox(c)) for c in children]
 
 
 def derive(seed: int, *path: int) -> np.random.Generator:

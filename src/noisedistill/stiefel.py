@@ -5,7 +5,6 @@ analytic minimizer family (U spanning the data subspace, V^T V = (1+sigma^2) I).
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,10 +29,9 @@ STIEFEL_TOL = 1e-10
 class OptConfig:
     step_size: float = 0.2
     max_iters: int = 2000
-    grad_tol: float = 1e-5
+    grad_tol: float = 1e-7
     retraction: str = "qr"  # or "polar"
     quad_points: int = 64
-    seed: int = 0
 
     def __post_init__(self):
         if self.step_size <= 0 or self.grad_tol <= 0:
@@ -59,13 +57,6 @@ class OptTrace:
         self.grad_norms.append(float(grad_norm))
         self.angle_max.append(float(angle))
         self.vtv_dev.append(float(dev))
-
-    def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["iter", "loss", "grad_norm", "angle_max", "vtv_dev"])
-            for row in zip(self.iters, self.losses, self.grad_norms, self.angle_max, self.vtv_dev):
-                writer.writerow([row[0], *(repr(v) for v in row[1:])])
 
 
 def euclidean_gradient(

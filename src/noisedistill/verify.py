@@ -33,6 +33,7 @@ from .linear_theory import (
     trace_maximizer_check,
     wasserstein_report,
 )
+from .metrics import frechet_gaussian
 from .rng import derive, make_rng
 from .schedule import NoiseSchedule
 from .stiefel import OptConfig, optimize, random_params, retract
@@ -55,13 +56,6 @@ def _random_low_rank(rng, d=None, max_d=20) -> LowRankGaussian:
     return LowRankGaussian(f, float(rng.uniform(0.1, 3.0)), float(rng.uniform(0.05, 2.0)))
 
 
-def _dense_bures(a: np.ndarray, b: np.ndarray) -> float:
-    ea = symmetric_eigen(a)
-    root = (ea.vectors * np.sqrt(np.clip(ea.values, 0, None))) @ ea.vectors.T
-    inner = symmetric_eigen(root @ b @ root)
-    return float(np.trace(a) + np.trace(b) - 2.0 * np.sum(np.sqrt(np.clip(inner.values, 0, None))))
-
-
 def check_woodbury(seed: int, instances: int = 20) -> CheckResult:
     """Structured inverse vs dense LU inverse, entrywise."""
     rng = derive(seed, 1)
@@ -81,7 +75,9 @@ def check_w2_bures(seed: int, instances: int = 20) -> CheckResult:
     for _ in range(instances):
         a = _random_low_rank(rng, d=int(rng.integers(3, 12)))
         b = LowRankGaussian(a.factor, float(rng.uniform(0.0, 2.0)), float(rng.uniform(0.01, 2.0)))
-        worst = max(worst, abs(w2_commuting(a, b) - _dense_bures(a.dense_cov(), b.dense_cov())))
+        zero = np.zeros(a.dim)
+        bures = frechet_gaussian(zero, a.dense_cov(), zero, b.dense_cov())
+        worst = max(worst, abs(w2_commuting(a, b) - bures))
     return CheckResult("w2_commuting_vs_bures", worst, 1e-9, worst <= 1e-9)
 
 

@@ -6,17 +6,22 @@ import os
 import numpy as np
 import pytest
 
-from noisedistill import __version__
+from noisedistill import cli
 from noisedistill.cli import main
 from noisedistill.config import (
-    ExperimentConfig,
-    artifact_header,
+    format_cell,
+    from_section,
     load_config,
     parse_config,
+    provenance,
     write_csv_atomic,
     write_text_atomic,
 )
+from noisedistill.diffusion import TrainConfig
+from noisedistill.distill import DistillConfig
 from noisedistill.errors import ConfigError
+from noisedistill.schedule import NoiseSchedule
+from noisedistill.stiefel import OptConfig
 from noisedistill.svgplot import emit_scatter_svg
 
 
@@ -110,14 +115,45 @@ class TestAtomicWrites:
     def test_csv_dialect_and_header(self, tmp_path):
         cfg = parse_config(verify_config())
         path = tmp_path / "rows.csv"
-        write_csv_atomic(str(path), cfg, __version__, ["a", "b"], [[1, 0.5], {"a": 2, "b": 1.25}])
+        write_csv_atomic(str(path), cfg, ["a", "b"], [[1, 0.5], {"a": 2, "b": 1.25}])
         text = path.read_text()
         lines = text.splitlines()
-        assert lines[0] == artifact_header(cfg, __version__)
+        assert lines[0] == f"# {provenance(cfg)}"
+        assert provenance(cfg) == f"config_hash={cfg.config_hash()} seed=0 version=0.1.0"
         assert lines[1] == "a,b"
         assert lines[2] == "1,0.5"
         assert lines[3] == "2,1.25"
         assert "\r" not in text
+
+    def test_numpy_float_cell_is_plain_repr(self):
+        value = np.float64(2.7755575615628914e-07)
+        assert format_cell(value) == "2.7755575615628914e-07"
+        assert format_cell(np.float64(0.5)) == repr(0.5)
+        assert format_cell(3) == "3"
+        assert format_cell(True) == "True"
+
+
+class TestFromSection:
+    def test_empty_section_gives_dataclass_defaults(self):
+        assert from_section(TrainConfig, {}) == TrainConfig()
+        assert from_section(DistillConfig, {}) == DistillConfig()
+        assert from_section(OptConfig, {}) == OptConfig()
+        assert from_section(NoiseSchedule, {}) == NoiseSchedule()
+
+    def test_section_key_overrides_default(self):
+        tcfg = from_section(TrainConfig, {"lr": 3e-3, "hidden": [8], "mode": "standard"})
+        assert tcfg.lr == 3e-3
+        assert tcfg.steps == TrainConfig().steps
+        assert from_section(OptConfig, {"grad_tol": 1e-6, "seeds": 4}).grad_tol == 1e-6
+        assert from_section(NoiseSchedule, {"sigma_max": 2.0}) == NoiseSchedule(0.02, 2.0)
+
+    def test_fixed_value_overrides_section(self):
+        dcfg = from_section(DistillConfig, {"mode": "standard", "sigma_hat": 0.1},
+                            mode="adjusted", seed=4)
+        assert (dcfg.mode, dcfg.sigma_hat, dcfg.seed) == ("adjusted", 0.1, 4)
+
+    def test_verify_runs_at_the_optimizer_default_tolerance(self):
+        assert OptConfig().grad_tol == 1e-7
 
 
 class TestScatterSvg:
@@ -275,6 +311,75 @@ class TestCliPipeline:
         cfg = write_cfg(tmp_path, pipeline_config("pretrain"), "pre.json")
         assert main(["pretrain", "--config", cfg, "--out", str(out), "--plots"]) == 0
         assert (out / "dataset.svg").exists()
+
+
+def pretrained_teacher(tmp_path, mode="ambient"):
+    out = tmp_path / f"teacher_{mode}"
+    raw = pipeline_config("pretrain", train={"steps": 2, "mode": mode, "hidden": [4]})
+    assert main(["pretrain", "--config", write_cfg(tmp_path, raw, f"pre_{mode}.json"),
+                 "--out", str(out)]) == 0
+    return out / "teacher.json"
+
+
+BAD_CHECKPOINTS = {
+    "foreign_checkpoint": lambda text, payload: json.dumps({"format": "other-tool"}),
+    "truncated_checkpoint": lambda text, payload: text[: len(text) // 2],
+    "checkpoint_without_layer_sizes": lambda text, payload: json.dumps(
+        {k: v for k, v in payload.items() if k != "layer_sizes"}),
+    "checkpoint_without_weights": lambda text, payload: json.dumps(
+        {k: v for k, v in payload.items() if k != "weights"}),
+}
+
+
+def bad_input(case, tmp_path):
+    """(command, config) of one bad-input case."""
+    teacher = pretrained_teacher(tmp_path)
+    if case in BAD_CHECKPOINTS:
+        text = teacher.read_text()
+        path = tmp_path / "bad_checkpoint.json"
+        path.write_text(BAD_CHECKPOINTS[case](text, json.loads(text)))
+        return "sample", pipeline_config(
+            "sample", sample={"source": str(path), "sampler": "one_step", "n": 5})
+    if case == "sigma_min_above_sigma_max":
+        return "pretrain", pipeline_config("pretrain", schedule={"sigma_min": 2.0, "sigma_max": 1.0})
+    if case == "rank_not_below_dim":
+        raw = verify_config()
+        raw["linear"].update(dim=3, rank=3)
+        return "verify", raw
+    assert case == "distill_mode_unpaired_with_teacher"
+    return "distill", pipeline_config(
+        "distill", distill={"teacher": str(teacher), "mode": "standard", "steps": 1})
+
+
+class TestCliBadInput:
+    @pytest.mark.parametrize("case", [*BAD_CHECKPOINTS, "sigma_min_above_sigma_max",
+                                      "rank_not_below_dim", "distill_mode_unpaired_with_teacher"])
+    def test_exits_2_without_traceback(self, case, tmp_path, capsys):
+        command, raw = bad_input(case, tmp_path)
+        cfg = write_cfg(tmp_path, raw, "bad.json")
+        capsys.readouterr()
+        # an uncaught exception would fail the test here, before the exit code
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert "Traceback" not in err
+
+    def test_standard_teacher_distills_in_standard_mode(self, tmp_path, monkeypatch):
+        teacher = pretrained_teacher(tmp_path, mode="standard")
+        modes = []
+        real = cli.run_distillation
+
+        def recording(teacher_net, dcfg, **kw):
+            modes.append(dcfg.mode)
+            return real(teacher_net, dcfg, **kw)
+
+        monkeypatch.setattr(cli, "run_distillation", recording)
+        raw = pipeline_config("distill", distill={"teacher": str(teacher), "steps": 2,
+                                                  "batch_size": 8, "eval_every": 2},
+                              eval={"n_eval": 256})
+        cfg = write_cfg(tmp_path, raw, "distill.json")
+        assert main(["distill", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        assert modes == ["standard"]
 
 
 class TestCliSigmaSweep:

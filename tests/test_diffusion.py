@@ -6,12 +6,10 @@ import pytest
 from noisedistill.diffusion import (
     TrainConfig,
     ambient_sample,
-    ambient_tweedie_loss,
     denoising_loss,
     load_checkpoint,
     pretrain,
     save_checkpoint,
-    standard_diffusion_loss,
 )
 from noisedistill.errors import DivergenceError, PreconditionError
 from noisedistill.gaussians import fit_gaussian
@@ -29,13 +27,16 @@ def tiny_net(seed=0, sizes=(3, 16, 16, 2)):
 
 class TestLossDegenerations:
     def test_sigma_hat_zero_reduces_to_standard_bitwise(self):
-        net = tiny_net(1)
-        batch = derive(1, 2).standard_normal((32, 2))
-        loss_a, grads_a = ambient_tweedie_loss(net, batch, 0.0, SCHED, make_rng(5))
-        loss_s, grads_s = standard_diffusion_loss(net, batch, SCHED, make_rng(5))
-        assert loss_a == loss_s
-        for ga, gs in zip(grads_a, grads_s):
-            assert np.array_equal(ga, gs)
+        data = make_dataset("ring", 256, 0.05, seed=1)
+        cfg = TrainConfig(batch_size=32, lr=1e-3, steps=20, schedule=SCHED, sigma_hat=0.0, seed=5)
+        net_a, curve_a = pretrain(tiny_net(1), data, cfg, "ambient")
+        net_s, curve_s = pretrain(tiny_net(1), data, cfg, "standard")
+        assert curve_a == curve_s
+        assert np.array_equal(net_a.get_flat(), net_s.get_flat())
+
+    def test_negative_sigma_hat_rejected(self):
+        with pytest.raises(PreconditionError):
+            denoising_loss(tiny_net(1), np.zeros((4, 2)), -0.1, SCHED, make_rng(0))
 
     def test_clipped_level_gives_exactly_zero_per_sample_loss(self):
         # constant schedule at sigma_hat: every draw is clipped, x_t == y
@@ -43,15 +44,15 @@ class TestLossDegenerations:
         sigma_hat = 0.3
         sched = NoiseSchedule(sigma_hat / 2, sigma_hat / 2)  # always below, always clipped
         batch = derive(2, 2).standard_normal((16, 2))
-        loss, grads = ambient_tweedie_loss(net, batch, sigma_hat, sched, make_rng(6))
+        loss, grads = denoising_loss(net, batch, sigma_hat, sched, make_rng(6))
         assert loss == 0.0
         assert all(np.all(g == 0) for g in grads)
 
     def test_identical_seeds_identical_loss(self):
         net = tiny_net(3)
         batch = derive(3, 2).standard_normal((16, 2))
-        l1, _ = standard_diffusion_loss(net, batch, SCHED, make_rng(9))
-        l2, _ = standard_diffusion_loss(net, batch, SCHED, make_rng(9))
+        l1, _ = denoising_loss(net, batch, 0.0, SCHED, make_rng(9))
+        l2, _ = denoising_loss(net, batch, 0.0, SCHED, make_rng(9))
         assert l1 == l2
 
     def test_duplicated_rows_leave_loss_unchanged(self):
@@ -59,23 +60,23 @@ class TestLossDegenerations:
         net = tiny_net(4)
         batch = derive(4, 2).standard_normal((8, 2))
         rng = make_rng(11)
-        l1, _ = standard_diffusion_loss(net, batch, SCHED, rng)
+        l1, _ = denoising_loss(net, batch, 0.0, SCHED, rng)
         # expectation argument: mean over duplicated rows equals mean over rows
         doubled = np.vstack([batch, batch])
-        l2s = [standard_diffusion_loss(net, doubled, SCHED, make_rng(s))[0] for s in range(40)]
-        l1s = [standard_diffusion_loss(net, batch, SCHED, make_rng(s))[0] for s in range(40)]
+        l2s = [denoising_loss(net, doubled, 0.0, SCHED, make_rng(s))[0] for s in range(40)]
+        l1s = [denoising_loss(net, batch, 0.0, SCHED, make_rng(s))[0] for s in range(40)]
         assert np.mean(l2s) == pytest.approx(np.mean(l1s), rel=0.15)
 
     def test_gradients_flow_to_all_parameters(self):
         net = tiny_net(5)
         batch = derive(5, 2).standard_normal((64, 2))
-        loss, grads = standard_diffusion_loss(net, batch, SCHED, make_rng(12))
+        loss, grads = denoising_loss(net, batch, 0.0, SCHED, make_rng(12))
         assert loss >= 0
         assert all(np.any(g != 0) for g in grads)
 
     def test_empty_batch_rejected(self):
         with pytest.raises(PreconditionError):
-            standard_diffusion_loss(tiny_net(6), np.empty((0, 2)), SCHED, make_rng(0))
+            denoising_loss(tiny_net(6), np.empty((0, 2)), 0.0, SCHED, make_rng(0))
 
 
 class TestMemorizationFloor:
@@ -338,5 +339,27 @@ class TestCheckpoints:
     def test_rejects_foreign_json(self, tmp_path):
         path = tmp_path / "other.json"
         path.write_text('{"hello": 1}')
+        with pytest.raises(PreconditionError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("damage", ["short_weight", "short_bias", "nan_weight", "inf_bias",
+                                        "unknown_mode"])
+    def test_rejects_shape_mismatch_nonfinite_and_unknown_mode(self, tmp_path, damage):
+        import json
+
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(path, tiny_net(61), TrainConfig(schedule=SCHED), 1, "ambient")
+        payload = json.loads(path.read_text())
+        if damage == "short_weight":
+            payload["weights"][1] = payload["weights"][1][:-1]
+        elif damage == "short_bias":
+            payload["biases"][0] = payload["biases"][0][:-1]
+        elif damage == "nan_weight":
+            payload["weights"][0][0][0] = float("nan")
+        elif damage == "inf_bias":
+            payload["biases"][2][0] = float("inf")
+        else:
+            payload["mode"] = "tweedie"
+        path.write_text(json.dumps(payload))
         with pytest.raises(PreconditionError):
             load_checkpoint(path)

@@ -64,6 +64,23 @@ class TestFrechetGaussian:
         with pytest.raises(PreconditionError):
             frechet_gaussian([0, 0], np.diag([1.0, -1e-3]), [0, 0], np.eye(2))
 
+    def test_two_homogeneous_in_sample_scale(self):
+        # F(s a, s b) = s^2 F(a, b): finite samples of any spread give a number,
+        # and the symmetry check scales with the matrices it guards
+        rng = derive(30, 0)
+        a = rng.standard_normal((4000, 2)) @ np.array([[1.0, 0.3], [0.0, 0.5]])
+        b = 0.7 * rng.standard_normal((4000, 2)) + np.array([0.2, -0.1])
+        base = frechet_between_samples(a, b)
+        assert base > 0.1
+        for s in (1.0, 1e2, 1e3, 1e5):
+            assert frechet_between_samples(s * a, s * b) == pytest.approx(s**2 * base, rel=1e-9)
+
+    def test_asymmetric_matrix_rejected_at_any_scale(self):
+        asym = np.array([[1.0, 0.5], [0.0, 1.0]])
+        for s in (1e-3, 1.0, 1e10):
+            with pytest.raises(PreconditionError):
+                frechet_gaussian([0, 0], s * asym, [0, 0], s * np.eye(2))
+
 
 class TestProximalFid:
     def test_self_consistency_goes_to_zero(self):

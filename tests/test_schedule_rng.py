@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from noisedistill.errors import PreconditionError
-from noisedistill.rng import derive, make_rng, split
+from noisedistill.rng import derive, make_rng
 from noisedistill.schedule import NoiseSchedule
 from noisedistill.toydata import make_dataset, sample_clean
 
@@ -55,13 +55,6 @@ class TestRng:
         b = derive(3, 2).standard_normal(4)
         assert np.array_equal(a1, a2)
         assert not np.array_equal(a1, b)
-
-    def test_split_streams_differ(self):
-        streams = split(0, 4)
-        draws = [s.standard_normal(4) for s in streams]
-        for i in range(4):
-            for j in range(i + 1, 4):
-                assert not np.array_equal(draws[i], draws[j])
 
     def test_philox_backed(self):
         assert make_rng(0).bit_generator.__class__.__name__ == "Philox"
