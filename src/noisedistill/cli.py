@@ -19,6 +19,7 @@ from .diffusion import (
     SAMPLER_STEPS,
     TrainConfig,
     ambient_sample,
+    guard_samples,
     load_checkpoint,
     pretrain,
     save_checkpoint,
@@ -185,7 +186,7 @@ def cmd_sample(cfg: ExperimentConfig, out: str) -> int:
         samples = np.empty((0, net.data_dim))
     elif sampler == "one_step":
         z = derive(cfg.seed, 301).standard_normal((n, net.data_dim))
-        samples = generator_forward(net, z, t_cfg.schedule)
+        samples = guard_samples(generator_forward(net, z, t_cfg.schedule), "one-step generator")
     else:
         samples = ambient_sample(net, t_cfg.sigma_hat, sec.get("steps", SAMPLER_STEPS), sampler, n,
                                  derive(cfg.seed, 302), t_cfg.schedule)
@@ -234,7 +235,6 @@ def cmd_sigma_sweep(cfg: ExperimentConfig, out: str) -> int:
     rows = []
     for sigma_hat in sigma_hats:
         sub_out = os.path.join(out, f"sigma_hat_{sigma_hat:g}")
-        os.makedirs(sub_out, exist_ok=True)
         tcfg = from_section(TrainConfig, cfg.section("train"), schedule=schedule, seed=cfg.seed,
                             sigma_hat=sigma_hat)
         net = _fresh_net(cfg, data.points.shape[1])
@@ -298,10 +298,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    out = cfg.out_dir()
-    os.makedirs(out, exist_ok=True)
-    try:
-        return command(cfg, out)
+    try:  # the atomic writers create the output directory with the first artifact
+        return command(cfg, cfg.out_dir())
     except (ConfigError, PreconditionError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -119,6 +119,18 @@ def pretrain(
     return net, curve
 
 
+def guard_samples(x: np.ndarray, source: str) -> np.ndarray:
+    """Return ``x``, or raise ``DivergenceError`` when a sample is non-finite or
+    exceeds ``DIVERGENCE_THRESHOLD`` in magnitude (a blown-up model)."""
+    peak = float(np.max(np.abs(x))) if x.size else 0.0
+    if not peak <= DIVERGENCE_THRESHOLD:  # also true for nan
+        raise DivergenceError(
+            f"{source} samples diverged: max |x| = {peak:.3e}",
+            diagnostics={"source": source, "max_abs": peak},
+        )
+    return x
+
+
 def ambient_sample(
     net: DenseNet,
     sigma_hat: float,
@@ -134,7 +146,8 @@ def ambient_sample(
     x <- x - (sigma_t - sigma_prev)/sigma_t * (x - f(x, sigma_t)).
     In ``truncated`` mode the walk exits with the denoised estimate
     f(x, sigma_t) the first time the next level drops below sigma_hat;
-    ``full`` mode iterates all the way down to sigma_min.
+    ``full`` mode iterates all the way down to sigma_min.  Non-finite or
+    blown-up samples raise ``DivergenceError``.
     """
     if mode not in ("full", "truncated"):
         raise PreconditionError(f"unknown sampling mode {mode!r}")
@@ -144,9 +157,9 @@ def ambient_sample(
         sig, sig_prev = grid[i], grid[i + 1]
         x0_hat = net.forward(x, sig)
         if mode == "truncated" and sig_prev < sigma_hat:
-            return x0_hat
+            return guard_samples(x0_hat, f"{mode} sampler")
         x = x - ((sig - sig_prev) / sig) * (x - x0_hat)
-    return x
+    return guard_samples(x, f"{mode} sampler")
 
 
 # -- checkpoints -------------------------------------------------------------

@@ -220,8 +220,8 @@ def generator_grad_sid(
 
     vec_fake = w * (2.0 * (1.0 - alpha) * diff - resid - diff)
     vec_teacher = w * (resid - 2.0 * (1.0 - alpha) * diff)
-    _, dxt_fake = state.fake.backward(cache_psi, vec_fake)
-    _, dxt_teacher = state.teacher.backward(cache_phi, vec_teacher)
+    dxt_fake = state.fake.backward(cache_psi, vec_fake, params=False)
+    dxt_teacher = state.teacher.backward(cache_phi, vec_teacher, params=False)
     upstream_xg = dxt_fake + dxt_teacher + w * diff
     grads, _ = state.generator.backward(p.cache_g, upstream_xg)
     return grads
@@ -369,7 +369,7 @@ def inverse_solve(
     opt = Adam([z], lr)
     for _ in range(steps):
         upstream = 2.0 * (resid if forward_op is None else resid @ forward_op)
-        _, dz = generator.backward(cache, upstream)
+        dz = generator.backward(cache, upstream, params=False)
         opt.step([z], [dz])
         x, cache, pred, resid, per_point = objective(z)
         improved = per_point < best_res

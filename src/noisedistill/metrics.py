@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffusion import SAMPLER_STEPS, ambient_sample
+from .diffusion import SAMPLER_STEPS, ambient_sample, guard_samples
 from .distill import generator_forward
 from .errors import InsufficientDataError, PreconditionError
 from .gaussians import fit_gaussian, symmetric_eigen
@@ -116,7 +116,7 @@ def _scorer(dataset, sigma_hat: float, n_eval: int, eval_seed: int):
 
 def _one_step_samples(generator, schedule, n_eval: int, eval_seed: int) -> np.ndarray:
     z = derive(eval_seed, 102).standard_normal((n_eval, generator.data_dim))
-    return generator_forward(generator, z, schedule)
+    return guard_samples(generator_forward(generator, z, schedule), "one-step generator")
 
 
 def make_eval_hook(dataset, sigma_hat: float, schedule, n_eval: int = N_EVAL, eval_seed: int = 0):

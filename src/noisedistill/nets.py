@@ -16,14 +16,31 @@ import numpy as np
 from .errors import PreconditionError
 
 
-def silu(z: np.ndarray) -> np.ndarray:
-    """Sigmoid-weighted linear unit, z * sigmoid(z)."""
-    return z / (1.0 + np.exp(-z))
+def silu(z: np.ndarray, denom: np.ndarray | None = None, out: np.ndarray | None = None) -> np.ndarray:
+    """Sigmoid-weighted linear unit, z * sigmoid(z), computed as z / (1 + exp(-z)).
+
+    ``denom`` (shaped like ``z``) receives 1 + exp(-z) for ``silu_grad`` to
+    reuse; ``out`` may be ``z`` itself, which then holds the activation.
+    """
+    if denom is None:
+        denom = np.empty_like(z)
+    np.negative(z, out=denom)
+    np.exp(denom, out=denom)
+    denom += 1.0
+    return np.divide(z, denom, out=out)
 
 
-def silu_grad(z: np.ndarray) -> np.ndarray:
-    s = 1.0 / (1.0 + np.exp(-z))
-    return s * (1.0 + z * (1.0 - s))
+def silu_grad(z: np.ndarray, denom: np.ndarray | None = None) -> np.ndarray:
+    """d silu / dz = s (1 + z (1 - s)) with s = 1 / denom, where ``denom`` is
+    the 1 + exp(-z) that ``silu`` stored (recomputed when not given)."""
+    if denom is None:
+        denom = 1.0 + np.exp(-z)
+    s = 1.0 / denom
+    g = 1.0 - s
+    g *= z
+    g += 1.0
+    g *= s
+    return g
 
 
 class DenseNet:
@@ -78,41 +95,63 @@ class DenseNet:
 
     def forward(self, x: np.ndarray, sigma) -> np.ndarray:
         """Evaluate the net on a batch (n, data_dim) at noise level(s) sigma."""
-        out, _ = self.forward_cached(x, sigma)
+        out, _ = self.forward_cached(x, sigma, keep_cache=False)
         return out
 
-    def forward_cached(self, x: np.ndarray, sigma):
-        """Forward pass keeping activations for a later backward pass."""
-        a = self._stack_input(x, sigma)
-        pre = []
-        acts = [a]
-        n_layers = len(self.weights)
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            z = a @ w.T + b
-            pre.append(z)
-            a = silu(z) if i < n_layers - 1 else z
-            acts.append(a)
-        return a, (pre, acts)
+    def forward_cached(self, x: np.ndarray, sigma, keep_cache: bool = True):
+        """Forward pass keeping pre-activations, SiLU denominators and
+        activations for a later backward pass.
 
-    def backward(self, cache, upstream: np.ndarray):
+        With ``keep_cache=False`` each layer overwrites its pre-activation with
+        its activation, one denominator buffer serves every hidden layer, and
+        the returned cache is ``None``.
+        """
+        a = self._stack_input(x, sigma)
+        pre, denoms, acts = [], [], [a]
+        denom = None
+        last = len(self.weights) - 1
+        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
+            z = a @ w.T
+            z += b
+            if i == last:
+                a = z
+            elif keep_cache:
+                denom = np.empty_like(z)
+                a = silu(z, denom)
+            else:
+                if denom is None or denom.shape != z.shape:
+                    denom = np.empty_like(z)
+                a = silu(z, denom, out=z)
+            if keep_cache:
+                pre.append(z)
+                denoms.append(denom)
+                acts.append(a)
+        return a, ((pre, denoms, acts) if keep_cache else None)
+
+    def backward(self, cache, upstream: np.ndarray, params: bool = True):
         """Reverse pass: gradients of sum(upstream * output) in params and input.
 
         Returns ``(grads, d_input)`` where ``grads`` matches the structure of
         ``parameters()`` and ``d_input`` is the (n, data_dim) gradient with
         respect to the data part of the input (the sigma channel is treated
-        as a constant).
+        as a constant).  With ``params=False`` the parameter gradients are
+        skipped and only ``d_input`` is returned.  Neither ``cache`` nor
+        ``upstream`` is modified.
         """
-        pre, acts = cache
+        pre, denoms, acts = cache
         delta = np.atleast_2d(np.asarray(upstream, dtype=float))
+        last = len(self.weights) - 1
         w_grads = [None] * len(self.weights)
         b_grads = [None] * len(self.biases)
-        for i in range(len(self.weights) - 1, -1, -1):
-            if i < len(self.weights) - 1:
-                delta = delta * silu_grad(pre[i])
-            w_grads[i] = delta.T @ acts[i]
-            b_grads[i] = delta.sum(axis=0)
+        for i in range(last, -1, -1):
+            if i < last:  # delta is the fresh product of the layer above
+                delta *= silu_grad(pre[i], denoms[i])
+            if params:
+                w_grads[i] = delta.T @ acts[i]
+                b_grads[i] = delta.sum(axis=0)
             delta = delta @ self.weights[i]
-        return w_grads + b_grads, delta[:, : self.data_dim]
+        d_input = delta[:, : self.data_dim]
+        return (w_grads + b_grads, d_input) if params else d_input
 
     # -- parameter plumbing --------------------------------------------------
 

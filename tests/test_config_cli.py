@@ -363,6 +363,7 @@ class TestCliBadInput:
         err = capsys.readouterr().err
         assert err.startswith("config error:")
         assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
     def test_standard_teacher_distills_in_standard_mode(self, tmp_path, monkeypatch):
         teacher = pretrained_teacher(tmp_path, mode="standard")
@@ -380,6 +381,34 @@ class TestCliBadInput:
         cfg = write_cfg(tmp_path, raw, "distill.json")
         assert main(["distill", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
         assert modes == ["standard"]
+
+
+def blown_up_checkpoint(tmp_path):
+    """A loadable checkpoint whose weights are all finite but scaled by 1e110."""
+    path = pretrained_teacher(tmp_path)
+    payload = json.loads(path.read_text())
+    payload["weights"] = [(1e110 * np.array(w)).tolist() for w in payload["weights"]]
+    blown = tmp_path / "blown_up.json"
+    blown.write_text(json.dumps(payload))
+    return str(blown)
+
+
+class TestCliDivergence:
+    @pytest.mark.parametrize("command,section", [
+        ("sample", lambda ckpt: {"sample": {"source": ckpt, "sampler": "one_step", "n": 200}}),
+        ("sample", lambda ckpt: {"sample": {"source": ckpt, "sampler": "full", "n": 200, "steps": 8}}),
+        ("eval", lambda ckpt: {"eval": {"teacher": ckpt, "n_eval": 256, "sample_steps": 8}}),
+        ("eval", lambda ckpt: {"eval": {"generator": ckpt, "n_eval": 256}}),
+    ], ids=["sample_one_step", "sample_full", "eval_teacher", "eval_generator"])
+    def test_blown_up_model_exits_3_without_traceback(self, command, section, tmp_path, capsys):
+        raw = pipeline_config(command, **section(blown_up_checkpoint(tmp_path)))
+        cfg = write_cfg(tmp_path, raw, "blown.json")
+        capsys.readouterr()
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("divergence:")
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
 
 class TestCliSigmaSweep:

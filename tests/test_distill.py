@@ -251,9 +251,10 @@ class TestEstimatorFiniteDifferences:
             def forward_cached(self, x, sigma):
                 return x * self.a, ("lin", x)
 
-            def backward(self, cache, upstream):
+            def backward(self, cache, upstream, params=True):
                 _, x = cache
-                return [np.sum(upstream * x, axis=0)], upstream * self.a
+                d_input = upstream * self.a
+                return ([np.sum(upstream * x, axis=0)], d_input) if params else d_input
 
         cfg = config(method="sid", alpha=1.0, weighting="constant", sigma_hat=0.0)
         gen = LinearNet([1.3, 0.7])

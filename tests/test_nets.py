@@ -3,9 +3,13 @@
 import numpy as np
 import pytest
 
+from noisedistill.diffusion import TrainConfig, pretrain
+from noisedistill.distill import DistillConfig, fake_update, generator_update, init_distillation
 from noisedistill.errors import PreconditionError
 from noisedistill.nets import Adam, DenseNet, silu, silu_grad
-from noisedistill.rng import derive
+from noisedistill.rng import derive, make_rng
+from noisedistill.schedule import NoiseSchedule
+from noisedistill.toydata import make_dataset
 
 
 def tiny_net(seed=0, sizes=(3, 6, 5, 2)):
@@ -110,6 +114,162 @@ class TestBackward:
         grads, dx = net.backward(cache, np.zeros((4, 2)))
         assert all(np.all(g == 0) for g in grads)
         assert np.all(dx == 0)
+
+
+def reference_silu(z):
+    return z / (1.0 + np.exp(-z))
+
+
+def reference_silu_grad(z):
+    s = 1.0 / (1.0 + np.exp(-z))
+    return s * (1.0 + z * (1.0 - s))
+
+
+class ReferenceNet(DenseNet):
+    """The allocating forward/backward that the in-place kernels of
+    ``DenseNet`` must reproduce bit for bit."""
+
+    @classmethod
+    def sharing(cls, net):
+        ref = object.__new__(cls)
+        ref.layer_sizes, ref.weights, ref.biases = net.layer_sizes, net.weights, net.biases
+        return ref
+
+    def forward(self, x, sigma):
+        return self.forward_cached(x, sigma)[0]
+
+    def forward_cached(self, x, sigma):
+        a = self._stack_input(x, sigma)
+        pre = []
+        acts = [a]
+        n_layers = len(self.weights)
+        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
+            z = a @ w.T + b
+            pre.append(z)
+            a = reference_silu(z) if i < n_layers - 1 else z
+            acts.append(a)
+        return a, (pre, acts)
+
+    def backward(self, cache, upstream, params=True):
+        pre, acts = cache
+        delta = np.atleast_2d(np.asarray(upstream, dtype=float))
+        w_grads = [None] * len(self.weights)
+        b_grads = [None] * len(self.biases)
+        for i in range(len(self.weights) - 1, -1, -1):
+            if i < len(self.weights) - 1:
+                delta = delta * reference_silu_grad(pre[i])
+            w_grads[i] = delta.T @ acts[i]
+            b_grads[i] = delta.sum(axis=0)
+            delta = delta @ self.weights[i]
+        d_input = delta[:, : self.data_dim]
+        return (w_grads + b_grads, d_input) if params else d_input
+
+
+def kernel_batch(seed=14, n=37):
+    rng = derive(seed, 2)
+    return rng.standard_normal((n, 2)), rng.uniform(0.05, 3.0, n), rng.standard_normal((n, 2))
+
+
+class TestKernelsBitwise:
+    """In-place kernels against the allocating formulas, with no tolerance."""
+
+    Z = np.concatenate([np.linspace(-800.0, 800.0, 1601), 5.0 * derive(15, 0).standard_normal(500),
+                        [0.0, -0.0, 1e-300, -1e-300]])
+
+    def test_silu_matches_formula(self):
+        with np.errstate(over="ignore"):
+            assert np.array_equal(silu(self.Z), reference_silu(self.Z))
+
+    def test_silu_grad_from_stored_denominator(self):
+        denom = np.empty_like(self.Z)
+        with np.errstate(over="ignore"):
+            silu(self.Z, denom)
+            from_denom = silu_grad(self.Z, denom)
+            recomputed = silu_grad(self.Z)
+            reference = reference_silu_grad(self.Z)
+        assert np.array_equal(from_denom, recomputed)
+        assert np.array_equal(recomputed, reference)
+
+    def test_silu_writes_activation_over_input(self):
+        z = self.Z.copy()
+        with np.errstate(over="ignore"):
+            out = silu(z, out=z)
+            assert out is z
+            assert np.array_equal(z, reference_silu(self.Z))
+
+    def test_forward_equals_cached_forward(self):
+        net = tiny_net(14, sizes=(3, 24, 24, 24, 2))
+        x, sigma, _ = kernel_batch()
+        assert np.array_equal(net.forward(x, sigma), net.forward_cached(x, sigma)[0])
+
+    def test_parameter_free_backward_gives_the_same_input_gradient(self):
+        net = tiny_net(14, sizes=(3, 24, 24, 24, 2))
+        x, sigma, upstream = kernel_batch()
+        _, cache = net.forward_cached(x, sigma)
+        _, d_input = net.backward(cache, upstream)
+        assert np.array_equal(net.backward(cache, upstream, params=False), d_input)
+
+    def test_kernels_match_reference_net(self):
+        net = tiny_net(14, sizes=(3, 24, 24, 24, 2))
+        ref = ReferenceNet.sharing(net)
+        x, sigma, upstream = kernel_batch()
+        out, cache = net.forward_cached(x, sigma)
+        ref_out, ref_cache = ref.forward_cached(x, sigma)
+        assert np.array_equal(out, ref_out)
+        grads, d_input = net.backward(cache, upstream)
+        ref_grads, ref_d_input = ref.backward(ref_cache, upstream)
+        assert np.array_equal(d_input, ref_d_input)
+        assert all(np.array_equal(g, r) for g, r in zip(grads, ref_grads))
+
+    def test_second_forward_leaves_first_result_unchanged(self):
+        net = tiny_net(14, sizes=(3, 24, 24, 2))
+        x, sigma, _ = kernel_batch()
+        first = net.forward(x, sigma)
+        kept = first.copy()
+        net.forward(-x, 2.0 * sigma)
+        assert np.array_equal(first, kept)
+
+    def test_backward_leaves_cache_and_upstream_unchanged(self):
+        net = tiny_net(14, sizes=(3, 24, 24, 2))
+        x, sigma, upstream = kernel_batch()
+        _, cache = net.forward_cached(x, sigma)
+        cache_before = [[a.copy() for a in part] for part in cache]
+        upstream_before = upstream.copy()
+        grads1, d1 = net.backward(cache, upstream)
+        assert np.array_equal(upstream, upstream_before)
+        assert all(np.array_equal(a, b) for part, kept in zip(cache, cache_before)
+                   for a, b in zip(part, kept))
+        grads2, d2 = net.backward(cache, upstream)
+        assert np.array_equal(d1, d2)
+        assert all(np.array_equal(g1, g2) for g1, g2 in zip(grads1, grads2))
+
+
+class TestReferenceContract:
+    """Training through the in-place kernels reproduces the reference net's
+    loss curve and parameters exactly, so kernel changes cannot move artifacts."""
+
+    SIZES = [3, 32, 32, 32, 2]
+    SCHED = NoiseSchedule(0.035, 1.0)
+
+    def run(self, as_net):
+        data = make_dataset("ring", 512, 0.05, seed=4)
+        teacher = as_net(DenseNet(self.SIZES, derive(4, 1)))
+        tcfg = TrainConfig(batch_size=64, lr=1e-3, steps=20, schedule=self.SCHED, sigma_hat=0.05, seed=4)
+        _, curve = pretrain(teacher, data, tcfg, "ambient")
+        dcfg = DistillConfig(method="sid", steps=3, batch_size=64, sigma_hat=0.05, schedule=self.SCHED)
+        state = init_distillation(teacher, dcfg)
+        state.fake, state.generator = as_net(state.fake), as_net(state.generator)
+        rng = make_rng(5)
+        trace = [(fake_update(state, rng), generator_update(state, rng)) for _ in range(dcfg.steps)]
+        digests = [net.params_digest() for net in (teacher, state.fake, state.generator)]
+        return curve, trace, digests
+
+    def test_pretrain_and_sid_match_reference_net(self):
+        curve, trace, digests = self.run(lambda net: net)
+        ref_curve, ref_trace, ref_digests = self.run(ReferenceNet.sharing)
+        assert curve == ref_curve
+        assert trace == ref_trace
+        assert digests == ref_digests
 
 
 class TestParams:
