@@ -13,7 +13,6 @@ import sys
 
 import numpy as np
 
-from . import __version__
 from .config import ExperimentConfig, from_section, load_config, provenance, write_csv_atomic
 from .diffusion import (
     SAMPLER_STEPS,
@@ -53,15 +52,6 @@ def _dataset(cfg: ExperimentConfig):
     return make_dataset(sec["kind"], sec["n"], sec["sigma_data"], cfg.seed)
 
 
-def _fresh_net(cfg: ExperimentConfig, data_dim: int) -> DenseNet:
-    hidden = cfg.section("train").get("hidden", HIDDEN)
-    return DenseNet([data_dim + 1, *hidden, data_dim], derive(cfg.seed, 201))
-
-
-def _meta(cfg: ExperimentConfig) -> dict:
-    return {"config_hash": cfg.config_hash(), "seed": cfg.seed, "version": __version__}
-
-
 def _load_checkpoint_input(path: str):
     if not os.path.exists(path):
         raise ConfigError(f"missing input: checkpoint {path!r} does not exist")
@@ -69,6 +59,79 @@ def _load_checkpoint_input(path: str):
         return load_checkpoint(path)
     except (OSError, KeyError, TypeError, ValueError) as exc:  # ValueError covers bad JSON
         raise ConfigError(f"unreadable checkpoint {path!r}: {type(exc).__name__}: {exc}") from exc
+
+
+def _pretrain(cfg: ExperimentConfig, data, out: str, section: dict):
+    """Train a fresh denoiser on ``data`` as the train ``section`` says; writes
+    teacher.json and pretrain_loss.csv under ``out`` and returns the teacher as
+    ``load_checkpoint`` does, (net, mode, sigma_hat, schedule)."""
+    tcfg = from_section(TrainConfig, section, schedule=_schedule(cfg), seed=cfg.seed)
+    mode = section.get("mode", "ambient")
+    dim = data.points.shape[1]
+    net = DenseNet([dim + 1, *section.get("hidden", HIDDEN), dim], derive(cfg.seed, 201))
+    net, curve = pretrain(net, data, tcfg, mode)
+
+    save_checkpoint(os.path.join(out, "teacher.json"), net, mode, tcfg.sigma_hat, tcfg.schedule,
+                    provenance(cfg))
+    write_csv_atomic(os.path.join(out, "pretrain_loss.csv"), cfg,
+                     ["step", "loss"], list(enumerate(curve)))
+    print(f"pretrained {mode} teacher for {tcfg.steps} steps; final loss {curve[-1] if curve else float('nan'):.4f}")
+    return net, mode, tcfg.sigma_hat, tcfg.schedule
+
+
+def _distill(cfg: ExperimentConfig, data, out: str, teacher, section: dict) -> list[dict]:
+    """Distill ``teacher`` (net, mode, sigma_hat, schedule) as the distill
+    ``section`` says, with the teacher's paired mode and sigma_hat as defaults.
+    Writes metrics.csv, generator.json, fake.json, selection.csv and
+    snapshots/ under ``out`` (last_healthy.json when the run diverges) and
+    returns the metric history."""
+    net, t_mode, t_sigma_hat, _ = teacher
+    schedule = _schedule(cfg)
+    dcfg = from_section(DistillConfig, {"mode": PAIRED_MODE[t_mode], "sigma_hat": t_sigma_hat,
+                                        **section}, schedule=schedule, seed=cfg.seed)
+    hook = make_eval_hook(data, dcfg.sigma_hat, schedule,
+                          n_eval=cfg.section("eval").get("n_eval", N_EVAL), eval_seed=cfg.seed)
+
+    def save(name, model):
+        path = os.path.join(out, name)
+        save_checkpoint(path, model, t_mode, dcfg.sigma_hat, schedule, provenance(cfg))
+        return path
+
+    snap_z = derive(cfg.seed, 401).standard_normal((1024, net.data_dim))
+
+    def hook_with_snapshots(state):
+        metrics = hook(state)
+        snap = generator_forward(state.generator, snap_z, schedule)
+        write_csv_atomic(os.path.join(out, "snapshots", f"step_{state.step:06d}.csv"),
+                         cfg, ["x", "y"], snap.tolist())
+        return metrics
+
+    try:
+        state, history = run_distillation(net, dcfg, eval_hook=hook_with_snapshots,
+                                          teacher_mode=t_mode)
+    except DivergenceError as exc:
+        if exc.checkpoint is not None:
+            exc.diagnostics["checkpoint_path"] = save("last_healthy.json", exc.checkpoint)
+        raise
+
+    write_csv_atomic(os.path.join(out, "metrics.csv"), cfg,
+                     ["step", "frechet_clean", "proximal_fid", "fake_loss", "gen_grad_norm"],
+                     history)
+    save("generator.json", state.generator)
+    save("fake.json", state.fake)
+    selection = select_best_checkpoint(history)
+    write_csv_atomic(os.path.join(out, "selection.csv"), cfg,
+                     ["selected_step", "proximal_fid", "frechet_clean", "best_frechet_clean"],
+                     [[selection.step, selection.proximal_fid, selection.frechet_to_clean,
+                       selection.best_frechet_to_clean]])
+    if cfg.plots:
+        z = derive(cfg.seed, 402).standard_normal((2048, net.data_dim))
+        emit_scatter_svg([("generator", generator_forward(state.generator, z, schedule)),
+                          ("noisy data", data.points)],
+                         os.path.join(out, "generator.svg"), meta=provenance(cfg))
+    print(f"distilled {dcfg.method} for {dcfg.steps} steps; "
+          f"final frechet_clean={history[-1].get('frechet_clean', float('nan')):.6f}")
+    return history
 
 
 # -- commands ----------------------------------------------------------------
@@ -101,95 +164,37 @@ def cmd_verify(cfg: ExperimentConfig, out: str) -> int:
 
 def cmd_pretrain(cfg: ExperimentConfig, out: str) -> int:
     data = _dataset(cfg)
-    schedule = _schedule(cfg)
-    tcfg = from_section(TrainConfig, cfg.section("train"), schedule=schedule, seed=cfg.seed)
-    mode = cfg.section("train").get("mode", "ambient")
-    net = _fresh_net(cfg, data.points.shape[1])
-    net, curve = pretrain(net, data, tcfg, mode)
-
-    save_checkpoint(os.path.join(out, "teacher.json"), net, tcfg, tcfg.steps, mode, meta=_meta(cfg))
-    write_csv_atomic(os.path.join(out, "pretrain_loss.csv"), cfg,
-                     ["step", "loss"], list(enumerate(curve)))
+    _pretrain(cfg, data, out, cfg.section("train"))
     write_csv_atomic(os.path.join(out, "dataset.csv"), cfg,
                      ["x", "y", "clean_x", "clean_y"],
                      np.column_stack([data.points, data.clean]).tolist())
     if cfg.plots:
         emit_scatter_svg([("noisy", data.points), ("clean", data.clean)],
                          os.path.join(out, "dataset.svg"), meta=provenance(cfg))
-    print(f"pretrained {mode} teacher for {tcfg.steps} steps; final loss {curve[-1] if curve else float('nan'):.4f}")
     return EXIT_OK
 
 
 def cmd_distill(cfg: ExperimentConfig, out: str) -> int:
-    data = _dataset(cfg)
-    schedule = _schedule(cfg)
     dsec = cfg.section("distill")
     if "teacher" not in dsec:
         raise ConfigError("distill.teacher (checkpoint path) is required")
-    teacher, t_cfg, _, t_mode = _load_checkpoint_input(dsec["teacher"])
-    # The teacher sets the defaults of mode and sigma_hat; the section overrides them.
-    dcfg = from_section(DistillConfig, {"mode": PAIRED_MODE[t_mode], "sigma_hat": t_cfg.sigma_hat,
-                                        **dsec}, schedule=schedule, seed=cfg.seed)
-    hook = make_eval_hook(data, dcfg.sigma_hat, schedule,
-                          n_eval=cfg.section("eval").get("n_eval", N_EVAL), eval_seed=cfg.seed)
-
-    snapshot_dir = os.path.join(out, "snapshots")
-    snap_z = derive(cfg.seed, 401).standard_normal((1024, teacher.data_dim))
-
-    def hook_with_snapshots(state):
-        metrics = hook(state)
-        snap = generator_forward(state.generator, snap_z, schedule)
-        write_csv_atomic(os.path.join(snapshot_dir, f"step_{state.step:06d}.csv"),
-                         cfg, ["x", "y"], snap.tolist())
-        return metrics
-
-    try:
-        state, history = run_distillation(teacher, dcfg, eval_hook=hook_with_snapshots,
-                                          teacher_mode=t_mode)
-    except DivergenceError as exc:
-        if exc.checkpoint is not None:
-            path = os.path.join(out, "last_healthy.json")
-            save_checkpoint(path, exc.checkpoint, t_cfg, exc.diagnostics.get("step", 0),
-                            t_mode, meta=_meta(cfg))
-            exc.diagnostics["checkpoint_path"] = path
-        raise
-
-    write_csv_atomic(os.path.join(out, "metrics.csv"), cfg,
-                     ["step", "frechet_clean", "proximal_fid", "fake_loss", "gen_grad_norm"],
-                     history)
-    save_checkpoint(os.path.join(out, "generator.json"), state.generator, t_cfg,
-                    dcfg.steps, t_mode, meta=_meta(cfg))
-    save_checkpoint(os.path.join(out, "fake.json"), state.fake, t_cfg,
-                    dcfg.steps, t_mode, meta=_meta(cfg))
-    selection = select_best_checkpoint(history)
-    write_csv_atomic(os.path.join(out, "selection.csv"), cfg,
-                     ["selected_step", "proximal_fid", "frechet_clean", "best_frechet_clean"],
-                     [[selection.step, selection.proximal_fid, selection.frechet_to_clean,
-                       selection.best_frechet_to_clean]])
-    if cfg.plots:
-        z = derive(cfg.seed, 402).standard_normal((2048, teacher.data_dim))
-        emit_scatter_svg([("generator", generator_forward(state.generator, z, schedule)),
-                          ("noisy data", data.points)],
-                         os.path.join(out, "generator.svg"), meta=provenance(cfg))
-    final = history[-1]
-    print(f"distilled {dcfg.method} for {dcfg.steps} steps; "
-          f"final frechet_clean={final.get('frechet_clean', float('nan')):.6f}")
+    _distill(cfg, _dataset(cfg), out, _load_checkpoint_input(dsec["teacher"]), dsec)
     return EXIT_OK
 
 
 def cmd_sample(cfg: ExperimentConfig, out: str) -> int:
     sec = cfg.section("sample")
-    net, t_cfg, _, _ = _load_checkpoint_input(sec["source"])
+    net, _, sigma_hat, schedule = _load_checkpoint_input(sec["source"])
     n = sec["n"]
     sampler = sec["sampler"]
     if n == 0:
         samples = np.empty((0, net.data_dim))
     elif sampler == "one_step":
         z = derive(cfg.seed, 301).standard_normal((n, net.data_dim))
-        samples = guard_samples(generator_forward(net, z, t_cfg.schedule), "one-step generator")
+        samples = guard_samples(generator_forward(net, z, schedule), "one-step generator")
     else:
-        samples = ambient_sample(net, t_cfg.sigma_hat, sec.get("steps", SAMPLER_STEPS), sampler, n,
-                                 derive(cfg.seed, 302), t_cfg.schedule)
+        samples = ambient_sample(net, sigma_hat, sec.get("steps", SAMPLER_STEPS), sampler, n,
+                                 derive(cfg.seed, 302), schedule)
     write_csv_atomic(os.path.join(out, "samples.csv"), cfg, ["x", "y"], samples.tolist())
     if cfg.plots:
         emit_scatter_svg([(sampler, samples)], os.path.join(out, "samples.svg"),
@@ -205,10 +210,9 @@ def cmd_eval(cfg: ExperimentConfig, out: str) -> int:
     teacher = generator = None
     sigma_hat = cfg.section("train").get("sigma_hat", data.sigma_data)
     if "teacher" in esec:
-        teacher, t_cfg, _, _ = _load_checkpoint_input(esec["teacher"])
-        sigma_hat = t_cfg.sigma_hat
+        teacher, _, sigma_hat, _ = _load_checkpoint_input(esec["teacher"])
     if "generator" in esec:
-        generator, _, _, _ = _load_checkpoint_input(esec["generator"])
+        generator = _load_checkpoint_input(esec["generator"])[0]
     rows = evaluate_sources(data, schedule, sigma_hat, teacher=teacher, generator=generator,
                             n_eval=esec.get("n_eval", N_EVAL),
                             sample_steps=esec.get("sample_steps", SAMPLER_STEPS), eval_seed=cfg.seed)
@@ -222,35 +226,20 @@ def cmd_eval(cfg: ExperimentConfig, out: str) -> int:
 
 
 def cmd_sigma_sweep(cfg: ExperimentConfig, out: str) -> int:
-    data_sec = cfg.section("dataset")
-    sweep = cfg.section("sweep")
-    sigma_hats = sweep.get("sigma_hats")
+    """Pretrain and distill once per sigma_hat, each level into a sub-directory
+    ``sigma_hat_<repr>`` holding its teacher and everything ``distill`` writes."""
+    sigma_hats = cfg.section("sweep").get("sigma_hats")
     if sigma_hats is None:
-        sd = data_sec["sigma_data"]
-        sigma_hats = [0.0, sd, 2.0 * sd]
-    schedule = _schedule(cfg)
+        sd = cfg.section("dataset")["sigma_data"]
+        sigma_hats = sorted({0.0, sd, 2.0 * sd})  # one level when sigma_data is 0
     data = _dataset(cfg)
-    n_eval = cfg.section("eval").get("n_eval", N_EVAL)
 
     rows = []
     for sigma_hat in sigma_hats:
-        sub_out = os.path.join(out, f"sigma_hat_{sigma_hat:g}")
-        tcfg = from_section(TrainConfig, cfg.section("train"), schedule=schedule, seed=cfg.seed,
-                            sigma_hat=sigma_hat)
-        net = _fresh_net(cfg, data.points.shape[1])
-        net, _ = pretrain(net, data, tcfg, "ambient")
-        save_checkpoint(os.path.join(sub_out, "teacher.json"), net, tcfg, tcfg.steps,
-                        "ambient", meta=_meta(cfg))
-        dcfg = from_section(DistillConfig, cfg.section("distill"), schedule=schedule, seed=cfg.seed,
-                            mode=PAIRED_MODE["ambient"], sigma_hat=sigma_hat)
-        hook = make_eval_hook(data, sigma_hat, schedule, n_eval=n_eval, eval_seed=cfg.seed)
-        state, history = run_distillation(net, dcfg, eval_hook=hook, teacher_mode="ambient")
-        save_checkpoint(os.path.join(sub_out, "generator.json"), state.generator, tcfg,
-                        dcfg.steps, "ambient", meta=_meta(cfg))
-        write_csv_atomic(os.path.join(sub_out, "metrics.csv"), cfg,
-                         ["step", "frechet_clean", "proximal_fid", "fake_loss", "gen_grad_norm"],
-                         history)
-        final = history[-1]
+        sub_out = os.path.join(out, f"sigma_hat_{float(sigma_hat)!r}")
+        teacher = _pretrain(cfg, data, sub_out, {**cfg.section("train"), "sigma_hat": sigma_hat})
+        final = _distill(cfg, data, sub_out, teacher,
+                         {**cfg.section("distill"), "sigma_hat": sigma_hat})[-1]
         rows.append({"sigma_hat": float(sigma_hat),
                      "frechet_clean": final["frechet_clean"],
                      "proximal_fid": final["proximal_fid"]})
@@ -298,8 +287,11 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    try:  # the atomic writers create the output directory with the first artifact
-        return command(cfg, cfg.out_dir())
+    # The atomic writers create the output directory with the first artifact.  Overflow
+    # on the way to a divergence is the program's own guards' to report (exit 3).
+    try:
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return command(cfg, cfg.out_dir())
     except (ConfigError, PreconditionError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -132,7 +132,8 @@ SCHEMA = {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "sigma_hats": {"type": "array", "items": _NONNEG_NUM, "minItems": 1},
+                "sigma_hats": {"type": "array", "items": _NONNEG_NUM, "minItems": 1,
+                               "uniqueItems": True},
             },
         },
     },

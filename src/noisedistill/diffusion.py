@@ -165,49 +165,41 @@ def ambient_sample(
 # -- checkpoints -------------------------------------------------------------
 
 CHECKPOINT_FORMAT = "noisedistill-checkpoint"
-CHECKPOINT_VERSION = 1
-
-
-def checkpoint_payload(
-    net: DenseNet, cfg: TrainConfig, step: int, mode: str, meta: dict | None = None
-) -> dict:
-    payload = {
-        "format": CHECKPOINT_FORMAT,
-        "version": CHECKPOINT_VERSION,
-        "mode": mode,
-        "step": int(step),
-        "layer_sizes": list(net.layer_sizes),
-        "weights": [w.tolist() for w in net.weights],
-        "biases": [b.tolist() for b in net.biases],
-        "train_config": {
-            "batch_size": cfg.batch_size,
-            "lr": cfg.lr,
-            "steps": cfg.steps,
-            "sigma_min": cfg.schedule.sigma_min,
-            "sigma_max": cfg.schedule.sigma_max,
-            "sigma_hat": cfg.sigma_hat,
-            "seed": cfg.seed,
-        },
-    }
-    if meta is not None:
-        payload["meta"] = meta
-    return payload
+CHECKPOINT_VERSION = 2
 
 
 def save_checkpoint(
-    path, net: DenseNet, cfg: TrainConfig, step: int, mode: str, meta: dict | None = None
+    path, net: DenseNet, mode: str, sigma_hat: float, schedule: NoiseSchedule, provenance: str
 ) -> None:
-    """Write a self-describing JSON checkpoint; floats round-trip exactly."""
-    write_text_atomic(path, json.dumps(checkpoint_payload(net, cfg, step, mode, meta=meta)))
+    """Write a self-describing JSON checkpoint; floats round-trip exactly.
+
+    ``mode`` is the pretraining mode of the teacher the net descends from;
+    ``sigma_hat`` and ``schedule`` are those the net was trained with, and
+    ``provenance`` the config triple of the run that wrote it.
+    """
+    write_text_atomic(path, json.dumps({
+        "format": CHECKPOINT_FORMAT,
+        "version": CHECKPOINT_VERSION,
+        "mode": mode,
+        "sigma_hat": float(sigma_hat),
+        "schedule": {"sigma_min": schedule.sigma_min, "sigma_max": schedule.sigma_max},
+        "layer_sizes": list(net.layer_sizes),
+        "weights": [w.tolist() for w in net.weights],
+        "biases": [b.tolist() for b in net.biases],
+        "provenance": provenance,
+    }))
 
 
-def load_checkpoint(path) -> tuple[DenseNet, TrainConfig, int, str]:
-    """Read a checkpoint; every array must have the shape ``layer_sizes`` gives
-    it and hold finite values."""
+def load_checkpoint(path) -> tuple[DenseNet, str, float, NoiseSchedule]:
+    """Read a checkpoint as (net, mode, sigma_hat, schedule); every array must
+    have the shape ``layer_sizes`` gives it and hold finite values."""
     with open(path) as fh:
         payload = json.load(fh)
     if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
         raise PreconditionError(f"{path} is not a checkpoint file")
+    if payload.get("version") != CHECKPOINT_VERSION:
+        raise PreconditionError(f"{path}: checkpoint version {payload.get('version')!r}, "
+                                f"expected {CHECKPOINT_VERSION}")
     if payload["mode"] not in MODES:
         raise PreconditionError(f"{path}: unknown pretraining mode {payload['mode']!r}")
     net = object.__new__(DenseNet)
@@ -220,13 +212,9 @@ def load_checkpoint(path) -> tuple[DenseNet, TrainConfig, int, str]:
         raise PreconditionError(f"{path}: parameter shapes do not match layer_sizes {net.layer_sizes}")
     if not all(np.all(np.isfinite(p)) for p in net.parameters()):
         raise PreconditionError(f"{path}: non-finite parameters")
-    tc = payload["train_config"]
-    cfg = TrainConfig(
-        batch_size=int(tc["batch_size"]),
-        lr=float(tc["lr"]),
-        steps=int(tc["steps"]),
-        schedule=NoiseSchedule(float(tc["sigma_min"]), float(tc["sigma_max"])),
-        sigma_hat=float(tc["sigma_hat"]),
-        seed=int(tc["seed"]),
-    )
-    return net, cfg, int(payload["step"]), payload["mode"]
+    sigma_hat = float(payload["sigma_hat"])
+    if not 0 <= sigma_hat < np.inf:
+        raise PreconditionError(f"{path}: sigma_hat must be finite and nonnegative, got {sigma_hat}")
+    sched = payload["schedule"]
+    return net, payload["mode"], sigma_hat, NoiseSchedule(float(sched["sigma_min"]),
+                                                          float(sched["sigma_max"]))

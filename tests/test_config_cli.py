@@ -2,6 +2,7 @@
 
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -17,9 +18,10 @@ from noisedistill.config import (
     write_csv_atomic,
     write_text_atomic,
 )
-from noisedistill.diffusion import TrainConfig
-from noisedistill.distill import DistillConfig
+from noisedistill.diffusion import TrainConfig, load_checkpoint
+from noisedistill.distill import PAIRED_MODE, DistillConfig, generator_forward
 from noisedistill.errors import ConfigError
+from noisedistill.rng import derive
 from noisedistill.schedule import NoiseSchedule
 from noisedistill.stiefel import OptConfig
 from noisedistill.svgplot import emit_scatter_svg
@@ -328,6 +330,12 @@ BAD_CHECKPOINTS = {
         {k: v for k, v in payload.items() if k != "layer_sizes"}),
     "checkpoint_without_weights": lambda text, payload: json.dumps(
         {k: v for k, v in payload.items() if k != "weights"}),
+    "checkpoint_version_1": lambda text, payload: json.dumps(
+        {**{k: payload[k] for k in ("format", "mode", "layer_sizes", "weights", "biases")},
+         "version": 1, "step": 2,
+         "train_config": {"batch_size": 64, "lr": 1e-3, "steps": 2, "sigma_min": 0.035,
+                          "sigma_max": 1.0, "sigma_hat": 0.05, "seed": 3}}),
+    "checkpoint_unknown_version": lambda text, payload: json.dumps({**payload, "version": 3}),
 }
 
 
@@ -346,14 +354,31 @@ def bad_input(case, tmp_path):
         raw = verify_config()
         raw["linear"].update(dim=3, rank=3)
         return "verify", raw
+    if case == "duplicate_sigma_hats":
+        return "sigma-sweep", pipeline_config("sigma_sweep", distill={"steps": 1},
+                                              sweep={"sigma_hats": [0.1, 0.1]})
     assert case == "distill_mode_unpaired_with_teacher"
     return "distill", pipeline_config(
         "distill", distill={"teacher": str(teacher), "mode": "standard", "steps": 1})
 
 
+def record_distill_modes(monkeypatch):
+    """The list that every later ``cli.run_distillation`` call appends its mode to."""
+    modes = []
+    real = cli.run_distillation
+
+    def recording(teacher_net, dcfg, **kw):
+        modes.append(dcfg.mode)
+        return real(teacher_net, dcfg, **kw)
+
+    monkeypatch.setattr(cli, "run_distillation", recording)
+    return modes
+
+
 class TestCliBadInput:
     @pytest.mark.parametrize("case", [*BAD_CHECKPOINTS, "sigma_min_above_sigma_max",
-                                      "rank_not_below_dim", "distill_mode_unpaired_with_teacher"])
+                                      "rank_not_below_dim", "duplicate_sigma_hats",
+                                      "distill_mode_unpaired_with_teacher"])
     def test_exits_2_without_traceback(self, case, tmp_path, capsys):
         command, raw = bad_input(case, tmp_path)
         cfg = write_cfg(tmp_path, raw, "bad.json")
@@ -367,14 +392,7 @@ class TestCliBadInput:
 
     def test_standard_teacher_distills_in_standard_mode(self, tmp_path, monkeypatch):
         teacher = pretrained_teacher(tmp_path, mode="standard")
-        modes = []
-        real = cli.run_distillation
-
-        def recording(teacher_net, dcfg, **kw):
-            modes.append(dcfg.mode)
-            return real(teacher_net, dcfg, **kw)
-
-        monkeypatch.setattr(cli, "run_distillation", recording)
+        modes = record_distill_modes(monkeypatch)
         raw = pipeline_config("distill", distill={"teacher": str(teacher), "steps": 2,
                                                   "batch_size": 8, "eval_every": 2},
                               eval={"n_eval": 256})
@@ -404,19 +422,37 @@ class TestCliDivergence:
         raw = pipeline_config(command, **section(blown_up_checkpoint(tmp_path)))
         cfg = write_cfg(tmp_path, raw, "blown.json")
         capsys.readouterr()
-        assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         err = capsys.readouterr().err
         assert err.startswith("divergence:")
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
 
+def csv_body(path):
+    """The rows of a CSV artifact below its provenance line."""
+    return path.read_text().splitlines()[1:]
+
+
+def checkpoint_params(path):
+    payload = json.loads(path.read_text())
+    return payload["weights"], payload["biases"]
+
+
+def run_files(root):
+    return sorted(str(p.relative_to(root)) for p in root.rglob("*") if p.is_file())
+
+
 class TestCliSigmaSweep:
     def test_single_value_sweep_degenerates_to_distill(self, tmp_path):
         out = tmp_path / "run"
+        distill = {"method": "sid", "steps": 20, "batch_size": 32, "eval_every": 10}
         raw = pipeline_config(
             "sigma_sweep",
-            distill={"method": "sid", "steps": 20, "batch_size": 32, "eval_every": 10},
+            distill=distill,
             sweep={"sigma_hats": [0.05]},
             eval={"n_eval": 512},
         )
@@ -427,3 +463,94 @@ class TestCliSigmaSweep:
         assert len(report) == 3
         assert report[2].endswith("True")
         assert (out / "sigma_hat_0.05" / "metrics.csv").exists()
+
+        # the same sections run as pretrain -> distill give the same rows and weights
+        pre, dist = tmp_path / "pre", tmp_path / "dist"
+        assert main(["pretrain", "--config", write_cfg(tmp_path, pipeline_config("pretrain"), "p.json"),
+                     "--out", str(pre)]) == 0
+        raw = pipeline_config("distill", distill={**distill, "teacher": str(pre / "teacher.json")},
+                              eval={"n_eval": 512})
+        assert main(["distill", "--config", write_cfg(tmp_path, raw, "d.json"), "--out", str(dist)]) == 0
+        level = out / "sigma_hat_0.05"
+        assert run_files(level) == sorted(run_files(dist) + ["pretrain_loss.csv", "teacher.json"])
+        assert csv_body(level / "pretrain_loss.csv") == csv_body(pre / "pretrain_loss.csv")
+        for name in run_files(dist):
+            if name.endswith(".csv"):
+                assert csv_body(level / name) == csv_body(dist / name), name
+        assert checkpoint_params(level / "teacher.json") == checkpoint_params(pre / "teacher.json")
+        for name in ("generator.json", "fake.json"):
+            assert checkpoint_params(level / name) == checkpoint_params(dist / name)
+
+    def test_directories_named_by_float_repr(self, tmp_path):
+        out = tmp_path / "run"
+        raw = pipeline_config(
+            "sigma_sweep",
+            train={"steps": 2, "hidden": [4]},
+            distill={"method": "sds", "steps": 2, "batch_size": 8, "eval_every": 2},
+            sweep={"sigma_hats": [0, 0.1000001, 0.1000002]},
+            eval={"n_eval": 256},
+        )
+        assert main(["sigma-sweep", "--config", write_cfg(tmp_path, raw), "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir() if p.is_dir()) == [
+            "sigma_hat_0.0", "sigma_hat_0.1000001", "sigma_hat_0.1000002"]
+        cells = [line.split(",")[0] for line in csv_body(out / "report.csv")[1:]]
+        assert cells == ["0.0", "0.1000001", "0.1000002"]
+        for cell in cells:
+            assert json.loads((out / f"sigma_hat_{cell}" / "teacher.json").read_text())[
+                "sigma_hat"] == float(cell)
+
+    def test_default_levels_of_clean_data_run_once(self, tmp_path):
+        out = tmp_path / "run"
+        raw = pipeline_config(
+            "sigma_sweep",
+            dataset={"kind": "ring", "n": 256, "sigma_data": 0},
+            train={"steps": 2, "hidden": [4]},
+            distill={"method": "sds", "steps": 2, "batch_size": 8, "eval_every": 2},
+            eval={"n_eval": 256},
+        )
+        assert main(["sigma-sweep", "--config", write_cfg(tmp_path, raw), "--out", str(out)]) == 0
+        assert [p.name for p in out.iterdir() if p.is_dir()] == ["sigma_hat_0.0"]
+        assert [line.split(",")[0] for line in csv_body(out / "report.csv")[1:]] == ["0.0"]
+
+    def test_standard_mode_sweep_writes_standard_teachers(self, tmp_path, monkeypatch):
+        modes = record_distill_modes(monkeypatch)
+        out = tmp_path / "run"
+        raw = pipeline_config(
+            "sigma_sweep",
+            train={"steps": 2, "hidden": [4], "mode": "standard"},
+            distill={"method": "sds", "steps": 2, "batch_size": 8, "eval_every": 2},
+            sweep={"sigma_hats": [0.0, 0.05]},
+            eval={"n_eval": 256},
+        )
+        assert main(["sigma-sweep", "--config", write_cfg(tmp_path, raw), "--out", str(out)]) == 0
+        assert modes == [PAIRED_MODE["standard"]] * 2
+        for level in ("sigma_hat_0.0", "sigma_hat_0.05"):
+            for name in ("teacher.json", "generator.json", "fake.json"):
+                assert json.loads((out / level / name).read_text())["mode"] == "standard"
+
+
+class TestCliGeneratorSchedule:
+    def test_one_step_sample_uses_the_distill_schedule(self, tmp_path):
+        teacher = pretrained_teacher(tmp_path)  # schedule sigma_max 1.0
+        distilled = pipeline_config(
+            "distill", schedule={"sigma_min": 0.035, "sigma_max": 2.0},
+            distill={"teacher": str(teacher), "method": "sds", "steps": 2, "batch_size": 8,
+                     "eval_every": 2, "sigma_hat": 0.07},
+            eval={"n_eval": 256})
+        out = tmp_path / "d"
+        assert main(["distill", "--config", write_cfg(tmp_path, distilled, "d.json"),
+                     "--out", str(out)]) == 0
+        payload = json.loads((out / "generator.json").read_text())
+        assert payload["schedule"] == {"sigma_min": 0.035, "sigma_max": 2.0}
+        assert payload["sigma_hat"] == 0.07
+
+        raw = pipeline_config("sample", sample={"source": str(out / "generator.json"),
+                                                "sampler": "one_step", "n": 50})
+        assert main(["sample", "--config", write_cfg(tmp_path, raw, "s.json"),
+                     "--out", str(tmp_path / "s")]) == 0
+        rows = csv_body(tmp_path / "s" / "samples.csv")[1:]
+        samples = np.array([[float(v) for v in row.split(",")] for row in rows])
+        generator = load_checkpoint(out / "generator.json")[0]
+        z = derive(raw["seed"], 301).standard_normal((50, 2))
+        assert np.array_equal(samples, generator_forward(generator, z, NoiseSchedule(0.035, 2.0)))
+        assert not np.array_equal(samples, generator_forward(generator, z, NoiseSchedule(0.035, 1.0)))

@@ -1,5 +1,7 @@
 """Denoiser training objectives, pretraining loop, sampling, checkpoints."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -325,16 +327,18 @@ class TestAmbientSampling:
 class TestCheckpoints:
     def test_roundtrip_value_exact(self, tmp_path):
         net = tiny_net(60)
-        cfg = TrainConfig(batch_size=37, lr=3.3e-4, steps=123, schedule=SCHED,
-                          sigma_hat=0.077, seed=9)
         path = tmp_path / "ckpt.json"
-        save_checkpoint(path, net, cfg, 123, "ambient", meta={"config_hash": "abc", "seed": 9})
-        loaded, cfg2, step, mode = load_checkpoint(path)
-        assert step == 123 and mode == "ambient"
-        assert cfg2.batch_size == 37 and cfg2.lr == 3.3e-4 and cfg2.sigma_hat == 0.077
-        assert cfg2.schedule == SCHED
+        save_checkpoint(path, net, "ambient", 0.077, SCHED, "config_hash=abc seed=9 version=0.1.0")
+        loaded, mode, sigma_hat, schedule = load_checkpoint(path)
+        assert mode == "ambient" and sigma_hat == 0.077
+        assert schedule == SCHED
         assert loaded.layer_sizes == net.layer_sizes
         assert np.array_equal(loaded.get_flat(), net.get_flat())
+        payload = json.loads(path.read_text())  # only the fields a reader uses
+        assert sorted(payload) == ["biases", "format", "layer_sizes", "mode", "provenance",
+                                   "schedule", "sigma_hat", "version", "weights"]
+        assert payload["version"] == 2
+        assert payload["provenance"] == "config_hash=abc seed=9 version=0.1.0"
 
     def test_rejects_foreign_json(self, tmp_path):
         path = tmp_path / "other.json"
@@ -343,12 +347,10 @@ class TestCheckpoints:
             load_checkpoint(path)
 
     @pytest.mark.parametrize("damage", ["short_weight", "short_bias", "nan_weight", "inf_bias",
-                                        "unknown_mode"])
+                                        "unknown_mode", "missing_version", "negative_sigma_hat"])
     def test_rejects_shape_mismatch_nonfinite_and_unknown_mode(self, tmp_path, damage):
-        import json
-
         path = tmp_path / "ckpt.json"
-        save_checkpoint(path, tiny_net(61), TrainConfig(schedule=SCHED), 1, "ambient")
+        save_checkpoint(path, tiny_net(61), "ambient", 0.0, SCHED, "")
         payload = json.loads(path.read_text())
         if damage == "short_weight":
             payload["weights"][1] = payload["weights"][1][:-1]
@@ -358,6 +360,10 @@ class TestCheckpoints:
             payload["weights"][0][0][0] = float("nan")
         elif damage == "inf_bias":
             payload["biases"][2][0] = float("inf")
+        elif damage == "missing_version":
+            del payload["version"]
+        elif damage == "negative_sigma_hat":
+            payload["sigma_hat"] = -0.1
         else:
             payload["mode"] = "tweedie"
         path.write_text(json.dumps(payload))
