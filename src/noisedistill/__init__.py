@@ -28,7 +28,6 @@ from .distill import (
     generator_grad_sds,
     generator_grad_sid,
     init_distillation,
-    inverse_solve,
     run_distillation,
     score_from_mean,
 )
@@ -66,7 +65,6 @@ from .linear_theory import (
 )
 from .metrics import (
     CheckpointSelection,
-    MetricReport,
     frechet_gaussian,
     make_eval_hook,
     proximal_fid,

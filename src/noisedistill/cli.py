@@ -141,10 +141,12 @@ def cmd_verify(cfg: ExperimentConfig, out: str) -> int:
     lin = cfg.section("linear")
     basis = None
     if "basis" in lin:
-        basis = np.asarray(lin["basis"], dtype=float)
         try:
+            basis = np.asarray(lin["basis"], dtype=float)
+            if basis.shape != (lin["dim"], lin["rank"]):
+                raise PreconditionError(f"shape {basis.shape} is not (dim, rank) = {(lin['dim'], lin['rank'])}")
             LinearModel(basis=basis, sigma=lin["sigma"])  # orthonormality gate
-        except PreconditionError as exc:
+        except ValueError as exc:  # PreconditionError, or a ragged basis
             raise ConfigError(f"linear.basis rejected: {exc}") from exc
     opt = lin.get("opt", {})
     opt_seeds = {"opt_seeds": opt["seeds"]} if "seeds" in opt else {}
@@ -228,6 +230,8 @@ def cmd_eval(cfg: ExperimentConfig, out: str) -> int:
 def cmd_sigma_sweep(cfg: ExperimentConfig, out: str) -> int:
     """Pretrain and distill once per sigma_hat, each level into a sub-directory
     ``sigma_hat_<repr>`` holding its teacher and everything ``distill`` writes."""
+    if "teacher" in cfg.section("distill"):
+        raise ConfigError("sigma-sweep pretrains its own teachers; remove distill.teacher")
     sigma_hats = cfg.section("sweep").get("sigma_hats")
     if sigma_hats is None:
         sd = cfg.section("dataset")["sigma_data"]

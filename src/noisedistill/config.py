@@ -174,9 +174,6 @@ class ExperimentConfig:
         root = os.environ.get(OUT_ROOT_ENV, "runs")
         return os.path.join(root, f"{self.kind}-{self.config_hash()}")
 
-    def canonical(self) -> str:
-        return json.dumps(self.raw, sort_keys=True, separators=(",", ":"))
-
     def config_hash(self) -> str:
         """Hash of the experiment content; output placement and plot toggles
         do not change what gets computed, so they are excluded."""

@@ -198,7 +198,7 @@ def generator_grad_dmd(
 
 
 def generator_grad_sid(
-    state: DistillState, z: np.ndarray, rng: np.random.Generator, alpha: float | None = None
+    state: DistillState, z: np.ndarray, rng: np.random.Generator
 ) -> list[np.ndarray]:
     """Fisher-divergence estimator with mixing weight alpha.
 
@@ -208,8 +208,6 @@ def generator_grad_sid(
     both nets' parameters and the weights are constants.
     """
     cfg = state.cfg
-    if alpha is None:
-        alpha = cfg.alpha
     p = draw_perturbation(state, z, rng)
     n = z.shape[0]
     f_phi, cache_phi = state.teacher.forward_cached(p.x_t, p.sigma_t)
@@ -218,8 +216,8 @@ def generator_grad_sid(
     resid = f_psi - p.x_g
     w = loss_weights(cfg.weighting, p.sigma_t, f_phi, p.x_g) / n
 
-    vec_fake = w * (2.0 * (1.0 - alpha) * diff - resid - diff)
-    vec_teacher = w * (resid - 2.0 * (1.0 - alpha) * diff)
+    vec_fake = w * (2.0 * (1.0 - cfg.alpha) * diff - resid - diff)
+    vec_teacher = w * (resid - 2.0 * (1.0 - cfg.alpha) * diff)
     dxt_fake = state.fake.backward(cache_psi, vec_fake, params=False)
     dxt_teacher = state.teacher.backward(cache_phi, vec_teacher, params=False)
     upstream_xg = dxt_fake + dxt_teacher + w * diff
@@ -321,60 +319,3 @@ def run_distillation(
     if teacher.params_digest() != teacher_digest:
         raise RuntimeError("teacher parameters changed during distillation")
     return state, state.history
-
-
-@dataclass(frozen=True)
-class InverseSolveResult:
-    z: np.ndarray
-    x: np.ndarray
-    residual: np.ndarray  # per-point final objective value
-
-
-def inverse_solve(
-    generator: DenseNet,
-    forward_op: np.ndarray | None,
-    y: np.ndarray,
-    steps: int = 1000,
-    lr: float = 0.05,
-    z0: np.ndarray | None = None,
-    schedule: NoiseSchedule = NoiseSchedule(),
-) -> InverseSolveResult:
-    """Solve min_z ||A G(z) - y||^2 per observation with Adam.
-
-    ``forward_op`` is a dense linear map (None means identity).  Observations
-    are row-stacked and solved jointly but independently; the best iterate per
-    row is returned with its residual.
-    """
-    y = np.atleast_2d(np.asarray(y, dtype=float))
-    d = generator.data_dim
-    if forward_op is not None:
-        forward_op = np.asarray(forward_op, dtype=float)
-        if forward_op.shape[1] != generator.out_dim or forward_op.shape[0] != y.shape[1]:
-            raise PreconditionError(
-                f"forward_op shape {forward_op.shape} inconsistent with generator "
-                f"output {generator.out_dim} and observation dim {y.shape[1]}"
-            )
-    if z0 is None:
-        z0 = y.copy() if forward_op is None else np.zeros((y.shape[0], d))
-    z = np.atleast_2d(np.asarray(z0, dtype=float)).copy()
-
-    def objective(zz):
-        x, cache = generator.forward_cached(zz, schedule.sigma_max)
-        pred = x if forward_op is None else x @ forward_op.T
-        resid = pred - y
-        return x, cache, pred, resid, np.sum(resid**2, axis=1)
-
-    x, cache, pred, resid, per_point = objective(z)
-    best_z, best_x, best_res = z.copy(), x.copy(), per_point.copy()
-    opt = Adam([z], lr)
-    for _ in range(steps):
-        upstream = 2.0 * (resid if forward_op is None else resid @ forward_op)
-        dz = generator.backward(cache, upstream, params=False)
-        opt.step([z], [dz])
-        x, cache, pred, resid, per_point = objective(z)
-        improved = per_point < best_res
-        if np.any(improved):
-            best_z[improved] = z[improved]
-            best_x[improved] = x[improved]
-            best_res[improved] = per_point[improved]
-    return InverseSolveResult(z=best_z, x=best_x, residual=best_res)

@@ -20,11 +20,7 @@ class InsufficientDataError(ValueError):
 
 
 class StalledOptimizationError(RuntimeError):
-    """Line search underflowed; carries the optimization trace so far."""
-
-    def __init__(self, message, trace=None):
-        super().__init__(message)
-        self.trace = trace
+    """A line search shrank its step below the smallest trial step."""
 
 
 class DivergenceError(RuntimeError):

@@ -25,22 +25,6 @@ MIN_METRIC_SAMPLES = 100
 N_EVAL = 16384  # evaluation samples per source when a config names none
 
 
-@dataclass(frozen=True)
-class MetricReport:
-    """One evaluation row: distances plus the sample budget that produced it."""
-
-    frechet_to_clean: float
-    proximal_fid: float
-    w2_gaussian_fit: float
-    n_samples: int
-    seed: int
-
-    def __post_init__(self):
-        vals = (self.frechet_to_clean, self.proximal_fid, self.w2_gaussian_fit)
-        if not all(np.isfinite(v) and v >= 0 for v in vals):
-            raise PreconditionError(f"metric values must be finite and nonnegative, got {vals}")
-
-
 def _psd_sqrt(cov: np.ndarray, name: str) -> np.ndarray:
     tol = PSD_TOL * float(np.max(np.abs(cov), initial=1.0))
     eig = symmetric_eigen(cov, sym_tol=tol)
@@ -154,21 +138,12 @@ def evaluate_sources(
     score = _scorer(dataset, sigma_hat, n_eval, eval_seed)
 
     def row(source: str, samples: np.ndarray, n: int) -> dict:
-        dist = score(samples)
-        report = MetricReport(
-            frechet_to_clean=dist["frechet_clean"],
-            proximal_fid=dist["proximal_fid"],
-            w2_gaussian_fit=frechet_between_samples(samples, dataset.points),
-            n_samples=n,
-            seed=eval_seed,
-        )
         return {
             "source": source,
-            "frechet_clean": report.frechet_to_clean,
-            "proximal_fid": report.proximal_fid,
-            "w2_fit": report.w2_gaussian_fit,
-            "n_samples": report.n_samples,
-            "seed": report.seed,
+            **score(samples),
+            "w2_fit": frechet_between_samples(samples, dataset.points),
+            "n_samples": n,
+            "seed": eval_seed,
         }
 
     rows = [row("raw_noisy", dataset.points, dataset.n)]

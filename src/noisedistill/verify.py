@@ -34,7 +34,7 @@ from .linear_theory import (
     wasserstein_report,
 )
 from .metrics import frechet_gaussian
-from .rng import derive, make_rng
+from .rng import derive
 from .schedule import NoiseSchedule
 from .stiefel import OptConfig, optimize, random_params, retract
 
@@ -150,7 +150,7 @@ def _frame(dim: int, rank: int, basis: np.ndarray | None, tag: int) -> np.ndarra
 
 
 def check_gap_identity(
-    dim: int, rank: int, sigma: float, schedule: NoiseSchedule, basis: np.ndarray | None = None
+    dim: int, rank: int, sigma: float, basis: np.ndarray | None = None
 ) -> CheckResult:
     """At the analytic minimizer the W2 gap equals (d - r) sigma^2."""
     model = LinearModel(basis=_frame(dim, rank, basis, 5), sigma=sigma)
@@ -211,7 +211,6 @@ def check_descent_recovery(
     schedule: NoiseSchedule,
     opt_cfg: OptConfig,
     seeds: int = 20,
-    seed: int = 0,
     basis: np.ndarray | None = None,
 ) -> CheckResult:
     """Riemannian descent from random starts reaches the minimizer family."""
@@ -274,11 +273,10 @@ def run_verification(
         check_trace_bound(seed),
         check_profile_minimizer(schedule, sigmas=(0.1, 0.2, 0.5, sigma)),
         check_profile_convexity(schedule, sigma=max(sigma, 0.1)),
-        check_gap_identity(dim, rank, sigma, schedule, basis=basis),
+        check_gap_identity(dim, rank, sigma, basis=basis),
         check_closed_vs_monte_carlo(seed, schedule, instances=mc_instances, n=mc_samples),
         check_minimizer_optimality(dim, rank, sigma, schedule, seed, basis=basis),
-        check_descent_recovery(dim, rank, sigma, schedule, opt_cfg, seeds=opt_seeds,
-                               seed=seed, basis=basis),
+        check_descent_recovery(dim, rank, sigma, schedule, opt_cfg, seeds=opt_seeds, basis=basis),
         check_von_neumann(seed),
         check_sample_fit_roundtrip(seed),
     ]

@@ -1,4 +1,4 @@
-"""Distillation engine: estimators, alternation loop, inverse solving."""
+"""Distillation engine: estimators and the alternation loop."""
 
 import numpy as np
 import pytest
@@ -15,7 +15,6 @@ from noisedistill.distill import (
     generator_grad_sid,
     generator_update,
     init_distillation,
-    inverse_solve,
     loss_weights,
     run_distillation,
     score_from_mean,
@@ -353,31 +352,3 @@ class TestAlternation:
         assert state.fake_opt.t == 0  # the fake net never took a step
         assert state.gen_opt.t == 3
         assert np.isnan(hist[-1]["fake_loss"])
-
-
-class TestInverseSolve:
-    def test_recovers_point_in_range(self):
-        gen = DenseNet([3, 16, 16, 2], derive(30, 1))
-        z0 = derive(30, 2).standard_normal((1, 2))
-        y = generator_forward(gen, z0, SCHED)
-        res = inverse_solve(gen, None, y, steps=300, lr=0.05, z0=z0, schedule=SCHED)
-        assert res.residual[0] <= 1e-4
-
-    def test_zero_steps_returns_init(self):
-        gen = DenseNet([3, 8, 2], derive(31, 1))
-        y = np.array([[0.3, 0.1]])
-        res = inverse_solve(gen, None, y, steps=0, schedule=SCHED)
-        assert np.array_equal(res.z, y)
-
-    def test_shape_mismatch_rejected(self):
-        gen = DenseNet([3, 8, 2], derive(32, 1))
-        with pytest.raises(PreconditionError):
-            inverse_solve(gen, np.ones((3, 5)), np.ones((1, 3)), steps=1, schedule=SCHED)
-
-    def test_forward_operator_applied(self):
-        gen = DenseNet([3, 16, 2], derive(33, 1))
-        a = np.array([[1.0, 0.0]])  # observe only the first coordinate
-        z0 = derive(33, 2).standard_normal((1, 2))
-        y = generator_forward(gen, z0, SCHED) @ a.T
-        res = inverse_solve(gen, a, y, steps=400, lr=0.05, z0=z0, schedule=SCHED)
-        assert res.residual[0] <= 1e-5
