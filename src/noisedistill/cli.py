@@ -151,7 +151,7 @@ def cmd_verify(cfg: ExperimentConfig, out: str) -> int:
     opt = lin.get("opt", {})
     opt_seeds = {"opt_seeds": opt["seeds"]} if "seeds" in opt else {}
     checks = from_section(run_verification, lin, seed=cfg.seed, schedule=_schedule(cfg),
-                          opt_cfg=from_section(OptConfig, {**lin, **opt}), basis=basis, **opt_seeds)
+                          opt_cfg=from_section(OptConfig, opt), basis=basis, **opt_seeds)
     rows = [
         {"check": c.name, "value": c.value, "threshold": c.threshold,
          "passed": c.passed, "detail": c.detail}

@@ -46,7 +46,6 @@ SCHEMA = {
                 "rank": _POS_INT,
                 "sigma": _NONNEG_NUM,
                 "basis": {"type": "array", "items": {"type": "array", "items": {"type": "number"}}},
-                "quad_points": {"type": "integer", "minimum": 8},
                 "mc_instances": _POS_INT,
                 "mc_samples": {"type": "integer", "minimum": 100},
                 "opt": {

@@ -147,14 +147,11 @@ def loss_integrand(m: LinearModel, p: GeneratorParams, sigma_t):
     return float(out) if out.ndim == 0 else out
 
 
-def loss_closed_form(
-    m: LinearModel, p: GeneratorParams, s: NoiseSchedule, quad_points: int = 64
-) -> float:
-    """Schedule-averaged loss via fixed Gauss-Legendre quadrature over t."""
-    if quad_points < 8:
-        raise PreconditionError(f"need at least 8 quadrature points, got {quad_points}")
+def loss_closed_form(m: LinearModel, p: GeneratorParams, s: NoiseSchedule) -> float:
+    """Schedule-averaged loss: the exact integrand over t, averaged with the
+    schedule's fixed 64-node Gauss-Legendre rule (``NoiseSchedule.quadrature``)."""
     require_theta(p)
-    nodes, weights = s.quadrature(quad_points)
+    nodes, weights = s.quadrature()
     return float(np.dot(weights, loss_integrand(m, p, s.sigma(nodes))))
 
 
@@ -284,9 +281,7 @@ def wasserstein_report(m: LinearModel, p: GeneratorParams) -> WassersteinReport:
     )
 
 
-def eigenvalue_loss_profile(
-    u: float, sigma: float, s: NoiseSchedule, quad_points: int = 64
-) -> float:
+def eigenvalue_loss_profile(u: float, sigma: float, s: NoiseSchedule) -> float:
     """Schedule-averaged loss contribution of one eigenvalue ``u`` of V^T V.
 
     With the generator aligned to the data frame, the remaining objective
@@ -298,7 +293,7 @@ def eigenvalue_loss_profile(
     """
     if u <= 0:
         raise DomainError(f"the profile is defined for u > 0, got {u}")
-    nodes, weights = s.quadrature(quad_points)
+    nodes, weights = s.quadrature()
     st2 = s.sigma(nodes) ** 2
     vals = u / (sigma**2 + st2 + 1.0) ** 2 - u / (st2 * (u + st2))
     return float(np.dot(weights, vals))

@@ -9,6 +9,16 @@ import numpy as np
 from .errors import PreconditionError
 
 
+def _gauss_legendre_64() -> tuple[np.ndarray, np.ndarray]:
+    x, w = np.polynomial.legendre.leggauss(64)
+    nodes, weights = (x + 1.0) / 2.0, w / 2.0
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
+_QUADRATURE = _gauss_legendre_64()  # built once and shared, hence read-only
+
+
 @dataclass(frozen=True)
 class NoiseSchedule:
     """Variance-exploding noise levels ``sigma_t`` for ``t`` in (0, 1).
@@ -42,12 +52,11 @@ class NoiseSchedule:
     def sample_sigma(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return self.sigma(self.sample_t(rng, n))
 
-    def quadrature(self, quad_points: int) -> tuple[np.ndarray, np.ndarray]:
-        """Gauss-Legendre nodes and weights for averages over t ~ Unif(0, 1)."""
-        if quad_points < 1:
-            raise PreconditionError(f"need at least one quadrature node, got {quad_points}")
-        x, w = np.polynomial.legendre.leggauss(quad_points)
-        return (x + 1.0) / 2.0, w / 2.0
+    def quadrature(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only nodes and weights of the one rule every average over
+        t ~ Unif(0, 1) uses: 64-node Gauss-Legendre, exact for polynomials in
+        t of degree up to 127."""
+        return _QUADRATURE
 
     def sampling_grid(self, steps: int) -> np.ndarray:
         """Decreasing geometric grid sigma_max = s[0] > ... > s[-1] = sigma_min."""

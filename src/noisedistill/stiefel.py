@@ -31,7 +31,6 @@ class OptConfig:
     max_iters: int = 2000
     grad_tol: float = 1e-7
     retraction: str = "qr"  # or "polar"
-    quad_points: int = 64
 
     def __post_init__(self):
         if self.step_size <= 0 or self.grad_tol <= 0:
@@ -59,9 +58,7 @@ class OptTrace:
         self.vtv_dev.append(float(dev))
 
 
-def euclidean_gradient(
-    m: LinearModel, p: GeneratorParams, s: NoiseSchedule, quad_points: int = 64
-) -> tuple[np.ndarray, np.ndarray]:
+def euclidean_gradient(m: LinearModel, p: GeneratorParams, s: NoiseSchedule) -> tuple[np.ndarray, np.ndarray]:
     """Euclidean (ambient) gradient of the closed-form loss in (U, V).
 
     Differentiates the schedule-averaged trace expression directly: writing
@@ -74,7 +71,7 @@ def euclidean_gradient(
     with (lam, S) the eigendecomposition of W.
     """
     require_theta(p)
-    nodes, weights = s.quadrature(quad_points)
+    nodes, weights = s.quadrature()
 
     w = p.gram()
     lam, sw = np.linalg.eigh(w)
@@ -118,8 +115,8 @@ def riemannian_step(
     grads: tuple[np.ndarray, np.ndarray],
     s: NoiseSchedule,
     cfg: OptConfig,
-    step_size: float | None = None,
-    loss_current: float | None = None,
+    step_size: float,
+    loss_current: float,
 ) -> tuple[GeneratorParams, float, float]:
     """One backtracked descent step; returns (new params, accepted step, new loss).
 
@@ -134,22 +131,16 @@ def riemannian_step(
     xi = tangent_project(p.u, du)
     slope = float(np.sum(xi * xi) + np.sum(dv * dv))
     if slope == 0.0:
-        return p, step_size if step_size is not None else cfg.step_size, (
-            loss_current
-            if loss_current is not None
-            else loss_closed_form(m, p, s, cfg.quad_points)
-        )
+        return p, step_size, loss_current
 
-    if loss_current is None:
-        loss_current = loss_closed_form(m, p, s, cfg.quad_points)
-    eta = cfg.step_size if step_size is None else step_size
+    eta = step_size
     while True:
         u_new = retract(p.u, -eta * xi, cfg.retraction)
         v_new = p.v - eta * dv
         candidate = GeneratorParams(u=u_new, v=v_new)
         lam_min = np.linalg.eigvalsh(candidate.gram())[0]
         if lam_min >= VTV_FLOOR:
-            loss_new = loss_closed_form(m, candidate, s, cfg.quad_points)
+            loss_new = loss_closed_form(m, candidate, s)
             if loss_new <= loss_current - ARMIJO_C1 * eta * slope:
                 return candidate, eta, loss_new
         eta *= 0.5
@@ -183,12 +174,12 @@ def optimize(
     target_gram = (1.0 + m.sigma**2) * np.eye(m.rank)
 
     p = p0
-    loss = loss_closed_form(m, p, s, cfg.quad_points)
+    loss = loss_closed_form(m, p, s)
     best_p, best_loss = p, loss
     eta = cfg.step_size
 
     for it in range(cfg.max_iters + 1):
-        du, dv = euclidean_gradient(m, p, s, cfg.quad_points)
+        du, dv = euclidean_gradient(m, p, s)
         xi = tangent_project(p.u, du)
         grad_norm = float(np.sqrt(np.sum(xi * xi) + np.sum(dv * dv)))
         angle = float(principal_angles(p.u, m.basis)[0])
@@ -201,9 +192,7 @@ def optimize(
         if it == cfg.max_iters:
             break
         try:
-            p, accepted, loss = riemannian_step(
-                m, p, (du, dv), s, cfg, step_size=eta, loss_current=loss
-            )
+            p, accepted, loss = riemannian_step(m, p, (du, dv), s, cfg, eta, loss)
         except StalledOptimizationError:
             # No further float-representable decrease; stop at the best
             # iterate (typically this happens sitting on the minimizer).

@@ -36,7 +36,6 @@ def verify_config(**overrides):
             "dim": 4,
             "rank": 1,
             "sigma": 0.3,
-            "quad_points": 32,
             "mc_instances": 2,
             "mc_samples": 20000,
             "opt": {"seeds": 3, "max_iters": 800},
@@ -207,6 +206,13 @@ class TestCliVerify:
         assert all(",True," in line or line.endswith("True,") or ",True" in line
                    for line in report[2:])
 
+    def test_large_sigma_verify_passes(self, tmp_path, capsys):
+        raw = verify_config()
+        raw["linear"]["sigma"] = 3.5
+        cfg = write_cfg(tmp_path, raw)
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        assert "[FAIL]" not in capsys.readouterr().out
+
     def test_wrong_kind_exits_2(self, tmp_path):
         cfg = write_cfg(tmp_path, verify_config(kind="pretrain"))
         assert main(["verify", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
@@ -351,6 +357,10 @@ def bad_input(case, tmp_path):
             "sample", sample={"source": str(path), "sampler": "one_step", "n": 5})
     if case == "sigma_min_above_sigma_max":
         return "pretrain", pipeline_config("pretrain", schedule={"sigma_min": 2.0, "sigma_max": 1.0})
+    if case == "quad_points_key":
+        raw = verify_config()
+        raw["linear"]["quad_points"] = 64
+        return "verify", raw
     if case == "rank_not_below_dim":
         raw = verify_config()
         raw["linear"].update(dim=3, rank=3)
@@ -387,8 +397,9 @@ def record_distill_modes(monkeypatch):
 
 class TestCliBadInput:
     @pytest.mark.parametrize("case", [*BAD_CHECKPOINTS, "sigma_min_above_sigma_max",
-                                      "rank_not_below_dim", *BAD_BASES, "duplicate_sigma_hats",
-                                      "sweep_with_teacher", "distill_mode_unpaired_with_teacher"])
+                                      "quad_points_key", "rank_not_below_dim", *BAD_BASES,
+                                      "duplicate_sigma_hats", "sweep_with_teacher",
+                                      "distill_mode_unpaired_with_teacher"])
     def test_exits_2_without_traceback(self, case, tmp_path, capsys):
         command, raw = bad_input(case, tmp_path)
         cfg = write_cfg(tmp_path, raw, "bad.json")

@@ -22,6 +22,7 @@ from noisedistill.linear_theory import (
 from noisedistill.rng import derive, make_rng
 from noisedistill.schedule import NoiseSchedule
 from noisedistill.stiefel import retract
+from noisedistill.verify import check_profile_minimizer
 
 
 def frame(d, r, rng):
@@ -285,6 +286,11 @@ class TestEigenvalueProfile:
             options={"xatol": 1e-10},
         )
         assert abs(res.x - (1 + sigma**2)) <= 1e-6
+
+    @pytest.mark.parametrize("sigma", [2.0, 3.5, 5.0, 10.0])
+    def test_verify_locates_minimizer_at_large_sigma(self, sigma):
+        # u* = 1 + sigma^2 exceeds 10 from sigma = 3, where the profile is flat
+        assert check_profile_minimizer(NoiseSchedule(), sigmas=(sigma,)).passed
 
     def test_convexity_by_finite_differences(self):
         sched = NoiseSchedule()

@@ -24,12 +24,20 @@ class TestNoiseSchedule:
         assert s.sigma(0.0) == s.sigma(0.7) == 0.3
 
     def test_quadrature_integrates_polynomials_exactly(self):
-        s = NoiseSchedule()
-        nodes, weights = s.quadrature(8)
+        nodes, weights = NoiseSchedule().quadrature()
+        assert nodes.shape == weights.shape == (64,)
         assert float(np.sum(weights)) == pytest.approx(1.0, abs=1e-14)
-        # Gauss-Legendre with 8 nodes is exact for degree <= 15
-        for k in (1, 3, 7, 15):
+        # Gauss-Legendre with 64 nodes is exact for degree <= 127
+        for k in (1, 15, 63, 127):
             assert float(np.dot(weights, nodes**k)) == pytest.approx(1 / (k + 1), abs=1e-12)
+
+    def test_quadrature_is_one_read_only_rule(self):
+        nodes, weights = NoiseSchedule().quadrature()
+        for arr in (nodes, weights):
+            with pytest.raises(ValueError):
+                arr[0] = 0.5
+        again = NoiseSchedule(0.3, 0.3).quadrature()
+        assert np.array_equal(again[0], nodes) and np.array_equal(again[1], weights)
 
     def test_sampling_grid_decreasing(self):
         s = NoiseSchedule(0.05, 2.0)

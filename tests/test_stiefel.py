@@ -82,8 +82,9 @@ class TestRiemannianStep:
         m = model(10)
         p = GeneratorParams(u=frame(6, 2, rng), v=rng.standard_normal((6, 2)))
         zeros = (np.zeros_like(p.u), np.zeros_like(p.v))
-        p2, _, _ = riemannian_step(m, p, zeros, SCHED, OptConfig())
-        assert p2 is p
+        loss = loss_closed_form(m, p, SCHED)
+        p2, step, after = riemannian_step(m, p, zeros, SCHED, OptConfig(), 0.2, loss)
+        assert p2 is p and step == 0.2 and after == loss
 
     def test_step_from_perturbed_minimizer_decreases_loss(self):
         rng = make_rng(11)
@@ -95,7 +96,7 @@ class TestRiemannianStep:
         )
         before = loss_closed_form(m, p, SCHED)
         grads = euclidean_gradient(m, p, SCHED)
-        _, _, after = riemannian_step(m, p, grads, SCHED, OptConfig())
+        _, _, after = riemannian_step(m, p, grads, SCHED, OptConfig(), 0.2, before)
         assert after < before
 
     def test_feasibility_after_step(self):
@@ -103,7 +104,7 @@ class TestRiemannianStep:
         m = model(12)
         p = random_params(6, 2, seed=5)
         grads = euclidean_gradient(m, p, SCHED)
-        p2, _, _ = riemannian_step(m, p, grads, SCHED, OptConfig())
+        p2, _, _ = riemannian_step(m, p, grads, SCHED, OptConfig(), 0.2, loss_closed_form(m, p, SCHED))
         assert np.max(np.abs(p2.u.T @ p2.u - np.eye(2))) <= 1e-10
 
     def test_retraction_idempotent_on_zero_tangent(self):
@@ -127,7 +128,7 @@ class TestRiemannianStep:
         # feeding the negated gradient makes every trial step go uphill, so
         # backtracking can never satisfy Armijo and must underflow
         with pytest.raises(StalledOptimizationError):
-            riemannian_step(m, p, (-du, -dv), SCHED, OptConfig())
+            riemannian_step(m, p, (-du, -dv), SCHED, OptConfig(), 0.2, loss_closed_form(m, p, SCHED))
 
 
 class TestOptimize:
