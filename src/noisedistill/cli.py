@@ -8,6 +8,7 @@ atomically and embed the config hash, seed, and tool version.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -30,7 +31,6 @@ from .metrics import N_EVAL, evaluate_sources, make_eval_hook, select_best_check
 from .nets import DenseNet
 from .rng import derive
 from .schedule import NoiseSchedule
-from .stiefel import OptConfig
 from .svgplot import emit_scatter_svg
 from .toydata import make_dataset
 from .verify import run_verification
@@ -41,6 +41,9 @@ EXIT_CONFIG = 2
 EXIT_DIVERGENCE = 3
 
 HIDDEN = [64, 64, 64]  # denoiser hidden widths when train.hidden is omitted
+# Largest linear.sigma for which 4 (1 + sigma^2), the verify battery's bracket
+# for the profile minimizer, is finite.
+SIGMA_LIMIT = math.sqrt(sys.float_info.max) / 2
 
 
 def _schedule(cfg: ExperimentConfig) -> NoiseSchedule:
@@ -139,6 +142,9 @@ def _distill(cfg: ExperimentConfig, data, out: str, teacher, section: dict) -> l
 
 def cmd_verify(cfg: ExperimentConfig, out: str) -> int:
     lin = cfg.section("linear")
+    if not lin["sigma"] <= SIGMA_LIMIT:  # also catches nan
+        raise ConfigError(f"linear.sigma = {lin['sigma']!r} is above {SIGMA_LIMIT:.4g}, "
+                          "where the verify battery's arithmetic overflows")
     basis = None
     if "basis" in lin:
         try:
@@ -148,10 +154,8 @@ def cmd_verify(cfg: ExperimentConfig, out: str) -> int:
             LinearModel(basis=basis, sigma=lin["sigma"])  # orthonormality gate
         except ValueError as exc:  # PreconditionError, or a ragged basis
             raise ConfigError(f"linear.basis rejected: {exc}") from exc
-    opt = lin.get("opt", {})
-    opt_seeds = {"opt_seeds": opt["seeds"]} if "seeds" in opt else {}
-    checks = from_section(run_verification, lin, seed=cfg.seed, schedule=_schedule(cfg),
-                          opt_cfg=from_section(OptConfig, opt), basis=basis, **opt_seeds)
+    checks = from_section(run_verification, {**lin, **lin.get("opt", {})}, seed=cfg.seed,
+                          schedule=_schedule(cfg), basis=basis)
     rows = [
         {"check": c.name, "value": c.value, "threshold": c.threshold,
          "passed": c.passed, "detail": c.detail}
@@ -210,11 +214,11 @@ def cmd_eval(cfg: ExperimentConfig, out: str) -> int:
     schedule = _schedule(cfg)
     esec = cfg.section("eval")
     teacher = generator = None
-    sigma_hat = cfg.section("train").get("sigma_hat", data.sigma_data)
+    sigma_hat = data.sigma_data  # unless a checkpoint records one: the teacher's, else the generator's
+    if "generator" in esec:
+        generator, _, sigma_hat, _ = _load_checkpoint_input(esec["generator"])
     if "teacher" in esec:
         teacher, _, sigma_hat, _ = _load_checkpoint_input(esec["teacher"])
-    if "generator" in esec:
-        generator = _load_checkpoint_input(esec["generator"])[0]
     rows = evaluate_sources(data, schedule, sigma_hat, teacher=teacher, generator=generator,
                             n_eval=esec.get("n_eval", N_EVAL),
                             sample_steps=esec.get("sample_steps", SAMPLER_STEPS), eval_seed=cfg.seed)
@@ -277,7 +281,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="path to the JSON experiment config")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--out", default=None, help="override the output directory")
+        p.add_argument("--out", default=None,
+                       help="output directory (default: $NOISEDISTILL_OUT_ROOT/<kind>-<config hash>)")
         p.add_argument("--plots", action="store_true", help="also emit SVG scatter plots")
     return parser
 
@@ -287,7 +292,7 @@ def main(argv=None) -> int:
     kind, command = COMMANDS[args.command]
     try:
         cfg = load_config(args.config, seed_override=args.seed, out_override=args.out,
-                          plots_override=True if args.plots else None, expected_kind=kind)
+                          plots_override=args.plots, expected_kind=kind)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

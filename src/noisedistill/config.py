@@ -1,8 +1,9 @@
 """Experiment configuration: one JSON document, schema-validated, hashable.
 
 Unknown keys are rejected everywhere so a typo cannot silently fall back to a
-default.  The effective config (after CLI overrides) is canonicalized and
-hashed; every artifact a run writes embeds that hash next to the seed.
+default.  The effective config (after a ``--seed`` override) is
+canonicalized and hashed; every artifact a run writes embeds that hash next to
+the seed.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import hashlib
 import inspect
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import jsonschema
 
@@ -35,8 +36,6 @@ SCHEMA = {
         "version": {"const": CONFIG_VERSION},
         "kind": {"enum": list(KINDS)},
         "seed": {"type": "integer", "minimum": 0},
-        "out_dir": {"type": "string"},
-        "plots": {"type": "boolean"},
         "linear": {
             "type": "object",
             "additionalProperties": False,
@@ -51,13 +50,7 @@ SCHEMA = {
                 "opt": {
                     "type": "object",
                     "additionalProperties": False,
-                    "properties": {
-                        "step_size": _POS_NUM,
-                        "max_iters": _POS_INT,
-                        "grad_tol": _POS_NUM,
-                        "retraction": {"enum": ["qr", "polar"]},
-                        "seeds": _POS_INT,
-                    },
+                    "properties": {"seeds": _POS_INT, "max_iters": _POS_INT},
                 },
             },
         },
@@ -103,7 +96,6 @@ SCHEMA = {
                 "sigma_hat": _NONNEG_NUM,
                 "eval_every": _POS_INT,
                 "weighting": {"enum": ["constant", "sigma2", "sid-normalized"]},
-                "fake_steps_per_gen": _POS_INT,
             },
         },
         "sample": {
@@ -150,7 +142,14 @@ _REQUIRED_SECTIONS = {
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """A validated config document, plus the two run settings that only the
+    command line gives: the output directory (None: under OUT_ROOT_ENV, named
+    by kind and hash) and whether to emit SVG plots.  Neither changes what
+    gets computed, so neither is in ``raw`` or the hash."""
+
     raw: dict
+    out: str | None
+    plots: bool
 
     @property
     def kind(self) -> str:
@@ -160,24 +159,17 @@ class ExperimentConfig:
     def seed(self) -> int:
         return int(self.raw["seed"])
 
-    @property
-    def plots(self) -> bool:
-        return bool(self.raw.get("plots", False))
-
     def section(self, name: str) -> dict:
         return self.raw.get(name, {})
 
     def out_dir(self) -> str:
-        if "out_dir" in self.raw:
-            return self.raw["out_dir"]
+        if self.out is not None:
+            return self.out
         root = os.environ.get(OUT_ROOT_ENV, "runs")
         return os.path.join(root, f"{self.kind}-{self.config_hash()}")
 
     def config_hash(self) -> str:
-        """Hash of the experiment content; output placement and plot toggles
-        do not change what gets computed, so they are excluded."""
-        content = {k: v for k, v in self.raw.items() if k not in ("out_dir", "plots")}
-        canon = json.dumps(content, sort_keys=True, separators=(",", ":"))
+        canon = json.dumps(self.raw, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canon.encode()).hexdigest()[:12]
 
 
@@ -190,14 +182,14 @@ def parse_config(raw: dict) -> ExperimentConfig:
     for section in _REQUIRED_SECTIONS[raw["kind"]]:
         if section not in raw:
             raise ConfigError(f"kind {raw['kind']!r} requires a {section!r} section")
-    return ExperimentConfig(raw=raw)
+    return ExperimentConfig(raw=raw, out=None, plots=False)
 
 
 def load_config(
     path: str,
     seed_override: int | None = None,
     out_override: str | None = None,
-    plots_override: bool | None = None,
+    plots_override: bool = False,
     expected_kind: str | None = None,
 ) -> ExperimentConfig:
     try:
@@ -211,11 +203,7 @@ def load_config(
         raise ConfigError("top-level config must be a JSON object")
     if seed_override is not None:
         raw["seed"] = int(seed_override)
-    if out_override is not None:
-        raw["out_dir"] = out_override
-    if plots_override is not None:
-        raw["plots"] = bool(plots_override)
-    cfg = parse_config(raw)
+    cfg = replace(parse_config(raw), out=out_override, plots=plots_override)
     if expected_kind is not None and cfg.kind != expected_kind:
         raise ConfigError(f"config kind is {cfg.kind!r} but the command expects {expected_kind!r}")
     return cfg

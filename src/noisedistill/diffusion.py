@@ -96,7 +96,11 @@ def pretrain(
 
     ``mode='ambient'`` uses the adjusted objective at cfg.sigma_hat,
     ``mode='standard'`` the plain objective.  Training mutates ``net`` in
-    place; zero steps leave it untouched.  A loss above 1e6 aborts.
+    place; zero steps leave it untouched.  A non-finite loss, or one above
+    DIVERGENCE_THRESHOLD times max(1, E||y||^2) over the noisy points, aborts.
+    E||y||^2 is the plain loss of a net that predicts zero, so the limit scales
+    with the data: large data alone is not read as divergence, but a model
+    blown up from the start is.
     """
     if mode not in MODES:
         raise PreconditionError(f"unknown pretraining mode {mode!r}; choose from {MODES}")
@@ -104,14 +108,15 @@ def pretrain(
     rng = make_rng(cfg.seed)
     opt = Adam(net.parameters(), cfg.lr)
     points = data.points
+    limit = DIVERGENCE_THRESHOLD * max(1.0, float(np.mean(np.sum(points**2, axis=1))))
     curve = []
     for step in range(cfg.steps):
         idx = rng.integers(0, points.shape[0], cfg.batch_size)
         loss, grads = denoising_loss(net, points[idx], sigma_hat, cfg.schedule, rng)
-        if not np.isfinite(loss) or loss > DIVERGENCE_THRESHOLD:
+        if not np.isfinite(loss) or loss > limit:
             raise DivergenceError(
                 f"pretraining diverged at step {step}: loss = {loss:.3e}",
-                diagnostics={"step": step, "loss": loss, "mode": mode},
+                diagnostics={"step": step, "loss": loss, "limit": limit, "mode": mode},
             )
         opt.lr = cfg.lr * cosine_decay(step, cfg.steps)
         opt.step(net.parameters(), grads)

@@ -49,7 +49,6 @@ class DistillConfig:
     seed: int = 0
     eval_every: int = 500
     weighting: str = "sid-normalized"
-    fake_steps_per_gen: int = 1
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -299,8 +298,7 @@ def run_distillation(
         state.gen_opt.lr = cfg.lr_gen * factor
         fake_loss = float("nan")
         if cfg.method != "sds":  # SDS never trains the fake net
-            for _ in range(cfg.fake_steps_per_gen):
-                fake_loss = fake_update(state, rng)
+            fake_loss = fake_update(state, rng)
         grad_norm = generator_update(state, rng)
 
         healthy = np.isfinite(grad_norm) and (cfg.method == "sds" or

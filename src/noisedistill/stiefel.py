@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import PreconditionError, StalledOptimizationError
+from .errors import StalledOptimizationError
 from .linear_theory import (
     GeneratorParams,
     LinearModel,
@@ -23,20 +23,9 @@ ARMIJO_C1 = 1e-4
 MIN_STEP = 1e-14
 VTV_FLOOR = 1e-10
 STIEFEL_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class OptConfig:
-    step_size: float = 0.2
-    max_iters: int = 2000
-    grad_tol: float = 1e-7
-    retraction: str = "qr"  # or "polar"
-
-    def __post_init__(self):
-        if self.step_size <= 0 or self.grad_tol <= 0:
-            raise PreconditionError("step_size and grad_tol must be positive")
-        if self.retraction not in ("qr", "polar"):
-            raise PreconditionError(f"unknown retraction {self.retraction!r}")
+STEP_SIZE = 0.2  # first trial step of the line search
+GRAD_TOL = 1e-7  # Riemannian gradient norm that counts as converged
+MAX_ITERS = 2000  # iteration budget of one descent when the caller names none
 
 
 @dataclass
@@ -95,18 +84,13 @@ def tangent_project(u: np.ndarray, du: np.ndarray) -> np.ndarray:
     return du - u @ ((utdu + utdu.T) / 2.0)
 
 
-def retract(u: np.ndarray, direction: np.ndarray, kind: str = "qr") -> np.ndarray:
-    """Map u + direction back onto the Stiefel manifold."""
-    a = u + direction
-    if kind == "qr":
-        q, r = np.linalg.qr(a)
-        signs = np.sign(np.diag(r))
-        signs[signs == 0] = 1.0
-        return q * signs
-    if kind == "polar":
-        uu, _, vt = np.linalg.svd(a, full_matrices=False)
-        return uu @ vt
-    raise PreconditionError(f"unknown retraction {kind!r}")
+def retract(u: np.ndarray, direction: np.ndarray) -> np.ndarray:
+    """Map u + direction back onto the Stiefel manifold: the Q factor of its
+    QR decomposition, with signs fixed so R has a nonnegative diagonal."""
+    q, r = np.linalg.qr(u + direction)
+    signs = np.sign(np.diag(r))
+    signs[signs == 0] = 1.0
+    return q * signs
 
 
 def riemannian_step(
@@ -114,14 +98,13 @@ def riemannian_step(
     p: GeneratorParams,
     grads: tuple[np.ndarray, np.ndarray],
     s: NoiseSchedule,
-    cfg: OptConfig,
     step_size: float,
     loss_current: float,
 ) -> tuple[GeneratorParams, float, float]:
     """One backtracked descent step; returns (new params, accepted step, new loss).
 
     The U-gradient is projected to the tangent space and retracted (QR with a
-    positive-diagonal fix by default); V moves by plain descent.  A step is
+    positive-diagonal fix); V moves by plain descent.  A step is
     accepted when it satisfies the Armijo condition with c1 = 1e-4 and keeps
     V^T V safely positive definite; otherwise the step is halved, down to a
     floor of 1e-14 at which the optimization is declared stalled.
@@ -135,7 +118,7 @@ def riemannian_step(
 
     eta = step_size
     while True:
-        u_new = retract(p.u, -eta * xi, cfg.retraction)
+        u_new = retract(p.u, -eta * xi)
         v_new = p.v - eta * dv
         candidate = GeneratorParams(u=u_new, v=v_new)
         lam_min = np.linalg.eigvalsh(candidate.gram())[0]
@@ -153,7 +136,7 @@ def riemannian_step(
 def random_params(d: int, r: int, seed: int) -> GeneratorParams:
     """Feasible random start: U from QR of a Gaussian matrix, V = U."""
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    u = retract(np.zeros((d, r)), rng.standard_normal((d, r)), "qr")
+    u = retract(np.zeros((d, r)), rng.standard_normal((d, r)))
     return GeneratorParams(u=u, v=u.copy())
 
 
@@ -161,9 +144,9 @@ def optimize(
     m: LinearModel,
     p0: GeneratorParams,
     s: NoiseSchedule,
-    cfg: OptConfig,
+    max_iters: int = MAX_ITERS,
 ) -> tuple[GeneratorParams, OptTrace]:
-    """Run descent until the Riemannian gradient norm drops below grad_tol.
+    """Run descent until the Riemannian gradient norm drops below GRAD_TOL.
 
     Returns the final parameters and the trace; non-convergence within
     max_iters is reported through ``trace.converged`` rather than an error,
@@ -176,9 +159,9 @@ def optimize(
     p = p0
     loss = loss_closed_form(m, p, s)
     best_p, best_loss = p, loss
-    eta = cfg.step_size
+    eta = STEP_SIZE
 
-    for it in range(cfg.max_iters + 1):
+    for it in range(max_iters + 1):
         du, dv = euclidean_gradient(m, p, s)
         xi = tangent_project(p.u, du)
         grad_norm = float(np.sqrt(np.sum(xi * xi) + np.sum(dv * dv)))
@@ -186,20 +169,20 @@ def optimize(
         dev = float(np.linalg.norm(p.gram() - target_gram))
         trace.append(it, loss, grad_norm, angle, dev)
 
-        if grad_norm <= cfg.grad_tol:
+        if grad_norm <= GRAD_TOL:
             trace.converged = True
             return p, trace
-        if it == cfg.max_iters:
+        if it == max_iters:
             break
         try:
-            p, accepted, loss = riemannian_step(m, p, (du, dv), s, cfg, eta, loss)
+            p, accepted, loss = riemannian_step(m, p, (du, dv), s, eta, loss)
         except StalledOptimizationError:
             # No further float-representable decrease; stop at the best
             # iterate (typically this happens sitting on the minimizer).
             break
         # Grow the trial step after a clean acceptance, so the line search
         # stays near the largest workable step without re-tuning.
-        eta = min(accepted * 1.5, 1e3 * cfg.step_size) if accepted == eta else accepted
+        eta = min(accepted * 1.5, 1e3 * STEP_SIZE) if accepted == eta else accepted
         if loss < best_loss:
             best_p, best_loss = p, loss
 

@@ -36,7 +36,7 @@ from .linear_theory import (
 from .metrics import frechet_gaussian
 from .rng import derive
 from .schedule import NoiseSchedule
-from .stiefel import OptConfig, optimize, random_params, retract
+from .stiefel import MAX_ITERS, optimize, random_params, retract
 
 
 @dataclass(frozen=True)
@@ -52,7 +52,7 @@ def _random_low_rank(rng, d=None, max_d=20) -> LowRankGaussian:
     if d is None:
         d = int(rng.integers(2, max_d + 1))
     r = int(rng.integers(1, d))
-    f = retract(np.zeros((d, r)), rng.standard_normal((d, r)), "qr")
+    f = retract(np.zeros((d, r)), rng.standard_normal((d, r)))
     return LowRankGaussian(f, float(rng.uniform(0.1, 3.0)), float(rng.uniform(0.05, 2.0)))
 
 
@@ -101,8 +101,8 @@ def check_trace_bound(seed: int, instances: int = 100) -> CheckResult:
     for _ in range(instances):
         d = int(rng.integers(3, 10))
         r = int(rng.integers(1, d))
-        e = retract(np.zeros((d, r)), rng.standard_normal((d, r)), "qr")
-        u = retract(np.zeros((d, r)), rng.standard_normal((d, r)), "qr")
+        e = retract(np.zeros((d, r)), rng.standard_normal((d, r)))
+        u = retract(np.zeros((d, r)), rng.standard_normal((d, r)))
         b = rng.standard_normal((r, r))
         spd = b @ b.T + 0.1 * np.eye(r)
         proj = e.T @ u
@@ -151,7 +151,7 @@ def _frame(dim: int, rank: int, basis: np.ndarray | None, tag: int) -> np.ndarra
     if basis is not None:
         return np.asarray(basis, dtype=float)
     rng = derive(int(dim * 1000 + rank), tag)
-    return retract(np.zeros((dim, rank)), rng.standard_normal((dim, rank)), "qr")
+    return retract(np.zeros((dim, rank)), rng.standard_normal((dim, rank)))
 
 
 def check_gap_identity(
@@ -172,9 +172,9 @@ def check_closed_vs_monte_carlo(
     worst_ratio = 0.0
     for i in range(instances):
         d, r = 6, 2
-        e = retract(np.zeros((d, r)), rng.standard_normal((d, r)), "qr")
+        e = retract(np.zeros((d, r)), rng.standard_normal((d, r)))
         model = LinearModel(basis=e, sigma=float(rng.uniform(0.1, 0.8)))
-        u = retract(np.zeros((d, r)), rng.standard_normal((d, r)), "qr")
+        u = retract(np.zeros((d, r)), rng.standard_normal((d, r)))
         v = rng.standard_normal((d, r))
         p = GeneratorParams(u=u, v=v)
         closed = loss_closed_form(model, p, schedule)
@@ -201,7 +201,7 @@ def check_minimizer_optimality(
     min_margin = np.inf
     for _ in range(trials):
         scale = float(rng.uniform(1e-2, 0.3))
-        u = retract(star.u, scale * rng.standard_normal(star.u.shape), "qr")
+        u = retract(star.u, scale * rng.standard_normal(star.u.shape))
         v = star.v + scale * rng.standard_normal(star.v.shape)
         loss = loss_closed_form(model, GeneratorParams(u=u, v=v), schedule)
         min_margin = min(min_margin, loss - base)
@@ -214,8 +214,8 @@ def check_descent_recovery(
     rank: int,
     sigma: float,
     schedule: NoiseSchedule,
-    opt_cfg: OptConfig,
-    seeds: int = 20,
+    seeds: int,
+    max_iters: int,
     basis: np.ndarray | None = None,
 ) -> CheckResult:
     """Riemannian descent from random starts reaches the minimizer family."""
@@ -223,7 +223,7 @@ def check_descent_recovery(
     successes = 0
     for k in range(seeds):
         p0 = random_params(dim, rank, seed=1000 + k)
-        p_final, trace = optimize(model, p0, schedule, opt_cfg)
+        p_final, trace = optimize(model, p0, schedule, max_iters)
         if trace.angle_max[-1] <= 1e-3 and trace.vtv_dev[-1] <= 1e-3:
             successes += 1
     needed = math.ceil(0.9 * seeds)
@@ -262,15 +262,16 @@ def run_verification(
     sigma: float = 0.5,
     seed: int = 0,
     schedule: NoiseSchedule | None = None,
-    opt_cfg: OptConfig | None = None,
-    opt_seeds: int = 20,
+    seeds: int = 20,
+    max_iters: int = MAX_ITERS,
     mc_instances: int = 20,
     mc_samples: int = 100000,
     basis: np.ndarray | None = None,
 ) -> list[CheckResult]:
-    """The full battery; deterministic in (arguments, seed)."""
+    """The full battery; deterministic in (arguments, seed).  ``seeds`` and
+    ``max_iters`` set the descent-recovery check: its number of random starts
+    and the iteration budget of each."""
     schedule = schedule or NoiseSchedule()
-    opt_cfg = opt_cfg or OptConfig()
     checks = [
         check_woodbury(seed),
         check_w2_bures(seed),
@@ -281,7 +282,7 @@ def run_verification(
         check_gap_identity(dim, rank, sigma, basis=basis),
         check_closed_vs_monte_carlo(seed, schedule, instances=mc_instances, n=mc_samples),
         check_minimizer_optimality(dim, rank, sigma, schedule, seed, basis=basis),
-        check_descent_recovery(dim, rank, sigma, schedule, opt_cfg, seeds=opt_seeds, basis=basis),
+        check_descent_recovery(dim, rank, sigma, schedule, seeds, max_iters, basis=basis),
         check_von_neumann(seed),
         check_sample_fit_roundtrip(seed),
     ]

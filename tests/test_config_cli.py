@@ -1,5 +1,6 @@
 """Experiment configs, artifact writing, SVG plots, and the CLI contract."""
 
+import functools
 import json
 import os
 import warnings
@@ -7,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from noisedistill import cli
+from noisedistill import cli, stiefel
 from noisedistill.cli import main
 from noisedistill.config import (
     format_cell,
@@ -21,10 +22,11 @@ from noisedistill.config import (
 from noisedistill.diffusion import TrainConfig, load_checkpoint
 from noisedistill.distill import PAIRED_MODE, DistillConfig, generator_forward
 from noisedistill.errors import ConfigError
+from noisedistill.metrics import evaluate_sources
 from noisedistill.rng import derive
 from noisedistill.schedule import NoiseSchedule
-from noisedistill.stiefel import OptConfig
 from noisedistill.svgplot import emit_scatter_svg
+from noisedistill.toydata import make_dataset
 
 
 def verify_config(**overrides):
@@ -138,14 +140,13 @@ class TestFromSection:
     def test_empty_section_gives_dataclass_defaults(self):
         assert from_section(TrainConfig, {}) == TrainConfig()
         assert from_section(DistillConfig, {}) == DistillConfig()
-        assert from_section(OptConfig, {}) == OptConfig()
         assert from_section(NoiseSchedule, {}) == NoiseSchedule()
 
     def test_section_key_overrides_default(self):
         tcfg = from_section(TrainConfig, {"lr": 3e-3, "hidden": [8], "mode": "standard"})
         assert tcfg.lr == 3e-3
         assert tcfg.steps == TrainConfig().steps
-        assert from_section(OptConfig, {"grad_tol": 1e-6, "seeds": 4}).grad_tol == 1e-6
+        assert from_section(DistillConfig, {"steps": 7, "teacher": "t.json"}).steps == 7
         assert from_section(NoiseSchedule, {"sigma_max": 2.0}) == NoiseSchedule(0.02, 2.0)
 
     def test_fixed_value_overrides_section(self):
@@ -154,7 +155,7 @@ class TestFromSection:
         assert (dcfg.mode, dcfg.sigma_hat, dcfg.seed) == ("adjusted", 0.1, 4)
 
     def test_verify_runs_at_the_optimizer_default_tolerance(self):
-        assert OptConfig().grad_tol == 1e-7
+        assert (stiefel.STEP_SIZE, stiefel.GRAD_TOL, stiefel.MAX_ITERS) == (0.2, 1e-7, 2000)
 
 
 class TestScatterSvg:
@@ -212,6 +213,19 @@ class TestCliVerify:
         cfg = write_cfg(tmp_path, raw)
         assert main(["verify", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
         assert "[FAIL]" not in capsys.readouterr().out
+
+    def test_opt_keys_reach_the_battery(self, tmp_path, monkeypatch):
+        calls = []
+
+        @functools.wraps(cli.run_verification)  # from_section reads the wrapped signature
+        def recording(**kw):
+            calls.append(kw)
+            return []
+
+        monkeypatch.setattr(cli, "run_verification", recording)
+        cfg = write_cfg(tmp_path, verify_config())
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        assert (calls[0]["seeds"], calls[0]["max_iters"], calls[0]["dim"]) == (3, 800, 4)
 
     def test_wrong_kind_exits_2(self, tmp_path):
         cfg = write_cfg(tmp_path, verify_config(kind="pretrain"))
@@ -346,6 +360,12 @@ BAD_CHECKPOINTS = {
 }
 
 
+# Keys that once set the Stiefel descent, each with the value every run used.
+REMOVED_OPT_KEYS = {"opt_step_size_key": ("step_size", 0.2), "opt_grad_tol_key": ("grad_tol", 1e-7),
+                    "opt_retraction_key": ("retraction", "qr")}
+REMOVED_KEYS = [*REMOVED_OPT_KEYS, "fake_steps_per_gen_key", "out_dir_key", "plots_key"]
+
+
 def bad_input(case, tmp_path):
     """(command, config) of one bad-input case."""
     teacher = pretrained_teacher(tmp_path)
@@ -361,6 +381,21 @@ def bad_input(case, tmp_path):
         raw = verify_config()
         raw["linear"]["quad_points"] = 64
         return "verify", raw
+    if case in REMOVED_OPT_KEYS:
+        raw = verify_config()
+        raw["linear"]["opt"].update([REMOVED_OPT_KEYS[case]])
+        return "verify", raw
+    if case == "huge_linear_sigma":
+        raw = verify_config()
+        raw["linear"]["sigma"] = 1e160
+        return "verify", raw
+    if case == "fake_steps_per_gen_key":
+        return "distill", pipeline_config(
+            "distill", distill={"teacher": str(teacher), "steps": 1, "fake_steps_per_gen": 1})
+    if case == "out_dir_key":
+        return "pretrain", pipeline_config("pretrain", out_dir=str(tmp_path / "elsewhere"))
+    if case == "plots_key":
+        return "pretrain", pipeline_config("pretrain", plots=True)
     if case == "rank_not_below_dim":
         raw = verify_config()
         raw["linear"].update(dim=3, rank=3)
@@ -397,7 +432,8 @@ def record_distill_modes(monkeypatch):
 
 class TestCliBadInput:
     @pytest.mark.parametrize("case", [*BAD_CHECKPOINTS, "sigma_min_above_sigma_max",
-                                      "quad_points_key", "rank_not_below_dim", *BAD_BASES,
+                                      "quad_points_key", *REMOVED_KEYS, "huge_linear_sigma",
+                                      "rank_not_below_dim", *BAD_BASES,
                                       "duplicate_sigma_hats", "sweep_with_teacher",
                                       "distill_mode_unpaired_with_teacher"])
     def test_exits_2_without_traceback(self, case, tmp_path, capsys):
@@ -451,6 +487,20 @@ class TestCliDivergence:
         assert err.startswith("divergence:")
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
+
+    def test_large_scale_data_is_not_divergence(self, tmp_path):
+        raw = pipeline_config("pretrain", dataset={"kind": "ring", "n": 256, "sigma_data": 1000})
+        out = tmp_path / "out"
+        assert main(["pretrain", "--config", write_cfg(tmp_path, raw), "--out", str(out)]) == 0
+        assert float(csv_body(out / "pretrain_loss.csv")[-1].split(",")[1]) > 1e6
+
+    def test_exploding_learning_rate_exits_3(self, tmp_path, capsys):
+        raw = pipeline_config("pretrain")
+        raw["train"]["lr"] = 1e300
+        out = tmp_path / "out"
+        assert main(["pretrain", "--config", write_cfg(tmp_path, raw), "--out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith("divergence: pretraining diverged at step 1")
+        assert not out.exists()
 
 
 def csv_body(path):
@@ -575,3 +625,29 @@ class TestCliGeneratorSchedule:
         z = derive(raw["seed"], 301).standard_normal((50, 2))
         assert np.array_equal(samples, generator_forward(generator, z, NoiseSchedule(0.035, 2.0)))
         assert not np.array_equal(samples, generator_forward(generator, z, NoiseSchedule(0.035, 1.0)))
+
+
+class TestCliEval:
+    def test_generator_only_eval_uses_the_generator_sigma_hat(self, tmp_path):
+        teacher = pretrained_teacher(tmp_path)  # data sigma 0.05
+        distilled = pipeline_config(
+            "distill", distill={"teacher": str(teacher), "method": "sds", "steps": 2,
+                                "batch_size": 8, "eval_every": 2, "sigma_hat": 0.07},
+            eval={"n_eval": 256})
+        out = tmp_path / "d"
+        assert main(["distill", "--config", write_cfg(tmp_path, distilled, "d.json"),
+                     "--out", str(out)]) == 0
+        raw = pipeline_config("eval", eval={"generator": str(out / "generator.json"), "n_eval": 256})
+        raw["train"]["sigma_hat"] = 0.3  # another command's section: not read by eval
+        assert main(["eval", "--config", write_cfg(tmp_path, raw, "e.json"),
+                     "--out", str(tmp_path / "e")]) == 0
+        row = csv_body(tmp_path / "e" / "eval.csv")[-1].split(",")
+        assert row[0] == "generator"
+
+        data = make_dataset("ring", 256, 0.05, raw["seed"])
+        generator = load_checkpoint(out / "generator.json")[0]
+        expected = {sigma_hat: evaluate_sources(data, NoiseSchedule(0.035, 1.0), sigma_hat,
+                                                generator=generator, n_eval=256,
+                                                eval_seed=raw["seed"])[-1]["proximal_fid"]
+                    for sigma_hat in (0.07, 0.3)}
+        assert float(row[2]) == expected[0.07] != expected[0.3]

@@ -24,7 +24,7 @@ from noisedistill.stiefel import retract
 
 
 def random_frame(d, r, rng):
-    return retract(np.zeros((d, r)), rng.standard_normal((d, r)), "qr")
+    return retract(np.zeros((d, r)), rng.standard_normal((d, r)))
 
 
 def random_gaussian(rng, d=None, max_d=20):

@@ -26,7 +26,7 @@ from noisedistill.verify import check_profile_minimizer
 
 
 def frame(d, r, rng):
-    return retract(np.zeros((d, r)), rng.standard_normal((d, r)), "qr")
+    return retract(np.zeros((d, r)), rng.standard_normal((d, r)))
 
 
 def random_model(rng, d=5, r=2, sigma=0.3):
@@ -150,7 +150,7 @@ class TestClosedFormLoss:
         base = loss_closed_form(m, star, sched)
         for _ in range(50):
             scale = float(rng.uniform(1e-2, 0.5))
-            u = retract(star.u, scale * rng.standard_normal(star.u.shape), "qr")
+            u = retract(star.u, scale * rng.standard_normal(star.u.shape))
             v = star.v + scale * rng.standard_normal(star.v.shape)
             assert loss_closed_form(m, GeneratorParams(u=u, v=v), sched) > base
 

@@ -3,12 +3,11 @@
 import numpy as np
 import pytest
 
-from noisedistill.errors import PreconditionError, StalledOptimizationError
+from noisedistill.errors import StalledOptimizationError
 from noisedistill.linear_theory import GeneratorParams, LinearModel, analytic_minimizer, loss_closed_form
 from noisedistill.rng import make_rng
 from noisedistill.schedule import NoiseSchedule
 from noisedistill.stiefel import (
-    OptConfig,
     euclidean_gradient,
     optimize,
     random_params,
@@ -19,7 +18,7 @@ from noisedistill.stiefel import (
 
 
 def frame(d, r, rng):
-    return retract(np.zeros((d, r)), rng.standard_normal((d, r)), "qr")
+    return retract(np.zeros((d, r)), rng.standard_normal((d, r)))
 
 
 def model(seed=0, d=6, r=2, sigma=0.3):
@@ -83,7 +82,7 @@ class TestRiemannianStep:
         p = GeneratorParams(u=frame(6, 2, rng), v=rng.standard_normal((6, 2)))
         zeros = (np.zeros_like(p.u), np.zeros_like(p.v))
         loss = loss_closed_form(m, p, SCHED)
-        p2, step, after = riemannian_step(m, p, zeros, SCHED, OptConfig(), 0.2, loss)
+        p2, step, after = riemannian_step(m, p, zeros, SCHED, 0.2, loss)
         assert p2 is p and step == 0.2 and after == loss
 
     def test_step_from_perturbed_minimizer_decreases_loss(self):
@@ -96,7 +95,7 @@ class TestRiemannianStep:
         )
         before = loss_closed_form(m, p, SCHED)
         grads = euclidean_gradient(m, p, SCHED)
-        _, _, after = riemannian_step(m, p, grads, SCHED, OptConfig(), 0.2, before)
+        _, _, after = riemannian_step(m, p, grads, SCHED, 0.2, before)
         assert after < before
 
     def test_feasibility_after_step(self):
@@ -104,21 +103,15 @@ class TestRiemannianStep:
         m = model(12)
         p = random_params(6, 2, seed=5)
         grads = euclidean_gradient(m, p, SCHED)
-        p2, _, _ = riemannian_step(m, p, grads, SCHED, OptConfig(), 0.2, loss_closed_form(m, p, SCHED))
+        p2, _, _ = riemannian_step(m, p, grads, SCHED, 0.2, loss_closed_form(m, p, SCHED))
         assert np.max(np.abs(p2.u.T @ p2.u - np.eye(2))) <= 1e-10
 
     def test_retraction_idempotent_on_zero_tangent(self):
         u = frame(6, 2, make_rng(13))
-        assert retract(u, np.zeros_like(u), "qr") is not u
+        assert retract(u, np.zeros_like(u)) is not u
         # the step-level contract: zero direction keeps the point bit-exact
-        q = retract(u, 0.0 * u, "qr")
+        q = retract(u, 0.0 * u)
         assert np.allclose(q @ (q.T @ u), u, atol=1e-14)
-
-    def test_polar_retraction_feasible(self):
-        rng = make_rng(14)
-        u = frame(6, 2, rng)
-        q = retract(u, 0.3 * rng.standard_normal(u.shape), "polar")
-        assert np.max(np.abs(q.T @ q - np.eye(2))) <= 1e-12
 
     def test_stall_raises_on_ascent_direction(self):
         rng = make_rng(150)
@@ -128,24 +121,23 @@ class TestRiemannianStep:
         # feeding the negated gradient makes every trial step go uphill, so
         # backtracking can never satisfy Armijo and must underflow
         with pytest.raises(StalledOptimizationError):
-            riemannian_step(m, p, (-du, -dv), SCHED, OptConfig(), 0.2, loss_closed_form(m, p, SCHED))
+            riemannian_step(m, p, (-du, -dv), SCHED, 0.2, loss_closed_form(m, p, SCHED))
 
 
 class TestOptimize:
     def test_init_at_minimizer_terminates_immediately(self):
         m = model(20, sigma=0.5)
         star = analytic_minimizer(m)
-        p, trace = optimize(m, star, SCHED, OptConfig(grad_tol=1e-5))
+        p, trace = optimize(m, star, SCHED)
         assert trace.converged
         assert trace.iters[-1] <= 1
 
     def test_multi_seed_convergence_study(self):
         m = LinearModel(basis=frame(8, 2, make_rng(21)), sigma=0.5)
-        cfg = OptConfig(grad_tol=1e-5)
         successes = 0
         for k in range(8):
             p0 = random_params(8, 2, seed=100 + k)
-            _, trace = optimize(m, p0, SCHED, cfg)
+            _, trace = optimize(m, p0, SCHED)
             if trace.angle_max[-1] <= 1e-3 and trace.vtv_dev[-1] <= 1e-3:
                 successes += 1
         assert successes >= 7
@@ -157,20 +149,20 @@ class TestOptimize:
         # testable without changing what the minimizer is.
         m = LinearModel(basis=frame(6, 2, make_rng(22)), sigma=0.0)
         sched = NoiseSchedule(0.2, 5.0)
-        p, trace = optimize(m, random_params(6, 2, seed=3), sched, OptConfig(grad_tol=1e-5))
+        p, trace = optimize(m, random_params(6, 2, seed=3), sched)
         assert trace.angle_max[-1] <= 1e-3
         assert np.linalg.norm(p.gram() - np.eye(2)) <= 1e-3
 
     def test_monotone_loss_and_feasibility_along_trace(self):
         m = model(23, d=8, r=2, sigma=0.5)
-        p, trace = optimize(m, random_params(8, 2, seed=9), SCHED, OptConfig(grad_tol=1e-5))
+        p, trace = optimize(m, random_params(8, 2, seed=9), SCHED)
         losses = np.array(trace.losses)
         assert np.all(np.diff(losses) <= 1e-12)
         assert np.max(np.abs(p.u.T @ p.u - np.eye(2))) <= 1e-10
 
     def test_convergence_certificate(self):
         m = model(24, d=8, r=2, sigma=0.5)
-        p, trace = optimize(m, random_params(8, 2, seed=17), SCHED, OptConfig(grad_tol=1e-5))
+        p, trace = optimize(m, random_params(8, 2, seed=17), SCHED)
         assert trace.converged
         gap = loss_closed_form(m, p, SCHED) - loss_closed_form(m, analytic_minimizer(m), SCHED)
         assert gap <= 1e-6
@@ -190,10 +182,3 @@ class TestOptimize:
             np.linalg.norm(p2.gram() - 1.09 * np.eye(2)), abs=1e-10
         )
 
-
-class TestOptTrace:
-    def test_bad_config_rejected(self):
-        with pytest.raises(PreconditionError):
-            OptConfig(step_size=0.0)
-        with pytest.raises(PreconditionError):
-            OptConfig(retraction="cayley")
