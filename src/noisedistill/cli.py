@@ -193,9 +193,7 @@ def cmd_sample(cfg: ExperimentConfig, out: str) -> int:
     net, _, sigma_hat, schedule = _load_checkpoint_input(sec["source"])
     n = sec["n"]
     sampler = sec["sampler"]
-    if n == 0:
-        samples = np.empty((0, net.data_dim))
-    elif sampler == "one_step":
+    if sampler == "one_step":
         z = derive(cfg.seed, 301).standard_normal((n, net.data_dim))
         samples = guard_samples(generator_forward(net, z, schedule), "one-step generator")
     else:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import inspect
 import json
+import math
 import os
 from dataclasses import dataclass, replace
 
@@ -185,6 +186,14 @@ def parse_config(raw: dict) -> ExperimentConfig:
     return ExperimentConfig(raw=raw, out=None, plots=False)
 
 
+def _finite_number(literal: str) -> float:
+    """A JSON float literal or NaN/Infinity constant; non-finite (even 1e400) is rejected."""
+    value = float(literal)
+    if not math.isfinite(value):
+        raise ConfigError(f"config holds a non-finite number: {literal}")
+    return value
+
+
 def load_config(
     path: str,
     seed_override: int | None = None,
@@ -194,7 +203,7 @@ def load_config(
 ) -> ExperimentConfig:
     try:
         with open(path) as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, parse_float=_finite_number, parse_constant=_finite_number)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:

@@ -78,13 +78,6 @@ class LowRankGaussian:
         f = self.factor
         return self.spike * (f @ f.T) + self.floor * np.eye(self.dim)
 
-    def eigenvalues(self) -> np.ndarray:
-        """Full spectrum, descending: spike+floor (r times), floor (d-r times)."""
-        top = np.full(self.rank, self.spike + self.floor)
-        rest = np.full(self.dim - self.rank, self.floor)
-        vals = np.concatenate([top, rest])
-        return np.sort(vals)[::-1]
-
 
 @dataclass(frozen=True)
 class EigenDecomp:
@@ -118,25 +111,18 @@ def apply_inverse(g: LowRankGaussian, x: np.ndarray) -> np.ndarray:
     return floor_inv * x - correction * (x @ f) @ f.T
 
 
-def _pair_cost(lam_a: np.ndarray, lam_b: np.ndarray) -> float:
-    la = np.clip(np.asarray(lam_a, dtype=float), 0.0, None)
-    lb = np.clip(np.asarray(lam_b, dtype=float), 0.0, None)
-    return float(np.sum(la + lb - 2.0 * np.sqrt(la * lb)))
-
-
 def w2_commuting(a: LowRankGaussian, b: LowRankGaussian) -> float:
     """Squared Wasserstein-2 distance between two commuting members.
 
-    For commuting covariances the distance decouples in the shared eigenbasis
-    into sum_i [lambda_i(A) + lambda_i(B) - 2 sqrt(lambda_i(A) lambda_i(B))].
-    Eigenvalues of B are resolved per eigenspace of A, where A is constant, so
-    the pairing inside each block is immaterial.  Non-commuting inputs
-    (commutator max-norm > 1e-8) are rejected; covariances sharing a factor
-    always commute.
+    For commuting PSD covariances W2^2 = tr A + tr B - 2 tr(A^{1/2} B^{1/2}),
+    and a member's square root stays in the family:
+    (s F F^T + c I)^{1/2} = alpha F F^T + sqrt(c) I with
+    alpha = sqrt(s + c) - sqrt(c).  The cross trace then needs only the
+    r_a x r_b overlap F_a^T F_b.  Non-commuting inputs (commutator max-norm
+    > 1e-8) are rejected; covariances sharing a factor always commute.
     """
     if a.dim != b.dim:
         raise PreconditionError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    d = a.dim
     fa, fb = a.factor, b.factor
 
     cross = fa.T @ fb  # r_a x r_b
@@ -148,26 +134,13 @@ def w2_commuting(a: LowRankGaussian, b: LowRankGaussian) -> float:
                 f"covariances do not commute: commutator max-norm {comm_norm:.3e} > {COMMUTE_TOL:.0e}"
             )
 
-    if a.spike == 0:
-        # A is isotropic; pair its single eigenvalue against B's full spectrum.
-        return _pair_cost(np.full(d, a.floor), b.eigenvalues())
-
-    # Eigenspace col(F_a), eigenvalue spike_a + floor_a: B restricted there is
-    # spike_b * (F_a^T F_b)(F_a^T F_b)^T + floor_b * I.
-    top_block = b.spike * (cross @ cross.T)
-    lam_b_top = b.floor + np.linalg.eigvalsh((top_block + top_block.T) / 2.0)
-
-    # Orthogonal complement, eigenvalue floor_a: B restricted there is
-    # spike_b * G G^T + floor_b * I with G the projected factor.
-    g = fb - fa @ cross
-    gram = b.spike * (g.T @ g)
-    nu = np.linalg.eigvalsh((gram + gram.T) / 2.0)[::-1]
-    n_rest = d - a.rank
-    lam_b_rest = b.floor + np.concatenate([nu[:n_rest], np.zeros(max(0, n_rest - nu.size))])
-
-    total = _pair_cost(np.full(a.rank, a.spike + a.floor), lam_b_top)
-    total += _pair_cost(np.full(n_rest, a.floor), lam_b_rest)
-    return max(total, 0.0)
+    root_a, root_b = np.sqrt(a.floor), np.sqrt(b.floor)
+    alpha_a = np.sqrt(a.spike + a.floor) - root_a
+    alpha_b = np.sqrt(b.spike + b.floor) - root_b
+    tr_root_product = (alpha_a * alpha_b * float(np.sum(cross * cross)) + alpha_a * root_b * a.rank
+                       + root_a * alpha_b * b.rank + root_a * root_b * a.dim)
+    tr_sum = a.spike * a.rank + b.spike * b.rank + (a.floor + b.floor) * a.dim
+    return max(float(tr_sum - 2.0 * tr_root_product), 0.0)
 
 
 def symmetric_eigen(a: np.ndarray, sym_tol: float = 1e-10) -> EigenDecomp:

@@ -257,21 +257,21 @@ def check_sample_fit_roundtrip(seed: int) -> CheckResult:
 
 
 def run_verification(
-    dim: int = 8,
-    rank: int = 2,
-    sigma: float = 0.5,
-    seed: int = 0,
-    schedule: NoiseSchedule | None = None,
+    dim: int,
+    rank: int,
+    sigma: float,
+    seed: int,
+    schedule: NoiseSchedule,
+    basis: np.ndarray | None,
     seeds: int = 20,
     max_iters: int = MAX_ITERS,
     mc_instances: int = 20,
     mc_samples: int = 100000,
-    basis: np.ndarray | None = None,
 ) -> list[CheckResult]:
-    """The full battery; deterministic in (arguments, seed).  ``seeds`` and
-    ``max_iters`` set the descent-recovery check: its number of random starts
-    and the iteration budget of each."""
-    schedule = schedule or NoiseSchedule()
+    """The full battery; deterministic in (arguments, seed).  ``basis`` is the
+    data frame, or None for a seeded random one.  ``seeds`` and ``max_iters``
+    set the descent-recovery check: its number of random starts and the
+    iteration budget of each."""
     checks = [
         check_woodbury(seed),
         check_w2_bures(seed),

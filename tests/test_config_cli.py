@@ -192,8 +192,9 @@ class TestScatterSvg:
 
 
 def write_cfg(tmp_path, raw, name="cfg.json"):
+    """Write a config dict as JSON, or a config text as it is."""
     path = tmp_path / name
-    path.write_text(json.dumps(raw))
+    path.write_text(raw if isinstance(raw, str) else json.dumps(raw))
     return str(path)
 
 
@@ -265,14 +266,15 @@ class TestCliPipeline:
         sources = [line.split(",")[0] for line in eval_lines[2:]]
         assert sources == ["raw_noisy", "teacher_full", "teacher_truncated"]
 
-    def test_sample_n_zero_writes_header_only(self, tmp_path):
+    @pytest.mark.parametrize("sampler", ["full", "truncated", "one_step"])
+    def test_sample_n_zero_writes_header_only(self, sampler, tmp_path):
         out = tmp_path / "run"
         cfg_pre = write_cfg(tmp_path, pipeline_config("pretrain"), "pre.json")
         main(["pretrain", "--config", cfg_pre, "--out", str(out)])
         cfg_sample = write_cfg(
             tmp_path,
             pipeline_config("sample", sample={"source": str(out / "teacher.json"),
-                                              "sampler": "one_step", "n": 0}),
+                                              "sampler": sampler, "n": 0}),
             "s0.json",
         )
         assert main(["sample", "--config", cfg_sample, "--out", str(out / "s0")]) == 0
@@ -364,10 +366,14 @@ BAD_CHECKPOINTS = {
 REMOVED_OPT_KEYS = {"opt_step_size_key": ("step_size", 0.2), "opt_grad_tol_key": ("grad_tol", 1e-7),
                     "opt_retraction_key": ("retraction", "qr")}
 REMOVED_KEYS = [*REMOVED_OPT_KEYS, "fake_steps_per_gen_key", "out_dir_key", "plots_key"]
+NON_FINITE_LITERALS = {"lr_nan": ("train", "lr", "NaN"),
+                       "sigma_max_infinity": ("schedule", "sigma_max", "Infinity"),
+                       "lr_overflows_to_inf": ("train", "lr", "1e400")}
 
 
 def bad_input(case, tmp_path):
-    """(command, config) of one bad-input case."""
+    """(command, config) of one bad-input case; the config is a dict, or a
+    JSON text where it holds a literal ``json.dumps`` cannot write."""
     teacher = pretrained_teacher(tmp_path)
     if case in BAD_CHECKPOINTS:
         text = teacher.read_text()
@@ -375,6 +381,11 @@ def bad_input(case, tmp_path):
         path.write_text(BAD_CHECKPOINTS[case](text, json.loads(text)))
         return "sample", pipeline_config(
             "sample", sample={"source": str(path), "sampler": "one_step", "n": 5})
+    if case in NON_FINITE_LITERALS:
+        section, key, literal = NON_FINITE_LITERALS[case]
+        raw = pipeline_config("pretrain")
+        raw[section][key] = "PLACEHOLDER"
+        return "pretrain", json.dumps(raw).replace('"PLACEHOLDER"', literal)
     if case == "sigma_min_above_sigma_max":
         return "pretrain", pipeline_config("pretrain", schedule={"sigma_min": 2.0, "sigma_max": 1.0})
     if case == "quad_points_key":
@@ -435,7 +446,7 @@ class TestCliBadInput:
                                       "quad_points_key", *REMOVED_KEYS, "huge_linear_sigma",
                                       "rank_not_below_dim", *BAD_BASES,
                                       "duplicate_sigma_hats", "sweep_with_teacher",
-                                      "distill_mode_unpaired_with_teacher"])
+                                      "distill_mode_unpaired_with_teacher", *NON_FINITE_LITERALS])
     def test_exits_2_without_traceback(self, case, tmp_path, capsys):
         command, raw = bad_input(case, tmp_path)
         cfg = write_cfg(tmp_path, raw, "bad.json")

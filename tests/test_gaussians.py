@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from noisedistill.errors import (
     DomainError,
@@ -49,7 +51,7 @@ class TestLowRankGaussian:
     def test_degenerate_floor_is_a_legal_distribution(self):
         g = LowRankGaussian(np.eye(3)[:, :1], 1.0, 0.0)
         assert g.floor == 0.0
-        assert np.allclose(g.eigenvalues(), [1.0, 0.0, 0.0])
+        assert np.allclose(np.linalg.eigvalsh(g.dense_cov()), [0.0, 0.0, 1.0])
 
 
 class TestStructuredInverse:
@@ -104,7 +106,33 @@ def dense_bures(a, b):
     return float(np.trace(a) + np.trace(b) - 2.0 * np.sum(np.sqrt(np.clip(vi, 0, None))))
 
 
+@st.composite
+def commuting_pairs(draw):
+    """Two members whose factors span column subsets of one orthonormal basis
+    (shared, nested, overlapping or disjoint), each turned by its own r x r
+    rotation; spikes include 0 on either side, floors stay >= 0.01, where the
+    dense oracle is accurate."""
+    d = draw(st.integers(2, 8))
+    rng = make_rng(draw(st.integers(0, 2**16)))
+    basis = random_frame(d, d, rng)
+    columns = st.lists(st.integers(0, d - 1), min_size=1, max_size=d, unique=True)
+    spike = st.just(0.0) | st.floats(0.0, 3.0)
+    floor = st.floats(0.01, 2.0)
+    members = []
+    for _ in range(2):
+        cols = draw(columns)
+        factor = basis[:, cols] @ random_frame(len(cols), len(cols), rng)
+        members.append(LowRankGaussian(factor, draw(spike), draw(floor)))
+    return tuple(members)
+
+
 class TestW2Commuting:
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(commuting_pairs())
+    def test_matches_bures_oracle_on_commuting_pairs(self, pair):
+        a, b = pair
+        assert w2_commuting(a, b) == pytest.approx(dense_bures(a.dense_cov(), b.dense_cov()), abs=1e-9)
+
     def test_identical_distributions(self):
         g = random_gaussian(make_rng(20), d=5)
         assert w2_commuting(g, g) == pytest.approx(0.0, abs=1e-12)

@@ -253,6 +253,13 @@ class TestWassersteinReport:
         lam = 1.3**2
         assert rep.w2_distilled_clean == pytest.approx(r * lam + r * 1.0, abs=1e-10)
 
+    def test_off_stiefel_generator_rejected(self):
+        # U = 2 e0 gives C = 4 e0 e0^T at distance 1 from E E^T; the trace identity assumes U^T U = I
+        m = LinearModel(basis=np.eye(3)[:, :1], sigma=0.2)
+        p = GeneratorParams(u=2.0 * np.eye(3)[:, :1], v=np.eye(3)[:, :1])
+        with pytest.raises(PreconditionError):
+            wasserstein_report(m, p)
+
     def test_non_commuting_rejected(self):
         d, r = 4, 1
         e = np.eye(d)[:, :r]
@@ -273,6 +280,30 @@ class TestWassersteinReport:
         rep = wasserstein_report(m, p)
         # aligned direction: (1,1) -> 0; orthogonal: lam=1 vs 0 -> 1; unmatched col(E): 1
         assert rep.w2_distilled_clean == pytest.approx(2.0, abs=1e-10)
+
+    def test_distinct_eigenvalues_split_between_subspaces(self):
+        # W = diag(1.7, 0.4): the 1.7 direction lies in col(E), the 0.4 one outside
+        d = 6
+        m = LinearModel(basis=np.eye(d)[:, :2], sigma=0.1)
+        u = np.column_stack([np.eye(d)[:, 0], np.eye(d)[:, 3]])
+        p = GeneratorParams(u=u, v=u * np.sqrt([1.7, 0.4]))
+        rep = wasserstein_report(m, p)
+        # aligned: (sqrt(1.7) - 1)^2; outside: 0.4 vs 0; unmatched col(E): 1
+        expected = (np.sqrt(1.7) - 1.0) ** 2 + 0.4 + 1.0
+        assert rep.w2_distilled_clean == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize("angle,accepted", [(1e-10, True), (1e-5, False)])
+    def test_misalignment_tolerance(self, angle, accepted):
+        d = 4
+        m = LinearModel(basis=np.eye(d)[:, :1], sigma=0.2)
+        tilted = np.array([[np.cos(angle)], [0.0], [np.sin(angle)], [0.0]])
+        p = GeneratorParams(u=tilted, v=np.sqrt(1.04) * tilted)
+        if accepted:
+            rep = wasserstein_report(m, p)
+            assert rep.gap == pytest.approx((d - 1) * 0.2**2, abs=1e-9)
+        else:
+            with pytest.raises(DomainError):
+                wasserstein_report(m, p)
 
 
 class TestEigenvalueProfile:
