@@ -140,6 +140,10 @@ _REQUIRED_SECTIONS = {
     "sigma_sweep": ["dataset", "train", "distill"],
 }
 
+# Built once: ``jsonschema.validate`` would re-check the constant SCHEMA against
+# its metaschema on every call (a tier-1 test checks it instead).
+_VALIDATOR = jsonschema.validators.validator_for(SCHEMA)(SCHEMA)
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -175,11 +179,10 @@ class ExperimentConfig:
 
 
 def parse_config(raw: dict) -> ExperimentConfig:
-    try:
-        jsonschema.validate(raw, SCHEMA)
-    except jsonschema.ValidationError as exc:
-        path = "/".join(str(p) for p in exc.absolute_path) or "<root>"
-        raise ConfigError(f"config invalid at {path}: {exc.message}") from exc
+    error = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(raw))
+    if error is not None:
+        path = "/".join(str(p) for p in error.absolute_path) or "<root>"
+        raise ConfigError(f"config invalid at {path}: {error.message}") from error
     for section in _REQUIRED_SECTIONS[raw["kind"]]:
         if section not in raw:
             raise ConfigError(f"kind {raw['kind']!r} requires a {section!r} section")

@@ -15,6 +15,12 @@ import numpy as np
 
 from .errors import PreconditionError
 
+# Rows per block of a cache-free forward pass.  Blocks hold 1024-2047 rows
+# (fewer only when the whole batch is smaller) and must not shrink: below about
+# 683 rows OpenBLAS switches a 96->2 matmul to its small-matrix kernel, whose
+# results differ in the last bits.
+ROW_BLOCK = 1024
+
 
 def silu(z: np.ndarray, denom: np.ndarray | None = None, out: np.ndarray | None = None) -> np.ndarray:
     """Sigmoid-weighted linear unit, z * sigmoid(z), computed as z / (1 + exp(-z)).
@@ -102,11 +108,12 @@ class DenseNet:
         """Forward pass keeping pre-activations, SiLU denominators and
         activations for a later backward pass.
 
-        With ``keep_cache=False`` each layer overwrites its pre-activation with
-        its activation, one denominator buffer serves every hidden layer, and
-        the returned cache is ``None``.
+        With ``keep_cache=False`` the pass runs in row blocks through reused
+        buffers (see ``_forward_blocks``) and the returned cache is ``None``.
         """
         a = self._stack_input(x, sigma)
+        if not keep_cache:
+            return self._forward_blocks(a), None
         pre, denoms, acts = [], [], [a]
         denom = None
         last = len(self.weights) - 1
@@ -115,18 +122,40 @@ class DenseNet:
             z += b
             if i == last:
                 a = z
-            elif keep_cache:
+            else:
                 denom = np.empty_like(z)
                 a = silu(z, denom)
-            else:
-                if denom is None or denom.shape != z.shape:
-                    denom = np.empty_like(z)
-                a = silu(z, denom, out=z)
-            if keep_cache:
-                pre.append(z)
-                denoms.append(denom)
-                acts.append(a)
-        return a, ((pre, denoms, acts) if keep_cache else None)
+            pre.append(z)
+            denoms.append(denom)
+            acts.append(a)
+        return a, (pre, denoms, acts)
+
+    def _forward_blocks(self, a: np.ndarray) -> np.ndarray:
+        """Cache-free forward of the stacked input ``a``, ``ROW_BLOCK`` rows at
+        a time (the last block takes the remainder), so each layer's
+        temporaries stay in L2.  Two ping-pong activation buffers and one SiLU
+        denominator buffer are allocated once and reused by every block; the
+        output layer writes straight into the result.  Every element sees the
+        same operations in the same order as the unblocked pass."""
+        n = a.shape[0]
+        out = np.empty((n, self.out_dim))
+        size = min(n, 2 * ROW_BLOCK - 1) * max(self.layer_sizes[1:-1], default=0)
+        ping_pong, denom = (np.empty(size), np.empty(size)), np.empty(size)
+        starts = [k * ROW_BLOCK for k in range(max(1, n // ROW_BLOCK))]
+        last = len(self.weights) - 1
+        for start, stop in zip(starts, starts[1:] + [n]):
+            h = a[start:stop]
+            for i, (w, b) in enumerate(zip(self.weights, self.biases)):
+                if i == last:
+                    z = out[start:stop]
+                else:
+                    z = ping_pong[i % 2][: h.shape[0] * w.shape[0]].reshape(h.shape[0], w.shape[0])
+                np.matmul(h, w.T, out=z)
+                z += b
+                if i < last:
+                    silu(z, denom[: z.size].reshape(z.shape), out=z)
+                h = z
+        return out
 
     def backward(self, cache, upstream: np.ndarray, params: bool = True):
         """Reverse pass: gradients of sum(upstream * output) in params and input.

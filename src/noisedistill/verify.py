@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .gaussians import (
     LowRankGaussian,
@@ -120,6 +119,8 @@ def check_profile_minimizer(schedule: NoiseSchedule, sigmas=(0.1, 0.2, 0.5)) -> 
 
     The bracket grows with u*, and the error is relative to u*, because the
     profile flattens as u grows."""
+    from scipy.optimize import minimize_scalar
+
     worst = 0.0
     for sigma in sigmas:
         target = 1.0 + sigma**2

@@ -9,6 +9,11 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
+from noisedistill.nets import DenseNet
+from noisedistill.rng import derive
+
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
 
@@ -31,3 +36,19 @@ def test_every_tracer_target_exists():
         if not found:
             missing.append(f"{span}: noisedistill.{home}.{attr}")
     assert not missing, f"tracer targets missing from the package: {missing}"
+
+
+def test_forward_reaches_forward_cached_once_with_the_whole_batch(monkeypatch):
+    """The tracer counts forward flops on ``DenseNet.forward_cached``; a forward
+    that bypassed it, or split the batch across calls, would hide the work."""
+    calls = []
+    original = DenseNet.forward_cached
+
+    def spy(self, x, sigma, keep_cache=True):
+        calls.append(np.atleast_2d(x).shape[0])
+        return original(self, x, sigma, keep_cache)
+
+    monkeypatch.setattr(DenseNet, "forward_cached", spy)
+    net = DenseNet([3, 8, 8, 2], derive(0, 1))
+    net.forward(np.zeros((3000, 2)), 0.5)
+    assert calls == [3000]

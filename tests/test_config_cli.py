@@ -3,14 +3,18 @@
 import functools
 import json
 import os
+import subprocess
+import sys
 import warnings
 
+import jsonschema
 import numpy as np
 import pytest
 
 from noisedistill import cli, stiefel
 from noisedistill.cli import main
 from noisedistill.config import (
+    SCHEMA,
     format_cell,
     from_section,
     load_config,
@@ -98,6 +102,32 @@ class TestConfigValidation:
     def test_missing_file_is_config_error(self):
         with pytest.raises(ConfigError):
             load_config("/nonexistent/config.json")
+
+    def test_schema_is_valid_against_its_metaschema(self):
+        jsonschema.validators.validator_for(SCHEMA).check_schema(SCHEMA)
+
+    @pytest.mark.parametrize("bad", [
+        verify_config(extra_knob=1),
+        verify_config(version=2, seed=-1),
+        verify_config(linear={"dim": 0, "rank": "one", "sigma": -1.0}),
+        verify_config(schedule={"sigma_min": 0, "sigma_max": "big", "extra": 1}),
+        {"kind": "verify"},
+    ])
+    def test_error_message_matches_jsonschema_validate(self, bad):
+        with pytest.raises(jsonschema.ValidationError) as expected:
+            jsonschema.validate(bad, SCHEMA)
+        path = "/".join(str(p) for p in expected.value.absolute_path) or "<root>"
+        with pytest.raises(ConfigError) as got:
+            parse_config(bad)
+        assert str(got.value) == f"config invalid at {path}: {expected.value.message}"
+
+
+def test_cli_import_does_not_load_scipy():
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    code = "import sys, noisedistill.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = {**os.environ, "PYTHONPATH": src}
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "[]"
 
 
 class TestAtomicWrites:

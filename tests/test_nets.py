@@ -6,7 +6,7 @@ import pytest
 from noisedistill.diffusion import TrainConfig, pretrain
 from noisedistill.distill import DistillConfig, fake_update, generator_update, init_distillation
 from noisedistill.errors import PreconditionError
-from noisedistill.nets import Adam, DenseNet, silu, silu_grad
+from noisedistill.nets import ROW_BLOCK, Adam, DenseNet, silu, silu_grad
 from noisedistill.rng import derive, make_rng
 from noisedistill.schedule import NoiseSchedule
 from noisedistill.toydata import make_dataset
@@ -242,6 +242,38 @@ class TestKernelsBitwise:
         grads2, d2 = net.backward(cache, upstream)
         assert np.array_equal(d1, d2)
         assert all(np.array_equal(g1, g2) for g1, g2 in zip(grads1, grads2))
+
+
+class TestBlockedForward:
+    """The cache-free forward runs in ROW_BLOCK-row blocks through reused
+    buffers; it must match the unblocked cached pass bit for bit."""
+
+    NET = tiny_net(16, sizes=(3, 96, 96, 96, 2))
+
+    @pytest.mark.parametrize("n", [0, 1, 683, 1023, 1024, 1025, 2047, 2048, 2049, 3071, 16384, 16385])
+    @pytest.mark.parametrize("per_row_sigma", [False, True])
+    def test_equals_unblocked_cached_forward(self, n, per_row_sigma):
+        rng = derive(17, n)
+        x = rng.standard_normal((n, 2))
+        sigma = rng.uniform(0.02, 2.0, n) if per_row_sigma else 0.4
+        out = self.NET.forward(x, sigma)
+        assert out.shape == (n, 2)
+        assert np.array_equal(out, self.NET.forward_cached(x, sigma)[0])
+
+    def test_successive_multi_block_forwards_are_independent(self):
+        x = derive(18, 0).standard_normal((3 * ROW_BLOCK + 5, 2))
+        x_kept = x.copy()
+        first = self.NET.forward(x, 0.3)
+        kept = first.copy()
+        second = self.NET.forward(-x, 1.7)
+        assert np.array_equal(first, kept)
+        assert np.array_equal(x, x_kept)
+        assert not np.shares_memory(first, second)
+        assert not np.shares_memory(first, x) and not np.shares_memory(second, x)
+
+    def test_empty_batch_keeps_output_shape(self):
+        assert self.NET.forward(np.zeros((0, 2)), 0.5).shape == (0, 2)
+        assert tiny_net().forward(np.zeros((0, 2)), np.full(0, 0.5)).shape == (0, 2)
 
 
 class TestReferenceContract:
