@@ -12,6 +12,11 @@ import math
 import os
 import sys
 
+# One BLAS thread per call unless the user set otherwise: forward passes already
+# run their row blocks on every CPU (nets.CPUS), and BLAS threads would compete.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")  # before numpy is first imported
+
 import numpy as np
 
 from .config import ExperimentConfig, from_section, load_config, provenance, write_csv_atomic

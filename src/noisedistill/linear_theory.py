@@ -20,6 +20,8 @@ from .gaussians import COMMUTE_TOL, LowRankGaussian, apply_inverse, check_orthon
 from .schedule import NoiseSchedule
 
 THETA_TOL = 1e-8
+# Samples per block of the Monte Carlo loss; the last block takes the remainder.
+MC_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -174,20 +176,25 @@ def loss_monte_carlo(
     sigma_ts = s.sample_sigma(rng, n)[:, None]
     z = rng.standard_normal((n, d))
     eps = rng.standard_normal((n, d))
-    x_t = z @ p.v @ p.u.T + sigma_ts * eps
-
-    beta2 = m.sigma**2 + sigma_ts**2
-    gamma = 1.0 / (beta2 * (beta2 + 1.0))
     e = m.basis
-    score_noisy = -(x_t / beta2 - gamma * (x_t @ e) @ e.T)
-
     lam, sw = np.linalg.eigh(p.gram())
-    st2 = sigma_ts**2
-    core = lam[None, :] / (st2 * (lam[None, :] + st2))
     basis = p.u @ sw
-    score_gen = -(x_t / st2 - ((x_t @ basis) * core) @ basis.T)
 
-    sq = np.sum((score_noisy - score_gen) ** 2, axis=1)
+    sq = np.empty(n)
+    starts = [k * MC_BLOCK for k in range(max(1, n // MC_BLOCK))]
+    for start, stop in zip(starts, starts[1:] + [n]):
+        st = sigma_ts[start:stop]
+        x_t = z[start:stop] @ p.v @ p.u.T + st * eps[start:stop]
+
+        beta2 = m.sigma**2 + st**2
+        gamma = 1.0 / (beta2 * (beta2 + 1.0))
+        score_noisy = -(x_t / beta2 - gamma * (x_t @ e) @ e.T)
+
+        st2 = st**2
+        core = lam[None, :] / (st2 * (lam[None, :] + st2))
+        score_gen = -(x_t / st2 - ((x_t @ basis) * core) @ basis.T)
+
+        sq[start:stop] = np.sum((score_noisy - score_gen) ** 2, axis=1)
     estimate = float(np.mean(sq))
     stderr = float(np.std(sq, ddof=1) / np.sqrt(n))
     return estimate, stderr

@@ -7,10 +7,12 @@ benchmark run.
 
 import importlib
 import importlib.util
+import threading
 from pathlib import Path
 
 import numpy as np
 
+from noisedistill import nets
 from noisedistill.nets import DenseNet
 from noisedistill.rng import derive
 
@@ -52,3 +54,28 @@ def test_forward_reaches_forward_cached_once_with_the_whole_batch(monkeypatch):
     net = DenseNet([3, 8, 8, 2], derive(0, 1))
     net.forward(np.zeros((3000, 2)), 0.5)
     assert calls == [3000]
+
+
+def test_forward_worker_threads_reach_silu_through_the_module_name(monkeypatch):
+    """The tracer wraps ``nets.silu`` in the module namespace; ``nets.silu.share``
+    needs every block's SiLU, the ones worker threads run included, to go
+    through that name."""
+    monkeypatch.setattr(nets, "CPUS", 2)
+    silu_threads, cached_rows = [], []
+    silu, forward_cached = nets.silu, DenseNet.forward_cached
+
+    def silu_spy(*args, **kwargs):
+        silu_threads.append(threading.get_ident())
+        return silu(*args, **kwargs)
+
+    def forward_cached_spy(self, x, sigma, keep_cache=True):
+        cached_rows.append(np.atleast_2d(x).shape[0])
+        return forward_cached(self, x, sigma, keep_cache)
+
+    monkeypatch.setattr(nets, "silu", silu_spy)
+    monkeypatch.setattr(DenseNet, "forward_cached", forward_cached_spy)
+    net = DenseNet([3, 8, 8, 2], derive(0, 1))
+    net.forward(np.zeros((3 * nets.ROW_BLOCK + 5, 2)), 0.5)
+    assert len(silu_threads) == 2 * 3  # hidden layers x blocks
+    assert len(set(silu_threads)) == 2  # the caller and one worker
+    assert cached_rows == [3 * nets.ROW_BLOCK + 5]

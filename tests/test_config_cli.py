@@ -11,7 +11,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from noisedistill import cli, stiefel
+from noisedistill import cli, nets, stiefel
 from noisedistill.cli import main
 from noisedistill.config import (
     SCHEMA,
@@ -120,6 +120,18 @@ class TestConfigValidation:
         with pytest.raises(ConfigError) as got:
             parse_config(bad)
         assert str(got.value) == f"config invalid at {path}: {expected.value.message}"
+
+
+@pytest.mark.parametrize("preset,expected", [(None, "1"), ("3", "3")])
+def test_cli_import_pins_blas_threads_unless_set(preset, expected):
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    code = "import os, noisedistill.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = src
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == expected
 
 
 def test_cli_import_does_not_load_scipy():
@@ -513,10 +525,12 @@ class TestCliDivergence:
     @pytest.mark.parametrize("command,section", [
         ("sample", lambda ckpt: {"sample": {"source": ckpt, "sampler": "one_step", "n": 200}}),
         ("sample", lambda ckpt: {"sample": {"source": ckpt, "sampler": "full", "n": 200, "steps": 8}}),
+        ("sample", lambda ckpt: {"sample": {"source": ckpt, "sampler": "full", "n": 4096, "steps": 8}}),
         ("eval", lambda ckpt: {"eval": {"teacher": ckpt, "n_eval": 256, "sample_steps": 8}}),
         ("eval", lambda ckpt: {"eval": {"generator": ckpt, "n_eval": 256}}),
-    ], ids=["sample_one_step", "sample_full", "eval_teacher", "eval_generator"])
-    def test_blown_up_model_exits_3_without_traceback(self, command, section, tmp_path, capsys):
+    ], ids=["sample_one_step", "sample_full", "sample_full_4_blocks", "eval_teacher", "eval_generator"])
+    def test_blown_up_model_exits_3_without_traceback(self, command, section, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(nets, "CPUS", 2)  # 4096 rows: blocks on two threads
         raw = pipeline_config(command, **section(blown_up_checkpoint(tmp_path)))
         cfg = write_cfg(tmp_path, raw, "blown.json")
         capsys.readouterr()

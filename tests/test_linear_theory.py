@@ -162,6 +162,24 @@ class TestClosedFormLoss:
             loss_closed_form(m, bad, NoiseSchedule())
 
 
+def unblocked_monte_carlo(m, p, s, n, rng):
+    """``loss_monte_carlo`` as one whole-batch pass: the reference for its blocks."""
+    sigma_ts = s.sample_sigma(rng, n)[:, None]
+    z = rng.standard_normal((n, m.dim))
+    eps = rng.standard_normal((n, m.dim))
+    x_t = z @ p.v @ p.u.T + sigma_ts * eps
+    beta2 = m.sigma**2 + sigma_ts**2
+    gamma = 1.0 / (beta2 * (beta2 + 1.0))
+    score_noisy = -(x_t / beta2 - gamma * (x_t @ m.basis) @ m.basis.T)
+    lam, sw = np.linalg.eigh(p.gram())
+    st2 = sigma_ts**2
+    core = lam[None, :] / (st2 * (lam[None, :] + st2))
+    basis = p.u @ sw
+    score_gen = -(x_t / st2 - ((x_t @ basis) * core) @ basis.T)
+    sq = np.sum((score_noisy - score_gen) ** 2, axis=1)
+    return float(np.mean(sq)), float(np.std(sq, ddof=1) / np.sqrt(n))
+
+
 class TestMonteCarloLoss:
     def test_agreement_with_closed_form(self):
         sched = NoiseSchedule()
@@ -181,6 +199,18 @@ class TestMonteCarloLoss:
         closed = loss_closed_form(m, star, sched)
         est, stderr = loss_monte_carlo(m, star, sched, 100000, derive(21, 0))
         assert abs(closed - est) <= 4 * stderr
+
+    @pytest.mark.parametrize("n", [100, 101, 4095, 4096, 4097, 8191, 8192, 8193, 12289, 100000])
+    def test_blocks_equal_the_unblocked_estimate(self, n):
+        """The estimate runs in MC_BLOCK-sample blocks; on the verify battery's
+        20 instances it equals the whole-batch formulas bit for bit."""
+        sched = NoiseSchedule()
+        rng = derive(1, 6)  # instances as verify.check_closed_vs_monte_carlo builds them
+        for i in range(20):
+            m = LinearModel(basis=frame(6, 2, rng), sigma=float(rng.uniform(0.1, 0.8)))
+            p = random_params(rng, 6, 2)
+            got = loss_monte_carlo(m, p, sched, n, derive(1, 7, i))
+            assert got == unblocked_monte_carlo(m, p, sched, n, derive(1, 7, i)), i
 
     def test_stderr_clt_scaling(self):
         rng = make_rng(22)

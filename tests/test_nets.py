@@ -1,8 +1,14 @@
 """Manual dense-net forward/backward and the Adam optimizer."""
 
+import multiprocessing
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
+from noisedistill import nets
 from noisedistill.diffusion import TrainConfig, pretrain
 from noisedistill.distill import DistillConfig, fake_update, generator_update, init_distillation
 from noisedistill.errors import PreconditionError
@@ -249,8 +255,9 @@ class TestBlockedForward:
     buffers; it must match the unblocked cached pass bit for bit."""
 
     NET = tiny_net(16, sizes=(3, 96, 96, 96, 2))
+    BATCHES = [0, 1, 683, 1023, 1024, 1025, 2047, 2048, 2049, 3071, 16384, 16385]
 
-    @pytest.mark.parametrize("n", [0, 1, 683, 1023, 1024, 1025, 2047, 2048, 2049, 3071, 16384, 16385])
+    @pytest.mark.parametrize("n", BATCHES)
     @pytest.mark.parametrize("per_row_sigma", [False, True])
     def test_equals_unblocked_cached_forward(self, n, per_row_sigma):
         rng = derive(17, n)
@@ -274,6 +281,89 @@ class TestBlockedForward:
     def test_empty_batch_keeps_output_shape(self):
         assert self.NET.forward(np.zeros((0, 2)), 0.5).shape == (0, 2)
         assert tiny_net().forward(np.zeros((0, 2)), np.full(0, 0.5)).shape == (0, 2)
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 5])
+    @pytest.mark.parametrize("n", BATCHES)
+    @pytest.mark.parametrize("per_row_sigma", [False, True])
+    def test_equals_unblocked_cached_forward_on_any_cpu_count(self, cpus, n, per_row_sigma, set_cpus):
+        set_cpus(cpus)
+        rng = derive(19, n)
+        x = rng.standard_normal((n, 2))
+        sigma = rng.uniform(0.02, 2.0, n) if per_row_sigma else 0.4
+        assert np.array_equal(self.NET.forward(x, sigma), self.NET.forward_cached(x, sigma)[0])
+
+    def test_concurrent_callers_get_their_sequential_results(self, set_cpus):
+        set_cpus(5)  # more groups than this machine's cores
+        inputs = [derive(20, k).standard_normal((16385, 2)) for k in range(2)]
+        expected = [self.NET.forward(x, 0.3 + k) for k, x in enumerate(inputs)]
+        results = [[] for _ in inputs]
+        start = threading.Barrier(len(inputs))
+
+        def caller(k):
+            start.wait()
+            for _ in range(5):
+                results[k].append(self.NET.forward(inputs[k], 0.3 + k))
+
+        threads = [threading.Thread(target=caller, args=(k,)) for k in range(len(inputs))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for got, want in zip(results, expected):
+            assert len(got) == 5 and all(np.array_equal(g, want) for g in got)
+
+    def test_worker_blocks_run_under_the_callers_error_state(self, set_cpus):
+        """Only the rows of the second group overflow, so the error must come
+        from a worker thread, which sees ``over="raise"`` only through the
+        caller's context."""
+        set_cpus(2)
+        net = tiny_net(21, sizes=(3, 96, 96, 96, 2))
+        for w in net.weights:
+            w *= 1e110
+        x = np.zeros((4 * ROW_BLOCK, 2))
+        x[2 * ROW_BLOCK :] = derive(21, 0).standard_normal((2 * ROW_BLOCK, 2))
+        with np.errstate(over="raise"):
+            with pytest.raises(FloatingPointError):
+                net.forward(x, 1.0)  # sigma 1 zeroes the noise channel of the benign rows
+
+    def test_forked_child_runs_multi_block_forwards(self, set_cpus):
+        set_cpus(2)
+        x = derive(22, 0).standard_normal((4 * ROW_BLOCK, 2))
+        want = self.NET.forward(x, 0.3)  # the pool's worker thread now runs
+        ctx = multiprocessing.get_context("fork")
+        queue = ctx.Queue()
+        child = ctx.Process(target=lambda: queue.put(self.NET.forward(x, 0.3)))
+        child.start()
+        try:
+            got = queue.get(timeout=30)
+        finally:
+            child.join(timeout=10)
+            if child.is_alive():
+                child.kill()
+        assert child.exitcode == 0
+        assert np.array_equal(got, want)
+
+
+@pytest.fixture
+def set_cpus(monkeypatch):
+    """Set ``nets.CPUS`` for one test, with a forward pool of ``CPUS - 1``
+    workers that is shut down afterwards."""
+    pools = []
+
+    def set_to(cpus):
+        pools.append(ThreadPoolExecutor(max_workers=max(1, cpus - 1)))
+        monkeypatch.setattr(nets, "CPUS", cpus)
+        monkeypatch.setattr(nets, "_POOL", pools[-1])
+
+    yield set_to
+    for pool in pools:
+        pool.shutdown()
 
 
 class TestReferenceContract:
