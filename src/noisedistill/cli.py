@@ -12,8 +12,9 @@ import math
 import os
 import sys
 
-# One BLAS thread per call unless the user set otherwise: forward passes already
-# run their row blocks on every CPU (nets.CPUS), and BLAS threads would compete.
+# One BLAS thread per call unless the user set otherwise: forward passes and the
+# verify battery's Monte Carlo instances already run on every CPU
+# (parallel.CPUS), and BLAS threads would compete.
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")  # before numpy is first imported
 
@@ -69,11 +70,15 @@ def _load_checkpoint_input(path: str):
         raise ConfigError(f"unreadable checkpoint {path!r}: {type(exc).__name__}: {exc}") from exc
 
 
+def _train_config(cfg: ExperimentConfig, section: dict) -> TrainConfig:
+    return from_section(TrainConfig, section, schedule=_schedule(cfg), seed=cfg.seed)
+
+
 def _pretrain(cfg: ExperimentConfig, data, out: str, section: dict):
     """Train a fresh denoiser on ``data`` as the train ``section`` says; writes
     teacher.json and pretrain_loss.csv under ``out`` and returns the teacher as
     ``load_checkpoint`` does, (net, mode, sigma_hat, schedule)."""
-    tcfg = from_section(TrainConfig, section, schedule=_schedule(cfg), seed=cfg.seed)
+    tcfg = _train_config(cfg, section)
     mode = section.get("mode", "ambient")
     dim = data.points.shape[1]
     net = DenseNet([dim + 1, *section.get("hidden", HIDDEN), dim], derive(cfg.seed, 201))
@@ -243,12 +248,15 @@ def cmd_sigma_sweep(cfg: ExperimentConfig, out: str) -> int:
     if sigma_hats is None:
         sd = cfg.section("dataset")["sigma_data"]
         sigma_hats = sorted({0.0, sd, 2.0 * sd})  # one level when sigma_data is 0
+    levels = [{**cfg.section("train"), "sigma_hat": sigma_hat} for sigma_hat in sigma_hats]
+    for level in levels:  # a bad level is rejected before any level writes
+        _train_config(cfg, level)
     data = _dataset(cfg)
 
     rows = []
-    for sigma_hat in sigma_hats:
+    for sigma_hat, level in zip(sigma_hats, levels):
         sub_out = os.path.join(out, f"sigma_hat_{float(sigma_hat)!r}")
-        teacher = _pretrain(cfg, data, sub_out, {**cfg.section("train"), "sigma_hat": sigma_hat})
+        teacher = _pretrain(cfg, data, sub_out, level)
         final = _distill(cfg, data, sub_out, teacher,
                          {**cfg.section("distill"), "sigma_hat": sigma_hat})[-1]
         rows.append({"sigma_hat": float(sigma_hat),

@@ -45,6 +45,12 @@ class TrainConfig:
     def __post_init__(self):
         if self.sigma_hat < 0:
             raise PreconditionError(f"sigma_hat must be nonnegative, got {self.sigma_hat}")
+        if self.sigma_hat >= self.schedule.sigma_max:
+            raise PreconditionError(
+                f"sigma_hat {self.sigma_hat} must be below the schedule's sigma_max "
+                f"{self.schedule.sigma_max}: every noise level would be clipped to sigma_hat, "
+                "so every loss and gradient would be 0"
+            )
         if self.steps < 0 or self.batch_size < 1 or self.lr <= 0:
             raise PreconditionError("need steps >= 0, batch_size >= 1, lr > 0")
 

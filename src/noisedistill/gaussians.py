@@ -170,7 +170,11 @@ def sample(g: LowRankGaussian, n: int, rng: np.random.Generator) -> np.ndarray:
         raise PreconditionError(f"need n >= 1, got {n}")
     z_r = rng.standard_normal((n, g.rank))
     z_d = rng.standard_normal((n, g.dim))
-    return np.sqrt(g.spike) * (z_r @ g.factor.T) + np.sqrt(g.floor) * z_d
+    out = z_r @ g.factor.T
+    out *= np.sqrt(g.spike)
+    z_d *= np.sqrt(g.floor)
+    out += z_d
+    return out
 
 
 def fit_gaussian(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

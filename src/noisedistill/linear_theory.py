@@ -20,7 +20,8 @@ from .gaussians import COMMUTE_TOL, LowRankGaussian, apply_inverse, check_orthon
 from .schedule import NoiseSchedule
 
 THETA_TOL = 1e-8
-# Samples per block of the Monte Carlo loss; the last block takes the remainder.
+# Samples per block of the Monte Carlo loss, which draws and scores one block at
+# a time; the last block takes the remainder.
 MC_BLOCK = 4096
 
 
@@ -174,17 +175,20 @@ def loss_monte_carlo(
     d = m.dim
 
     sigma_ts = s.sample_sigma(rng, n)[:, None]
-    z = rng.standard_normal((n, d))
-    eps = rng.standard_normal((n, d))
+    starts = [k * MC_BLOCK for k in range(max(1, n // MC_BLOCK))]
+    blocks = list(zip(starts, starts[1:] + [n]))
+    # The stream holds all of z before all of eps; only the r columns of z V are kept.
+    zv = np.empty((n, p.rank))
+    for start, stop in blocks:
+        np.matmul(rng.standard_normal((stop - start, d)), p.v, out=zv[start:stop])
     e = m.basis
     lam, sw = np.linalg.eigh(p.gram())
     basis = p.u @ sw
 
     sq = np.empty(n)
-    starts = [k * MC_BLOCK for k in range(max(1, n // MC_BLOCK))]
-    for start, stop in zip(starts, starts[1:] + [n]):
+    for start, stop in blocks:
         st = sigma_ts[start:stop]
-        x_t = z[start:stop] @ p.v @ p.u.T + st * eps[start:stop]
+        x_t = zv[start:stop] @ p.u.T + st * rng.standard_normal((stop - start, d))
 
         beta2 = m.sigma**2 + st**2
         gamma = 1.0 / (beta2 * (beta2 + 1.0))

@@ -11,12 +11,9 @@ in the tests.
 
 from __future__ import annotations
 
-import contextvars
-import os
-from concurrent.futures import ThreadPoolExecutor, wait
-
 import numpy as np
 
+from . import parallel
 from .errors import PreconditionError
 
 # Rows per block of a cache-free forward pass.  Blocks hold 1024-2047 rows
@@ -24,21 +21,6 @@ from .errors import PreconditionError
 # 683 rows OpenBLAS switches a 96->2 matmul to its small-matrix kernel, whose
 # results differ in the last bits.
 ROW_BLOCK = 1024
-# CPUs this process may run on; a cache-free forward splits its blocks into
-# at most this many groups, one per thread.
-CPUS = len(os.sched_getaffinity(0))
-
-
-def _new_pool() -> None:
-    """Build ``_POOL``, which runs every group but the caller's; its threads
-    start on first use.  A forked child builds its own: it inherits the
-    parent's pool but none of its threads, and would wait on it forever."""
-    global _POOL
-    _POOL = ThreadPoolExecutor(max_workers=max(1, CPUS - 1), thread_name_prefix="noisedistill-forward")
-
-
-_new_pool()
-os.register_at_fork(after_in_child=_new_pool)
 
 
 def silu(z: np.ndarray, denom: np.ndarray | None = None, out: np.ndarray | None = None) -> np.ndarray:
@@ -152,48 +134,35 @@ class DenseNet:
     def _forward_blocks(self, a: np.ndarray) -> np.ndarray:
         """Cache-free forward of the stacked input ``a``, ``ROW_BLOCK`` rows at
         a time (the last block takes the remainder), so each layer's
-        temporaries stay in L2.  The blocks are split into up to ``CPUS``
-        contiguous groups: the calling thread runs the first, pool workers the
-        others, each under a copy of the caller's context (numpy's error
-        state).  Every element sees the same operations in the same order as
+        temporaries stay in L2.  The blocks run on every CPU through
+        ``parallel.map_groups``, each group of blocks through its own two
+        buffers.  Every element sees the same operations in the same order as
         the unblocked pass, whatever the number of groups."""
         n = a.shape[0]
         out = np.empty((n, self.out_dim))
         starts = [k * ROW_BLOCK for k in range(max(1, n // ROW_BLOCK))]
         blocks = list(zip(starts, starts[1:] + [n]))
-        n_groups = min(CPUS, len(blocks))
-        cuts = [j * len(blocks) // n_groups for j in range(n_groups + 1)]
-        groups = [blocks[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
         size = max(stop - start for start, stop in blocks) * max(self.layer_sizes[1:-1], default=0)
-        buffers = [(np.empty(size), np.empty(size)) for _ in groups]  # by the caller, for every group
-        futures = []  # none with one group: the pass runs inline
-        try:
-            for group, pair in zip(groups[1:], buffers[1:]):
-                run = contextvars.copy_context().run
-                futures.append(_POOL.submit(run, self._forward_group, a, out, group, pair))
-            self._forward_group(a, out, groups[0], buffers[0])
-        finally:  # no worker may still write into ``out`` once this call ends
-            wait(futures)
-        for future in futures:
-            future.result()
+        parallel.map_groups(lambda block, pair: self._forward_block(a, out, block, pair), blocks,
+                            lambda: (np.empty(size), np.empty(size)))
         return out
 
-    def _forward_group(self, a, out, blocks, pair) -> None:
-        """Forward rows ``blocks`` of ``a`` into ``out`` through the two flat
+    def _forward_block(self, a, out, block, pair) -> None:
+        """Forward rows ``block`` of ``a`` into ``out`` through the two flat
         buffers ``pair``: each layer writes into one, and the other, holding
         the layer's input that the matmul has consumed, takes the SiLU
         denominator.  The output layer writes straight into ``out``."""
+        start, stop = block
         last = len(self.weights) - 1
-        for start, stop in blocks:
-            h = a[start:stop]
-            for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-                shape = (h.shape[0], w.shape[0])
-                z = out[start:stop] if i == last else pair[i % 2][: shape[0] * shape[1]].reshape(shape)
-                np.matmul(h, w.T, out=z)
-                z += b
-                if i < last:
-                    silu(z, pair[(i + 1) % 2][: z.size].reshape(shape), out=z)
-                h = z
+        h = a[start:stop]
+        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
+            shape = (h.shape[0], w.shape[0])
+            z = out[start:stop] if i == last else pair[i % 2][: shape[0] * shape[1]].reshape(shape)
+            np.matmul(h, w.T, out=z)
+            z += b
+            if i < last:
+                silu(z, pair[(i + 1) % 2][: z.size].reshape(shape), out=z)
+            h = z
 
     def backward(self, cache, upstream: np.ndarray, params: bool = True):
         """Reverse pass: gradients of sum(upstream * output) in params and input.

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from noisedistill import nets
+from noisedistill import nets, parallel
 from noisedistill.nets import DenseNet
 from noisedistill.rng import derive
 
@@ -60,7 +60,7 @@ def test_forward_worker_threads_reach_silu_through_the_module_name(monkeypatch):
     """The tracer wraps ``nets.silu`` in the module namespace; ``nets.silu.share``
     needs every block's SiLU, the ones worker threads run included, to go
     through that name."""
-    monkeypatch.setattr(nets, "CPUS", 2)
+    monkeypatch.setattr(parallel, "CPUS", 2)
     silu_threads, cached_rows = [], []
     silu, forward_cached = nets.silu, DenseNet.forward_cached
 

@@ -11,7 +11,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from noisedistill import cli, nets, stiefel
+from noisedistill import cli, parallel, stiefel
 from noisedistill.cli import main
 from noisedistill.config import (
     SCHEMA,
@@ -462,6 +462,12 @@ def bad_input(case, tmp_path):
     if case == "duplicate_sigma_hats":
         return "sigma-sweep", pipeline_config("sigma_sweep", distill={"steps": 1},
                                               sweep={"sigma_hats": [0.1, 0.1]})
+    if case == "sigma_hat_at_sigma_max":
+        return "pretrain", pipeline_config("pretrain", train={
+            "batch_size": 64, "lr": 1e-3, "steps": 30, "sigma_hat": 1.5, "hidden": [16, 16]})
+    if case == "sweep_level_at_sigma_max":
+        return "sigma-sweep", pipeline_config("sigma_sweep", distill={"steps": 1},
+                                              sweep={"sigma_hats": [0.0, 1.0]})
     if case == "sweep_with_teacher":
         return "sigma-sweep", pipeline_config("sigma_sweep",
                                               distill={"teacher": str(teacher), "steps": 1})
@@ -488,6 +494,7 @@ class TestCliBadInput:
                                       "quad_points_key", *REMOVED_KEYS, "huge_linear_sigma",
                                       "rank_not_below_dim", *BAD_BASES,
                                       "duplicate_sigma_hats", "sweep_with_teacher",
+                                      "sigma_hat_at_sigma_max", "sweep_level_at_sigma_max",
                                       "distill_mode_unpaired_with_teacher", *NON_FINITE_LITERALS])
     def test_exits_2_without_traceback(self, case, tmp_path, capsys):
         command, raw = bad_input(case, tmp_path)
@@ -530,7 +537,7 @@ class TestCliDivergence:
         ("eval", lambda ckpt: {"eval": {"generator": ckpt, "n_eval": 256}}),
     ], ids=["sample_one_step", "sample_full", "sample_full_4_blocks", "eval_teacher", "eval_generator"])
     def test_blown_up_model_exits_3_without_traceback(self, command, section, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(nets, "CPUS", 2)  # 4096 rows: blocks on two threads
+        monkeypatch.setattr(parallel, "CPUS", 2)  # 4096 rows: blocks on two threads
         raw = pipeline_config(command, **section(blown_up_checkpoint(tmp_path)))
         cfg = write_cfg(tmp_path, raw, "blown.json")
         capsys.readouterr()

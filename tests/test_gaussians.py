@@ -77,6 +77,17 @@ class TestStructuredInverse:
             dense = np.linalg.inv(g.dense_cov())
             assert np.max(np.abs(structured - dense)) <= 1e-10
 
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(d=st.integers(2, 20), data=st.data())
+    def test_matches_dense_inverse_on_random_members(self, d, data):
+        r = data.draw(st.integers(1, d - 1))
+        factor = random_frame(d, r, make_rng(data.draw(st.integers(0, 2**16))))
+        spike = data.draw(st.just(0.0) | st.floats(0.0, 3.0))
+        g = LowRankGaussian(factor, spike, data.draw(st.floats(0.05, 2.0)))
+        floor_inv, corr = structured_inverse(g)
+        structured = floor_inv * np.eye(d) - corr * (factor @ factor.T)
+        assert np.max(np.abs(structured - np.linalg.inv(g.dense_cov()))) <= 1e-10
+
     def test_inverse_times_cov_is_identity(self):
         rng = make_rng(12)
         g = random_gaussian(rng, d=6)

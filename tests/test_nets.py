@@ -3,12 +3,10 @@
 import multiprocessing
 import sys
 import threading
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from noisedistill import nets
 from noisedistill.diffusion import TrainConfig, pretrain
 from noisedistill.distill import DistillConfig, fake_update, generator_update, init_distillation
 from noisedistill.errors import PreconditionError
@@ -348,22 +346,6 @@ class TestBlockedForward:
                 child.kill()
         assert child.exitcode == 0
         assert np.array_equal(got, want)
-
-
-@pytest.fixture
-def set_cpus(monkeypatch):
-    """Set ``nets.CPUS`` for one test, with a forward pool of ``CPUS - 1``
-    workers that is shut down afterwards."""
-    pools = []
-
-    def set_to(cpus):
-        pools.append(ThreadPoolExecutor(max_workers=max(1, cpus - 1)))
-        monkeypatch.setattr(nets, "CPUS", cpus)
-        monkeypatch.setattr(nets, "_POOL", pools[-1])
-
-    yield set_to
-    for pool in pools:
-        pool.shutdown()
 
 
 class TestReferenceContract:
