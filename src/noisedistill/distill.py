@@ -59,6 +59,12 @@ class DistillConfig:
             raise PreconditionError(f"unknown weighting {self.weighting!r}")
         if self.steps < 1 or not np.isfinite(self.alpha):
             raise PreconditionError("need steps >= 1 and finite alpha")
+        if self.mode == "adjusted" and self.sigma_hat >= self.schedule.sigma_max:
+            raise PreconditionError(
+                f"sigma_hat {self.sigma_hat} must be below the schedule's sigma_max "
+                f"{self.schedule.sigma_max} in adjusted mode: the fake update would clip every "
+                "noise level to sigma_hat, so its loss and gradient would be 0"
+            )
 
 
 @dataclass

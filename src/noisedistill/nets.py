@@ -37,17 +37,22 @@ def silu(z: np.ndarray, denom: np.ndarray | None = None, out: np.ndarray | None 
     return np.divide(z, denom, out=out)
 
 
-def silu_grad(z: np.ndarray, denom: np.ndarray | None = None) -> np.ndarray:
+def silu_grad(z: np.ndarray, denom: np.ndarray | None = None, out: np.ndarray | None = None,
+              work: np.ndarray | None = None) -> np.ndarray:
     """d silu / dz = s (1 + z (1 - s)) with s = 1 / denom, where ``denom`` is
-    the 1 + exp(-z) that ``silu`` stored (recomputed when not given)."""
+    the 1 + exp(-z) that ``silu`` stored (recomputed when not given).
+
+    ``out`` receives the result and ``work`` (shaped like ``z``) the factor
+    1 + z (1 - s); each is allocated when not given.
+    """
     if denom is None:
         denom = 1.0 + np.exp(-z)
-    s = 1.0 / denom
-    g = 1.0 - s
+    s = np.divide(1.0, denom, out=out)
+    g = np.subtract(1.0, s, out=work)
     g *= z
     g += 1.0
-    g *= s
-    return g
+    s *= g
+    return s
 
 
 class DenseNet:
@@ -57,6 +62,10 @@ class DenseNet:
     three hidden layers of 64 units is ``[3, 64, 64, 64, 2]``.  Parameters are
     float64 arrays; ``weights[i]`` has shape (fan_out, fan_in).
     """
+
+    # The reverse pass's buffers.  A net sets its own on its first ``backward``,
+    # so nets made without ``__init__`` (copies, loaded checkpoints) share none.
+    _reverse: tuple = ()
 
     def __init__(self, layer_sizes: list[int], rng: np.random.Generator):
         if len(layer_sizes) < 2 or any(n < 1 for n in layer_sizes):
@@ -172,22 +181,47 @@ class DenseNet:
         respect to the data part of the input (the sigma channel is treated
         as a constant).  With ``params=False`` the parameter gradients are
         skipped and only ``d_input`` is returned.  Neither ``cache`` nor
-        ``upstream`` is modified.
+        ``upstream`` is modified, and the returned arrays are fresh.
+
+        The hidden-width temporaries go to three flat buffers that the net
+        keeps across calls (see ``_reverse_buffers``), so a training step maps
+        no fresh pages; one net's passes must therefore not run on two threads
+        at once.  Each product delta @ W[i] for i >= 1 goes to whichever of
+        two buffers does not hold delta, and silu_grad's factor to the third,
+        with the free one of the two as its work space.
         """
         pre, denoms, acts = cache
         delta = np.atleast_2d(np.asarray(upstream, dtype=float))
+        held, spare, factor = self._reverse_buffers(delta.shape[0])
+
+        def view(buf, cols):
+            return buf[: delta.shape[0] * cols].reshape(delta.shape[0], cols)
+
         last = len(self.weights) - 1
         w_grads = [None] * len(self.weights)
         b_grads = [None] * len(self.biases)
         for i in range(last, -1, -1):
-            if i < last:  # delta is the fresh product of the layer above
-                delta *= silu_grad(pre[i], denoms[i])
+            if i < last:  # delta is the product of the layer above, in ``held``
+                cols = delta.shape[1]
+                delta *= silu_grad(pre[i], denoms[i], out=view(factor, cols), work=view(spare, cols))
             if params:
                 w_grads[i] = delta.T @ acts[i]
                 b_grads[i] = delta.sum(axis=0)
-            delta = delta @ self.weights[i]
+            if i == 0:  # the input layer's product is small and returned: fresh
+                delta = delta @ self.weights[0]
+            else:
+                delta = np.matmul(delta, self.weights[i], out=view(spare, self.layer_sizes[i]))
+                held, spare = spare, held
         d_input = delta[:, : self.data_dim]
         return (w_grads + b_grads, d_input) if params else d_input
+
+    def _reverse_buffers(self, rows: int) -> tuple:
+        """Three flat buffers of at least ``rows`` times the widest hidden
+        layer, kept on the net and grown only when a call needs more rows."""
+        size = rows * max(self.layer_sizes[1:-1], default=0)
+        if not self._reverse or self._reverse[0].size < size:
+            self._reverse = (np.empty(size), np.empty(size), np.empty(size))
+        return self._reverse
 
     # -- parameter plumbing --------------------------------------------------
 

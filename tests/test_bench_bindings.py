@@ -79,3 +79,22 @@ def test_forward_worker_threads_reach_silu_through_the_module_name(monkeypatch):
     assert len(silu_threads) == 2 * 3  # hidden layers x blocks
     assert len(set(silu_threads)) == 2  # the caller and one worker
     assert cached_rows == [3 * nets.ROW_BLOCK + 5]
+
+
+def test_backward_reaches_silu_grad_through_the_module_name(monkeypatch):
+    """The tracer wraps ``nets.silu_grad`` in the module namespace, and a
+    ``nets.silu_grad.share`` with no calls fails the trace run; ``backward``
+    must look the name up there once per hidden layer, with or without dW."""
+    calls = []
+    silu_grad = nets.silu_grad
+
+    def silu_grad_spy(*args, **kwargs):
+        calls.append(args[0].shape)
+        return silu_grad(*args, **kwargs)
+
+    monkeypatch.setattr(nets, "silu_grad", silu_grad_spy)
+    net = DenseNet([3, 8, 6, 5, 2], derive(0, 1))
+    _, cache = net.forward_cached(np.zeros((7, 2)), 0.5)
+    net.backward(cache, np.ones((7, 2)))
+    net.backward(cache, np.ones((7, 2)), params=False)
+    assert calls == [(7, 5), (7, 6), (7, 8)] * 2  # hidden layers, last to first

@@ -465,6 +465,9 @@ def bad_input(case, tmp_path):
     if case == "sigma_hat_at_sigma_max":
         return "pretrain", pipeline_config("pretrain", train={
             "batch_size": 64, "lr": 1e-3, "steps": 30, "sigma_hat": 1.5, "hidden": [16, 16]})
+    if case == "distill_sigma_hat_at_sigma_max":
+        return "distill", pipeline_config("distill", distill={"teacher": str(teacher), "steps": 3,
+                                                              "sigma_hat": 1.5})
     if case == "sweep_level_at_sigma_max":
         return "sigma-sweep", pipeline_config("sigma_sweep", distill={"steps": 1},
                                               sweep={"sigma_hats": [0.0, 1.0]})
@@ -494,7 +497,8 @@ class TestCliBadInput:
                                       "quad_points_key", *REMOVED_KEYS, "huge_linear_sigma",
                                       "rank_not_below_dim", *BAD_BASES,
                                       "duplicate_sigma_hats", "sweep_with_teacher",
-                                      "sigma_hat_at_sigma_max", "sweep_level_at_sigma_max",
+                                      "sigma_hat_at_sigma_max", "distill_sigma_hat_at_sigma_max",
+                                      "sweep_level_at_sigma_max",
                                       "distill_mode_unpaired_with_teacher", *NON_FINITE_LITERALS])
     def test_exits_2_without_traceback(self, case, tmp_path, capsys):
         command, raw = bad_input(case, tmp_path)
@@ -516,6 +520,20 @@ class TestCliBadInput:
         cfg = write_cfg(tmp_path, raw, "distill.json")
         assert main(["distill", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
         assert modes == ["standard"]
+
+    def test_standard_mode_trains_at_sigma_hat_above_sigma_max(self, tmp_path):
+        """Only the adjusted fake update clips its noise levels to sigma_hat."""
+        teacher = pretrained_teacher(tmp_path, mode="standard")
+        raw = pipeline_config("distill", distill={"teacher": str(teacher), "steps": 3, "batch_size": 8,
+                                                  "eval_every": 1, "sigma_hat": 1.5},
+                              eval={"n_eval": 256})
+        out = tmp_path / "out"
+        assert main(["distill", "--config", write_cfg(tmp_path, raw, "distill.json"),
+                     "--out", str(out)]) == 0
+        header, *rows = csv_body(out / "metrics.csv")
+        column = header.split(",").index("gen_grad_norm")
+        norms = [float(row.split(",")[column]) for row in rows]
+        assert len(norms) == 4 and all(norm > 0 for norm in norms[1:])  # step 0 has no update yet
 
 
 def blown_up_checkpoint(tmp_path):

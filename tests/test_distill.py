@@ -337,6 +337,12 @@ class TestAlternation:
         with pytest.raises(PreconditionError):
             run_distillation(tiny_teacher(25), config(mode="adjusted"), teacher_mode="standard")
 
+    def test_adjusted_mode_rejects_sigma_hat_at_sigma_max(self):
+        for sigma_hat in (SCHED.sigma_max, 1.5 * SCHED.sigma_max):
+            with pytest.raises(PreconditionError, match="sigma_max"):
+                config(mode="adjusted", sigma_hat=sigma_hat)
+            config(mode="standard", sigma_hat=sigma_hat)  # its fake update does not clip
+
     def test_teacher_immutable_and_deterministic_history(self):
         teacher = tiny_teacher(26)
         digest = teacher.params_digest()

@@ -1,13 +1,15 @@
 """Manual dense-net forward/backward and the Adam optimizer."""
 
+import itertools
 import multiprocessing
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from noisedistill.diffusion import TrainConfig, pretrain
+from noisedistill.diffusion import TrainConfig, load_checkpoint, pretrain, save_checkpoint
 from noisedistill.distill import DistillConfig, fake_update, generator_update, init_distillation
 from noisedistill.errors import PreconditionError
 from noisedistill.nets import ROW_BLOCK, Adam, DenseNet, silu, silu_grad
@@ -194,6 +196,15 @@ class TestKernelsBitwise:
         assert np.array_equal(from_denom, recomputed)
         assert np.array_equal(recomputed, reference)
 
+    def test_silu_grad_writes_into_given_buffers(self):
+        denom, out, work = np.empty_like(self.Z), np.empty_like(self.Z), np.empty_like(self.Z)
+        with np.errstate(over="ignore"):
+            silu(self.Z, denom)
+            result = silu_grad(self.Z, denom, out=out, work=work)
+            reference = reference_silu_grad(self.Z)
+        assert result is out
+        assert np.array_equal(out, reference)
+
     def test_silu_writes_activation_over_input(self):
         z = self.Z.copy()
         with np.errstate(over="ignore"):
@@ -246,6 +257,67 @@ class TestKernelsBitwise:
         grads2, d2 = net.backward(cache, upstream)
         assert np.array_equal(d1, d2)
         assert all(np.array_equal(g1, g2) for g1, g2 in zip(grads1, grads2))
+
+
+class TestReverseBuffers:
+    """``backward`` writes its hidden-width temporaries into buffers the net
+    keeps across calls; nothing it returns may live in them."""
+
+    SIZES = (3, 96, 96, 96, 2)
+
+    def batch(self, n, seed):
+        rng = derive(seed, 3)
+        return rng.standard_normal((n, 2)), rng.uniform(0.05, 3.0, n), rng.standard_normal((n, 2))
+
+    def test_backward_peaks_below_one_hidden_array(self):
+        net = tiny_net(17, self.SIZES)
+        x, sigma, upstream = self.batch(512, 0)
+        _, cache = net.forward_cached(x, sigma)
+        net.backward(cache, upstream)  # warm-up at the same row count
+        tracemalloc.start()
+        try:
+            net.backward(cache, upstream)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 512 * 96 * 8
+
+    def test_returned_arrays_survive_later_calls(self):
+        net = tiny_net(17, self.SIZES)
+        x, sigma, upstream = self.batch(300, 1)
+        _, cache = net.forward_cached(x, sigma)
+        grads, d_input = net.backward(cache, upstream)
+        d_only = net.backward(cache, upstream, params=False)
+        returned = [*grads, d_input, d_only]
+        kept = [a.copy() for a in returned]
+        # another upstream, more rows, fewer rows
+        for n, seed in [(300, 2), (700, 3), (5, 4)]:
+            x, sigma, upstream = self.batch(n, seed)
+            _, cache = net.forward_cached(x, sigma)
+            later_grads, later_d_input = net.backward(cache, upstream)
+            net.backward(cache, upstream, params=False)
+        assert all(np.array_equal(a, b) for a, b in zip(returned, kept))
+        # what larger calls left in the buffers does not leak into a smaller one
+        ref = ReferenceNet.sharing(net)
+        ref_grads, ref_d_input = ref.backward(ref.forward_cached(x, sigma)[1], upstream)
+        assert np.array_equal(later_d_input, ref_d_input)
+        assert all(np.array_equal(g, r) for g, r in zip(later_grads, ref_grads))
+
+    def test_copies_and_loaded_nets_get_buffers_of_their_own(self, tmp_path):
+        net = tiny_net(17, self.SIZES)
+        x, sigma, upstream = self.batch(64, 5)
+        _, cache = net.forward_cached(x, sigma)
+        net.backward(cache, upstream)
+        path = tmp_path / "net.json"
+        save_checkpoint(path, net, "ambient", 0.05, NoiseSchedule(0.035, 1.0), "test")
+        others = [net.copy(), load_checkpoint(path)[0]]
+        for other in others:
+            assert np.array_equal(other.backward(cache, upstream, params=False),
+                                  net.backward(cache, upstream, params=False))
+        nets = [net, *others]
+        assert all(len(n._reverse) == 3 for n in nets)
+        for a, b in itertools.combinations(nets, 2):
+            assert not any(np.shares_memory(x, y) for x in a._reverse for y in b._reverse)
 
 
 class TestBlockedForward:
