@@ -22,7 +22,6 @@ import numpy as np
 
 from .config import ExperimentConfig, from_section, load_config, provenance, write_csv_atomic
 from .diffusion import (
-    SAMPLER_STEPS,
     TrainConfig,
     ambient_sample,
     guard_samples,
@@ -33,7 +32,7 @@ from .diffusion import (
 from .distill import PAIRED_MODE, DistillConfig, generator_forward, run_distillation
 from .errors import ConfigError, DivergenceError, PreconditionError
 from .linear_theory import LinearModel
-from .metrics import N_EVAL, evaluate_sources, make_eval_hook, select_best_checkpoint
+from .metrics import evaluate_sources, make_eval_hook, select_best_checkpoint
 from .nets import DenseNet
 from .rng import derive
 from .schedule import NoiseSchedule
@@ -46,7 +45,6 @@ EXIT_PROPERTY_FAILURE = 1
 EXIT_CONFIG = 2
 EXIT_DIVERGENCE = 3
 
-HIDDEN = [64, 64, 64]  # denoiser hidden widths when train.hidden is omitted
 # Largest linear.sigma for which 4 (1 + sigma^2), the verify battery's bracket
 # for the profile minimizer, is finite.
 SIGMA_LIMIT = math.sqrt(sys.float_info.max) / 2
@@ -57,8 +55,7 @@ def _schedule(cfg: ExperimentConfig) -> NoiseSchedule:
 
 
 def _dataset(cfg: ExperimentConfig):
-    sec = cfg.section("dataset")
-    return make_dataset(sec["kind"], sec["n"], sec["sigma_data"], cfg.seed)
+    return from_section(make_dataset, cfg.section("dataset"), seed=cfg.seed)
 
 
 def _load_checkpoint_input(path: str):
@@ -79,17 +76,16 @@ def _pretrain(cfg: ExperimentConfig, data, out: str, section: dict):
     teacher.json and pretrain_loss.csv under ``out`` and returns the teacher as
     ``load_checkpoint`` does, (net, mode, sigma_hat, schedule)."""
     tcfg = _train_config(cfg, section)
-    mode = section.get("mode", "ambient")
     dim = data.points.shape[1]
-    net = DenseNet([dim + 1, *section.get("hidden", HIDDEN), dim], derive(cfg.seed, 201))
-    net, curve = pretrain(net, data, tcfg, mode)
+    net = DenseNet([dim + 1, *tcfg.hidden, dim], derive(cfg.seed, 201))
+    net, curve = pretrain(net, data, tcfg)
 
-    save_checkpoint(os.path.join(out, "teacher.json"), net, mode, tcfg.sigma_hat, tcfg.schedule,
-                    provenance(cfg))
+    save_checkpoint(os.path.join(out, "teacher.json"), net, tcfg.mode, tcfg.sigma_hat,
+                    tcfg.schedule, provenance(cfg))
     write_csv_atomic(os.path.join(out, "pretrain_loss.csv"), cfg,
                      ["step", "loss"], list(enumerate(curve)))
-    print(f"pretrained {mode} teacher for {tcfg.steps} steps; final loss {curve[-1] if curve else float('nan'):.4f}")
-    return net, mode, tcfg.sigma_hat, tcfg.schedule
+    print(f"pretrained {tcfg.mode} teacher for {tcfg.steps} steps; final loss {curve[-1] if curve else float('nan'):.4f}")
+    return net, tcfg.mode, tcfg.sigma_hat, tcfg.schedule
 
 
 def _distill(cfg: ExperimentConfig, data, out: str, teacher, section: dict) -> list[dict]:
@@ -102,8 +98,8 @@ def _distill(cfg: ExperimentConfig, data, out: str, teacher, section: dict) -> l
     schedule = _schedule(cfg)
     dcfg = from_section(DistillConfig, {"mode": PAIRED_MODE[t_mode], "sigma_hat": t_sigma_hat,
                                         **section}, schedule=schedule, seed=cfg.seed)
-    hook = make_eval_hook(data, dcfg.sigma_hat, schedule,
-                          n_eval=cfg.section("eval").get("n_eval", N_EVAL), eval_seed=cfg.seed)
+    hook = from_section(make_eval_hook, cfg.section("eval"), dataset=data,
+                        sigma_hat=dcfg.sigma_hat, schedule=schedule, eval_seed=cfg.seed)
 
     def save(name, model):
         path = os.path.join(out, name)
@@ -207,8 +203,8 @@ def cmd_sample(cfg: ExperimentConfig, out: str) -> int:
         z = derive(cfg.seed, 301).standard_normal((n, net.data_dim))
         samples = guard_samples(generator_forward(net, z, schedule), "one-step generator")
     else:
-        samples = ambient_sample(net, sigma_hat, sec.get("steps", SAMPLER_STEPS), sampler, n,
-                                 derive(cfg.seed, 302), schedule)
+        samples = from_section(ambient_sample, sec, net=net, sigma_hat=sigma_hat, mode=sampler,
+                               rng=derive(cfg.seed, 302), schedule=schedule)
     write_csv_atomic(os.path.join(out, "samples.csv"), cfg, ["x", "y"], samples.tolist())
     if cfg.plots:
         emit_scatter_svg([(sampler, samples)], os.path.join(out, "samples.svg"),
@@ -227,9 +223,9 @@ def cmd_eval(cfg: ExperimentConfig, out: str) -> int:
         generator, _, sigma_hat, _ = _load_checkpoint_input(esec["generator"])
     if "teacher" in esec:
         teacher, _, sigma_hat, _ = _load_checkpoint_input(esec["teacher"])
-    rows = evaluate_sources(data, schedule, sigma_hat, teacher=teacher, generator=generator,
-                            n_eval=esec.get("n_eval", N_EVAL),
-                            sample_steps=esec.get("sample_steps", SAMPLER_STEPS), eval_seed=cfg.seed)
+    rows = from_section(evaluate_sources, esec, dataset=data, schedule=schedule,
+                        sigma_hat=sigma_hat, teacher=teacher, generator=generator,
+                        eval_seed=cfg.seed)
     write_csv_atomic(os.path.join(out, "eval.csv"), cfg,
                      ["source", "frechet_clean", "proximal_fid", "w2_fit", "n_samples", "seed"],
                      rows)

@@ -41,8 +41,12 @@ class TrainConfig:
     schedule: NoiseSchedule = NoiseSchedule()
     sigma_hat: float = 0.0
     seed: int = 0
+    mode: str = "ambient"
+    hidden: tuple = (64, 64, 64)  # denoiser hidden widths
 
     def __post_init__(self):
+        if self.mode not in MODES:
+            raise PreconditionError(f"unknown pretraining mode {self.mode!r}; choose from {MODES}")
         if self.sigma_hat < 0:
             raise PreconditionError(f"sigma_hat must be nonnegative, got {self.sigma_hat}")
         if self.sigma_hat >= self.schedule.sigma_max:
@@ -96,21 +100,18 @@ def pretrain(
     net: DenseNet,
     data,
     cfg: TrainConfig,
-    mode: str = "ambient",
 ) -> tuple[DenseNet, list[float]]:
     """Train a denoiser on the dataset's noisy points; returns (net, loss curve).
 
-    ``mode='ambient'`` uses the adjusted objective at cfg.sigma_hat,
-    ``mode='standard'`` the plain objective.  Training mutates ``net`` in
+    ``cfg.mode='ambient'`` uses the adjusted objective at cfg.sigma_hat,
+    ``cfg.mode='standard'`` the plain objective.  Training mutates ``net`` in
     place; zero steps leave it untouched.  A non-finite loss, or one above
     DIVERGENCE_THRESHOLD times max(1, E||y||^2) over the noisy points, aborts.
     E||y||^2 is the plain loss of a net that predicts zero, so the limit scales
     with the data: large data alone is not read as divergence, but a model
     blown up from the start is.
     """
-    if mode not in MODES:
-        raise PreconditionError(f"unknown pretraining mode {mode!r}; choose from {MODES}")
-    sigma_hat = cfg.sigma_hat if mode == "ambient" else 0.0
+    sigma_hat = cfg.sigma_hat if cfg.mode == "ambient" else 0.0
     rng = make_rng(cfg.seed)
     opt = Adam(net.parameters(), cfg.lr)
     points = data.points
@@ -122,7 +123,7 @@ def pretrain(
         if not np.isfinite(loss) or loss > limit:
             raise DivergenceError(
                 f"pretraining diverged at step {step}: loss = {loss:.3e}",
-                diagnostics={"step": step, "loss": loss, "limit": limit, "mode": mode},
+                diagnostics={"step": step, "loss": loss, "limit": limit, "mode": cfg.mode},
             )
         opt.lr = cfg.lr * cosine_decay(step, cfg.steps)
         opt.step(net.parameters(), grads)
@@ -145,11 +146,11 @@ def guard_samples(x: np.ndarray, source: str) -> np.ndarray:
 def ambient_sample(
     net: DenseNet,
     sigma_hat: float,
-    steps: int,
     mode: str,
     n: int,
     rng: np.random.Generator,
-    schedule: NoiseSchedule = NoiseSchedule(),
+    schedule: NoiseSchedule,
+    steps: int = SAMPLER_STEPS,
 ) -> np.ndarray:
     """Reverse-process sampling over a decreasing geometric noise grid.
 

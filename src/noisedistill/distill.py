@@ -267,24 +267,23 @@ def generator_update(state: DistillState, rng: np.random.Generator) -> float:
 def run_distillation(
     teacher: DenseNet,
     cfg: DistillConfig,
+    teacher_mode: str,
     eval_hook=None,
-    teacher_mode: str | None = None,
 ) -> tuple[DistillState, list[dict]]:
     """Alternate fake and generator updates for cfg.steps iterations.
 
     ``eval_hook(state) -> dict`` is sampled at the eval cadence (and at the
-    start and end) and its values land in the metric history.  When the
-    teacher's pretraining mode is known it must pair with cfg.mode as
-    ``PAIRED_MODE`` says (standard with standard, ambient with adjusted).
+    start and end) and its values land in the metric history.  The teacher's
+    pretraining mode must pair with cfg.mode as ``PAIRED_MODE`` says
+    (standard with standard, ambient with adjusted).
     """
-    if teacher_mode is not None:
-        if teacher_mode not in PAIRED_MODE:
-            raise PreconditionError(f"unknown teacher pretraining mode {teacher_mode!r}")
-        if PAIRED_MODE[teacher_mode] != cfg.mode:
-            raise PreconditionError(
-                f"mode mismatch: teacher pretrained in {teacher_mode!r} pairs with "
-                f"{PAIRED_MODE[teacher_mode]!r} distillation, but cfg.mode is {cfg.mode!r}"
-            )
+    if teacher_mode not in PAIRED_MODE:
+        raise PreconditionError(f"unknown teacher pretraining mode {teacher_mode!r}")
+    if PAIRED_MODE[teacher_mode] != cfg.mode:
+        raise PreconditionError(
+            f"mode mismatch: teacher pretrained in {teacher_mode!r} pairs with "
+            f"{PAIRED_MODE[teacher_mode]!r} distillation, but cfg.mode is {cfg.mode!r}"
+        )
     state = init_distillation(teacher, cfg)
     rng = make_rng(cfg.seed)
     teacher_digest = teacher.params_digest()

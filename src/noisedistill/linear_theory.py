@@ -74,17 +74,11 @@ class GeneratorParams:
         w = self.v.T @ self.v
         return (w + w.T) / 2.0
 
-    def theta_violation(self) -> tuple[float, float]:
-        """(Stiefel deviation of U, smallest eigenvalue of V^T V)."""
-        stiefel_dev = float(np.max(np.abs(self.u.T @ self.u - np.eye(self.rank))))
-        lam_min = float(np.linalg.eigvalsh(self.gram())[0])
-        return stiefel_dev, lam_min
-
 
 def require_theta(p: GeneratorParams, tol: float = THETA_TOL) -> None:
-    stiefel_dev, lam_min = p.theta_violation()
-    if stiefel_dev > tol:
-        raise PreconditionError(f"U is off the Stiefel manifold: max |U^T U - I| = {stiefel_dev:.3e}")
+    """Raise unless U has orthonormal columns within ``tol`` and V^T V is positive definite."""
+    check_orthonormal(p.u, tol, "U")
+    lam_min = float(np.linalg.eigvalsh(p.gram())[0])
     if lam_min <= 0:
         raise PreconditionError(f"V^T V must be positive definite, smallest eigenvalue {lam_min:.3e}")
 

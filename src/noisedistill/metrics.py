@@ -148,10 +148,10 @@ def evaluate_sources(
 
     rows = [row("raw_noisy", dataset.points, dataset.n)]
     if teacher is not None:
-        full = ambient_sample(teacher, sigma_hat, sample_steps, "full", n_eval,
-                              derive(eval_seed, 104), schedule)
-        trunc = ambient_sample(teacher, sigma_hat, sample_steps, "truncated", n_eval,
-                               derive(eval_seed, 105), schedule)
+        full = ambient_sample(teacher, sigma_hat, "full", n_eval, derive(eval_seed, 104),
+                              schedule, sample_steps)
+        trunc = ambient_sample(teacher, sigma_hat, "truncated", n_eval, derive(eval_seed, 105),
+                               schedule, sample_steps)
         rows.append(row("teacher_full", full, n_eval))
         rows.append(row("teacher_truncated", trunc, n_eval))
     if generator is not None:

@@ -148,9 +148,10 @@ def optimize(
 ) -> tuple[GeneratorParams, OptTrace]:
     """Run descent until the Riemannian gradient norm drops below GRAD_TOL.
 
-    Returns the final parameters and the trace; non-convergence within
-    max_iters is reported through ``trace.converged`` rather than an error,
-    with the best-loss iterate returned.
+    Returns the last iterate, the one the trace's final row describes, and the
+    trace; non-convergence within max_iters is reported through
+    ``trace.converged`` rather than an error.  Every accepted step passes the
+    Armijo test, so no step raises the loss and the last iterate has the lowest.
     """
     require_theta(p0, tol=STIEFEL_TOL)
     trace = OptTrace()
@@ -158,7 +159,6 @@ def optimize(
 
     p = p0
     loss = loss_closed_form(m, p, s)
-    best_p, best_loss = p, loss
     eta = STEP_SIZE
 
     for it in range(max_iters + 1):
@@ -177,13 +177,11 @@ def optimize(
         try:
             p, accepted, loss = riemannian_step(m, p, (du, dv), s, eta, loss)
         except StalledOptimizationError:
-            # No further float-representable decrease; stop at the best
-            # iterate (typically this happens sitting on the minimizer).
+            # No further float-representable decrease; stop here
+            # (typically this happens sitting on the minimizer).
             break
         # Grow the trial step after a clean acceptance, so the line search
         # stays near the largest workable step without re-tuning.
         eta = min(accepted * 1.5, 1e3 * STEP_SIZE) if accepted == eta else accepted
-        if loss < best_loss:
-            best_p, best_loss = p, loss
 
-    return best_p, trace
+    return p, trace

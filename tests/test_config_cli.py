@@ -1,8 +1,11 @@
 """Experiment configs, artifact writing, SVG plots, and the CLI contract."""
 
+import copy
 import functools
+import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -23,10 +26,10 @@ from noisedistill.config import (
     write_csv_atomic,
     write_text_atomic,
 )
-from noisedistill.diffusion import TrainConfig, load_checkpoint
+from noisedistill.diffusion import TrainConfig, ambient_sample, load_checkpoint
 from noisedistill.distill import PAIRED_MODE, DistillConfig, generator_forward
 from noisedistill.errors import ConfigError
-from noisedistill.metrics import evaluate_sources
+from noisedistill.metrics import evaluate_sources, make_eval_hook
 from noisedistill.rng import derive
 from noisedistill.schedule import NoiseSchedule
 from noisedistill.svgplot import emit_scatter_svg
@@ -731,3 +734,69 @@ class TestCliEval:
                                                 eval_seed=raw["seed"])[-1]["proximal_fid"]
                     for sigma_hat in (0.07, 0.3)}
         assert float(row[2]) == expected[0.07] != expected[0.3]
+
+
+def declared_default(build, name):
+    return inspect.signature(build).parameters[name].default
+
+
+# (command, section, key, the default of the dataclass or function the section builds)
+OMITTED_KEYS = {
+    "train.mode": ("pretrain", "train", "mode", TrainConfig().mode),
+    "train.hidden": ("pretrain", "train", "hidden", list(TrainConfig().hidden)),
+    "eval.n_eval/eval": ("eval", "eval", "n_eval", declared_default(evaluate_sources, "n_eval")),
+    "eval.n_eval/distill": ("distill", "eval", "n_eval", declared_default(make_eval_hook, "n_eval")),
+    "eval.sample_steps": ("eval", "eval", "sample_steps",
+                          declared_default(evaluate_sources, "sample_steps")),
+    "sample.steps": ("sample", "sample", "steps", declared_default(ambient_sample, "steps")),
+}
+
+
+def artifacts(root):
+    """Every artifact under ``root`` without its provenance line or field, the
+    one place the config hash shows."""
+    found = {}
+    for path in sorted(root.rglob("*")):
+        name = str(path.relative_to(root))
+        if path.suffix == ".csv":
+            found[name] = csv_body(path)
+        elif path.suffix == ".json":
+            found[name] = {k: v for k, v in json.loads(path.read_text()).items() if k != "provenance"}
+    return found
+
+
+class TestOmittedKeyTakesTheCalleeDefault:
+    @pytest.mark.parametrize("case", OMITTED_KEYS)
+    def test_omitted_key_writes_what_the_default_writes(self, case, tmp_path):
+        command, section, key, default = OMITTED_KEYS[case]
+        teacher = str(pretrained_teacher(tmp_path))
+        raw = {
+            "pretrain": pipeline_config("pretrain", train={"steps": 2, "hidden": [4], "mode": "ambient"}),
+            "distill": pipeline_config("distill", eval={"n_eval": 256},
+                                       distill={"teacher": teacher, "method": "sds", "steps": 2,
+                                                "batch_size": 8, "eval_every": 2}),
+            "eval": pipeline_config("eval", eval={"teacher": teacher, "n_eval": 256,
+                                                  "sample_steps": 2}),
+            "sample": pipeline_config("sample", sample={"source": teacher, "sampler": "full",
+                                                        "n": 256, "steps": 2}),
+        }[command]
+        omitted, explicit = copy.deepcopy(raw), copy.deepcopy(raw)
+        del omitted[section][key]
+        explicit[section][key] = default
+        runs = []
+        for name, cfg in (("omitted", omitted), ("explicit", explicit)):
+            out = tmp_path / name
+            assert main([command, "--config", write_cfg(tmp_path, cfg, f"{name}.json"),
+                         "--out", str(out)]) == 0
+            runs.append(artifacts(out))
+        assert runs[0] and runs[0] == runs[1]
+
+
+def test_readme_example_configs_parse():
+    """Every ```json block of README.md, an example config users save and run, is valid."""
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+    with open(readme) as fh:
+        blocks = re.findall(r"^```json\n(.*?)^```", fh.read(), flags=re.M | re.S)
+    assert len(blocks) >= 3
+    for block in blocks:
+        parse_config(json.loads(block))

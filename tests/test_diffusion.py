@@ -1,6 +1,7 @@
 """Denoiser training objectives, pretraining loop, sampling, checkpoints."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -31,8 +32,8 @@ class TestLossDegenerations:
     def test_sigma_hat_zero_reduces_to_standard_bitwise(self):
         data = make_dataset("ring", 256, 0.05, seed=1)
         cfg = TrainConfig(batch_size=32, lr=1e-3, steps=20, schedule=SCHED, sigma_hat=0.0, seed=5)
-        net_a, curve_a = pretrain(tiny_net(1), data, cfg, "ambient")
-        net_s, curve_s = pretrain(tiny_net(1), data, cfg, "standard")
+        net_a, curve_a = pretrain(tiny_net(1), data, replace(cfg, mode="ambient"))
+        net_s, curve_s = pretrain(tiny_net(1), data, replace(cfg, mode="standard"))
         assert curve_a == curve_s
         assert np.array_equal(net_a.get_flat(), net_s.get_flat())
 
@@ -106,8 +107,9 @@ class TestMemorizationFloor:
         class _Data:
             points = data
 
-        cfg = TrainConfig(batch_size=64, lr=3e-3, steps=2500, schedule=sched, seed=3)
-        net, curve = pretrain(net, _Data(), cfg, "standard")
+        cfg = TrainConfig(batch_size=64, lr=3e-3, steps=2500, schedule=sched, seed=3,
+                          mode="standard")
+        net, curve = pretrain(net, _Data(), cfg)
         tail = float(np.mean(curve[-100:]))
         assert tail < 0.1 * mc_identity
 
@@ -151,8 +153,8 @@ class TestAmbientPosteriorMean:
         sched = NoiseSchedule(0.05, 2.0)
         net = DenseNet([3, 64, 64, 2], derive(30, 2))
         cfg = TrainConfig(batch_size=384, lr=1e-3, steps=20000, schedule=sched,
-                          sigma_hat=sigma_data, seed=5)
-        net, _ = pretrain(net, _Data(), cfg, "ambient")
+                          sigma_hat=sigma_data, seed=5, mode="ambient")
+        net, _ = pretrain(net, _Data(), cfg)
 
         def posterior_means(x, sigma_t):
             """E[x0 | x_t] and E[y | x_t] under the perturbed marginal."""
@@ -217,7 +219,7 @@ class TestPretrain:
         net = tiny_net(40)
         digest = net.params_digest()
         data = make_dataset("ring", 256, 0.05, seed=1)
-        net, curve = pretrain(net, data, TrainConfig(steps=0, schedule=SCHED), "ambient")
+        net, curve = pretrain(net, data, TrainConfig(steps=0, schedule=SCHED, mode="ambient"))
         assert net.params_digest() == digest
         assert curve == []
 
@@ -227,8 +229,8 @@ class TestPretrain:
         for seed in (0, 1):
             net = tiny_net(41)
             cfg = TrainConfig(batch_size=64, lr=1e-3, steps=300, schedule=SCHED,
-                              sigma_hat=0.05, seed=seed)
-            net, curve = pretrain(net, data, cfg, "ambient")
+                              sigma_hat=0.05, seed=seed, mode="ambient")
+            net, curve = pretrain(net, data, cfg)
             assert all(np.isfinite(v) and v < 1e6 for v in curve)
             nets.append(net.get_flat())
         assert not np.array_equal(nets[0], nets[1])
@@ -238,8 +240,9 @@ class TestPretrain:
         flats = []
         for _ in range(2):
             net = tiny_net(42)
-            cfg = TrainConfig(batch_size=32, lr=1e-3, steps=200, schedule=SCHED, seed=7)
-            net, curve = pretrain(net, data, cfg, "standard")
+            cfg = TrainConfig(batch_size=32, lr=1e-3, steps=200, schedule=SCHED, seed=7,
+                              mode="standard")
+            net, curve = pretrain(net, data, cfg)
             flats.append((net.get_flat(), tuple(curve)))
         assert np.array_equal(flats[0][0], flats[1][0])
         assert flats[0][1] == flats[1][1]
@@ -248,15 +251,15 @@ class TestPretrain:
         data = make_dataset("ring", 512, 0.05, seed=4)
         net = tiny_net(43)
         net.weights[-1][...] *= 1e9  # guarantee an absurd loss
-        cfg = TrainConfig(batch_size=32, lr=1e-3, steps=10, schedule=SCHED, seed=0)
+        cfg = TrainConfig(batch_size=32, lr=1e-3, steps=10, schedule=SCHED, seed=0,
+                          mode="standard")
         with pytest.raises(DivergenceError) as exc:
-            pretrain(net, data, cfg, "standard")
+            pretrain(net, data, cfg)
         assert "step" in exc.value.diagnostics
 
     def test_unknown_mode_rejected(self):
-        data = make_dataset("ring", 512, 0.05, seed=5)
         with pytest.raises(PreconditionError):
-            pretrain(tiny_net(44), data, TrainConfig(schedule=SCHED), "tweedie")
+            TrainConfig(schedule=SCHED, mode="tweedie")
 
 
 class _ZeroNet:
@@ -288,7 +291,7 @@ class TestAmbientSampling:
         rng = make_rng(50)
         sched = NoiseSchedule(0.05, 5.0)
         net = _ZeroNet()
-        x = ambient_sample(net, 0.0, 40, "full", 256, rng, sched)
+        x = ambient_sample(net, 0.0, "full", 256, rng, sched, 40)
         rng2 = make_rng(50)
         x_init = rng2.standard_normal((256, 2)) * sched.sigma_max
         expected = x_init * (sched.sigma_min / sched.sigma_max)
@@ -297,14 +300,14 @@ class TestAmbientSampling:
     def test_truncated_immediate_exit_at_large_sigma_hat(self):
         sched = NoiseSchedule(0.05, 2.0)
         net = _ZeroNet()
-        out = ambient_sample(net, sched.sigma_max + 1.0, 16, "truncated", 64, make_rng(51), sched)
+        out = ambient_sample(net, sched.sigma_max + 1.0, "truncated", 64, make_rng(51), sched, 16)
         assert np.allclose(out, 0.0)  # one-step denoise of the initial noise
 
     def test_oracle_denoiser_recovers_data_covariance(self):
         e = np.array([[0.6], [0.8]])
         sched = NoiseSchedule(0.02, 5.0)
         net = _OracleDenoiser(e)
-        x = ambient_sample(net, 0.0, 64, "full", 10000, make_rng(52), sched)
+        x = ambient_sample(net, 0.0, "full", 10000, make_rng(52), sched, 64)
         _, cov = fit_gaussian(x)
         assert np.max(np.abs(cov - e @ e.T)) <= 0.1
 
@@ -312,16 +315,16 @@ class TestAmbientSampling:
         e = np.array([[0.6], [0.8]])
         sched = NoiseSchedule(0.02, 5.0)
         net = _OracleDenoiser(e)
-        x64 = ambient_sample(net, 0.0, 64, "full", 512, make_rng(53), sched)
-        x128 = ambient_sample(net, 0.0, 128, "full", 512, make_rng(53), sched)
+        x64 = ambient_sample(net, 0.0, "full", 512, make_rng(53), sched, 64)
+        x128 = ambient_sample(net, 0.0, "full", 512, make_rng(53), sched, 128)
         displacement = float(np.mean(np.linalg.norm(x64 - x128, axis=1)))
         assert displacement <= 0.05
 
     def test_bad_mode_and_steps_rejected(self):
         with pytest.raises(PreconditionError):
-            ambient_sample(_ZeroNet(), 0.0, 1, "full", 8, make_rng(0), SCHED)
+            ambient_sample(_ZeroNet(), 0.0, "full", 8, make_rng(0), SCHED, 1)
         with pytest.raises(PreconditionError):
-            ambient_sample(_ZeroNet(), 0.0, 16, "midway", 8, make_rng(0), SCHED)
+            ambient_sample(_ZeroNet(), 0.0, "midway", 8, make_rng(0), SCHED, 16)
 
 
 class TestCheckpoints:

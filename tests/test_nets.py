@@ -430,8 +430,9 @@ class TestReferenceContract:
     def run(self, as_net):
         data = make_dataset("ring", 512, 0.05, seed=4)
         teacher = as_net(DenseNet(self.SIZES, derive(4, 1)))
-        tcfg = TrainConfig(batch_size=64, lr=1e-3, steps=20, schedule=self.SCHED, sigma_hat=0.05, seed=4)
-        _, curve = pretrain(teacher, data, tcfg, "ambient")
+        tcfg = TrainConfig(batch_size=64, lr=1e-3, steps=20, schedule=self.SCHED, sigma_hat=0.05, seed=4,
+                           mode="ambient")
+        _, curve = pretrain(teacher, data, tcfg)
         dcfg = DistillConfig(method="sid", steps=3, batch_size=64, sigma_hat=0.05, schedule=self.SCHED)
         state = init_distillation(teacher, dcfg)
         state.fake, state.generator = as_net(state.fake), as_net(state.generator)
