@@ -45,6 +45,10 @@ EXIT_PROPERTY_FAILURE = 1
 EXIT_CONFIG = 2
 EXIT_DIVERGENCE = 3
 
+# The toy data, the CSV columns and the plots are 2-D, so every checkpoint a
+# command reads must map 2-D points (plus the noise-level channel) to 2-D points.
+DATA_DIM = 2
+
 # Largest linear.sigma for which 4 (1 + sigma^2), the verify battery's bracket
 # for the profile minimizer, is finite.
 SIGMA_LIMIT = math.sqrt(sys.float_info.max) / 2
@@ -62,9 +66,15 @@ def _load_checkpoint_input(path: str):
     if not os.path.exists(path):
         raise ConfigError(f"missing input: checkpoint {path!r} does not exist")
     try:
-        return load_checkpoint(path)
-    except (OSError, KeyError, TypeError, ValueError) as exc:  # ValueError covers bad JSON
+        loaded = load_checkpoint(path)
+    # ValueError covers bad JSON, OverflowError an integer past the float range
+    except (OSError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"unreadable checkpoint {path!r}: {type(exc).__name__}: {exc}") from exc
+    net = loaded[0]
+    if (net.data_dim, net.out_dim) != (DATA_DIM, DATA_DIM):
+        raise ConfigError(f"checkpoint {path!r} maps {net.data_dim}-D points to {net.out_dim}-D "
+                          f"points; the toy data are {DATA_DIM}-D")
+    return loaded
 
 
 def _train_config(cfg: ExperimentConfig, section: dict) -> TrainConfig:
@@ -238,8 +248,6 @@ def cmd_eval(cfg: ExperimentConfig, out: str) -> int:
 def cmd_sigma_sweep(cfg: ExperimentConfig, out: str) -> int:
     """Pretrain and distill once per sigma_hat, each level into a sub-directory
     ``sigma_hat_<repr>`` holding its teacher and everything ``distill`` writes."""
-    if "teacher" in cfg.section("distill"):
-        raise ConfigError("sigma-sweep pretrains its own teachers; remove distill.teacher")
     sigma_hats = cfg.section("sweep").get("sigma_hats")
     if sigma_hats is None:
         sd = cfg.section("dataset")["sigma_data"]

@@ -186,7 +186,26 @@ def parse_config(raw: dict) -> ExperimentConfig:
     for section in _REQUIRED_SECTIONS[raw["kind"]]:
         if section not in raw:
             raise ConfigError(f"kind {raw['kind']!r} requires a {section!r} section")
+    unread = _unread_keys(raw)
+    if unread:
+        raise ConfigError(f"not read by a {raw['kind']!r} config, so rejected: {', '.join(unread)}")
     return ExperimentConfig(raw=raw, out=None, plots=False)
+
+
+def _unread_keys(raw: dict) -> list[str]:
+    """Keys the schema allows in every kind that this config's command would
+    drop: ``distill`` and ``sigma_sweep`` evaluate their own generator,
+    ``sigma_sweep`` pretrains its own teachers, and the one-step sampler takes
+    no steps."""
+    kind = raw["kind"]
+    unread = []
+    if kind in ("distill", "sigma_sweep"):
+        unread += [f"eval.{key}" for key in ("teacher", "generator") if key in raw.get("eval", {})]
+    if kind == "sigma_sweep" and "teacher" in raw["distill"]:
+        unread.append("distill.teacher")
+    if kind == "sample" and raw["sample"]["sampler"] == "one_step" and "steps" in raw["sample"]:
+        unread.append("sample.steps")
+    return unread
 
 
 def _finite_number(literal: str) -> float:

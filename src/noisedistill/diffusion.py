@@ -214,8 +214,11 @@ def load_checkpoint(path) -> tuple[DenseNet, str, float, NoiseSchedule]:
                                 f"expected {CHECKPOINT_VERSION}")
     if payload["mode"] not in MODES:
         raise PreconditionError(f"{path}: unknown pretraining mode {payload['mode']!r}")
+    sizes = payload["layer_sizes"]
+    if not isinstance(sizes, list) or not all(type(v) is int and v >= 1 for v in sizes):
+        raise PreconditionError(f"{path}: layer_sizes must be a list of positive integers")
     net = object.__new__(DenseNet)
-    net.layer_sizes = [int(v) for v in payload["layer_sizes"]]
+    net.layer_sizes = sizes
     net.weights = [np.array(w, dtype=float) for w in payload["weights"]]
     net.biases = [np.array(b, dtype=float) for b in payload["biases"]]
     fans = list(zip(net.layer_sizes[:-1], net.layer_sizes[1:]))

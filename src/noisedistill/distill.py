@@ -3,7 +3,8 @@
 The loop alternates two updates: a fake denoiser is trained on corrupted
 generator outputs so its score tracks the generator's current distribution,
 and the generator takes a step along one of three gradient estimators (SDS,
-DMD, SiD) that compare fake and teacher predictions at perturbed samples.
+DMD, SiD) that act directly on the teacher's and fake's denoiser outputs at
+perturbed samples.
 
 Consistency modes pair with pretraining: in ``standard`` mode the corrupted
 sample y~ = x_g + sigma_hat*eps is treated as the generated sample (the fake
@@ -23,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .diffusion import DIVERGENCE_THRESHOLD, denoising_loss
-from .errors import DivergenceError, DomainError, PreconditionError
+from .errors import DivergenceError, PreconditionError
 from .nets import Adam, DenseNet, cosine_decay
 from .rng import make_rng
 from .schedule import NoiseSchedule
@@ -107,24 +108,6 @@ def generator_forward(net: DenseNet, z: np.ndarray, schedule: NoiseSchedule) -> 
     return net.forward(z, schedule.sigma_max)
 
 
-def score_from_mean(f_out: np.ndarray, x_t: np.ndarray, sigma_t) -> np.ndarray:
-    """Score implied by a posterior-mean prediction: -(x_t - f) / sigma_t^2."""
-    sigma_t = np.asarray(sigma_t, dtype=float)
-    if np.any(sigma_t <= 0):
-        raise DomainError("score_from_mean needs sigma_t > 0")
-    st2 = np.atleast_1d(sigma_t**2)[:, None] if np.ndim(f_out) == 2 else sigma_t**2
-    return -(np.asarray(x_t) - np.asarray(f_out)) / st2
-
-
-def eps_from_score(score: np.ndarray, sigma_t) -> np.ndarray:
-    """Noise prediction implied by a score: -sigma_t * s."""
-    sigma_t = np.asarray(sigma_t, dtype=float)
-    if np.any(sigma_t <= 0):
-        raise DomainError("eps_from_score needs sigma_t > 0")
-    st = np.atleast_1d(sigma_t)[:, None] if np.ndim(score) == 2 else sigma_t
-    return -st * np.asarray(score)
-
-
 @dataclass
 class _Perturbation:
     """Everything drawn for one generator-gradient batch."""
@@ -171,7 +154,8 @@ def loss_weights(
 def generator_grad_sds(
     state: DistillState, z: np.ndarray, rng: np.random.Generator
 ) -> list[np.ndarray]:
-    """Noise-residual estimator: w_t (eps_teacher(x_t) - eps) through dG/dtheta.
+    """Noise-residual estimator: w_t (eps_teacher(x_t) - eps) through dG/dtheta,
+    with the teacher's noise prediction eps_teacher = (x_t - f_teacher) / sigma_t.
 
     The teacher is a constant; only the generator is differentiated, and no
     fake net participates.
@@ -179,7 +163,7 @@ def generator_grad_sds(
     p = draw_perturbation(state, z, rng)
     n = z.shape[0]
     f_phi = state.teacher.forward(p.x_t, p.sigma_t)
-    eps_phi = eps_from_score(score_from_mean(f_phi, p.x_t, p.sigma_t), p.sigma_t)
+    eps_phi = (p.x_t - f_phi) / p.sigma_t[:, None]
     w = loss_weights(state.cfg.weighting, p.sigma_t, f_phi, p.x_g)
     upstream = w * (eps_phi - p.eps) / n
     grads, _ = state.generator.backward(p.cache_g, upstream)
@@ -189,15 +173,17 @@ def generator_grad_sds(
 def generator_grad_dmd(
     state: DistillState, z: np.ndarray, rng: np.random.Generator
 ) -> list[np.ndarray]:
-    """Score-difference estimator: w_t (s_fake(x_t) - s_teacher(x_t)) through dG/dtheta."""
+    """Score-difference estimator: w_t (s_fake(x_t) - s_teacher(x_t)) through dG/dtheta.
+
+    A denoiser f implies the score -(x_t - f) / sigma_t^2, so x_t cancels and
+    the difference is (f_fake - f_teacher) / sigma_t^2.
+    """
     p = draw_perturbation(state, z, rng)
     n = z.shape[0]
     f_phi = state.teacher.forward(p.x_t, p.sigma_t)
     f_psi = state.fake.forward(p.x_t, p.sigma_t)
-    s_phi = score_from_mean(f_phi, p.x_t, p.sigma_t)
-    s_psi = score_from_mean(f_psi, p.x_t, p.sigma_t)
     w = loss_weights(state.cfg.weighting, p.sigma_t, f_phi, p.x_g)
-    upstream = w * (s_psi - s_phi) / n
+    upstream = w * (f_psi - f_phi) / (p.sigma_t**2)[:, None] / n
     grads, _ = state.generator.backward(p.cache_g, upstream)
     return grads
 

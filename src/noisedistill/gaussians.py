@@ -101,16 +101,6 @@ def structured_inverse(g: LowRankGaussian) -> tuple[float, float]:
     return floor_inv, correction
 
 
-def apply_inverse(g: LowRankGaussian, x: np.ndarray) -> np.ndarray:
-    """``Sigma^{-1} x`` for vectors or row-stacked batches (n x d)."""
-    floor_inv, correction = structured_inverse(g)
-    x = np.asarray(x, dtype=float)
-    f = g.factor
-    if x.ndim == 1:
-        return floor_inv * x - correction * (f @ (f.T @ x))
-    return floor_inv * x - correction * (x @ f) @ f.T
-
-
 def w2_commuting(a: LowRankGaussian, b: LowRankGaussian) -> float:
     """Squared Wasserstein-2 distance between two commuting members.
 

@@ -1,5 +1,5 @@
-"""Exact linear-Gaussian setting: scores, the idealized distillation loss in
-closed and Monte Carlo form, its analytic minimizers, and the Wasserstein
+"""Exact linear-Gaussian setting: the idealized distillation loss in closed
+and Monte Carlo form, its analytic minimizers, and the Wasserstein
 accounting that quantifies how much distillation denoises.
 
 Setting: clean data N(0, E E^T) with E a d x r orthonormal frame, observed
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, PreconditionError
-from .gaussians import COMMUTE_TOL, LowRankGaussian, apply_inverse, check_orthonormal, w2_commuting
+from .gaussians import COMMUTE_TOL, LowRankGaussian, check_orthonormal, w2_commuting
 from .schedule import NoiseSchedule
 
 THETA_TOL = 1e-8
@@ -81,36 +81,6 @@ def require_theta(p: GeneratorParams, tol: float = THETA_TOL) -> None:
     lam_min = float(np.linalg.eigvalsh(p.gram())[0])
     if lam_min <= 0:
         raise PreconditionError(f"V^T V must be positive definite, smallest eigenvalue {lam_min:.3e}")
-
-
-def noisy_score(m: LinearModel, sigma_t: float, x: np.ndarray) -> np.ndarray:
-    """Exact score of the schedule-perturbed noisy data, -(EE^T + (sigma^2+sigma_t^2) I)^{-1} x."""
-    total = m.sigma**2 + sigma_t**2
-    if total <= 0:
-        raise PreconditionError("need sigma^2 + sigma_t^2 > 0")
-    marginal = LowRankGaussian(m.basis, 1.0, total)
-    return -apply_inverse(marginal, x)
-
-
-def generator_score(p: GeneratorParams, sigma_t: float, x: np.ndarray) -> np.ndarray:
-    """Score of the perturbed generator distribution N(0, U V^T V U^T + sigma_t^2 I).
-
-    Uses the rank-r downdate with the r x r core ((V^T V)^{-1} + sigma_t^{-2} I)^{-1},
-    evaluated through the eigenvalues of V^T V so batches vectorize.
-    """
-    if sigma_t <= 0:
-        raise PreconditionError(f"need sigma_t > 0, got {sigma_t}")
-    w = p.gram()
-    lam, s = np.linalg.eigh(w)
-    if lam[0] <= 0:
-        raise PreconditionError(f"V^T V is singular: smallest eigenvalue {lam[0]:.3e}")
-    st2 = sigma_t**2
-    core = lam / (st2 * (lam + st2))  # eigenvalues of sigma_t^{-4} ((V^TV)^{-1} + sigma_t^{-2} I)^{-1}
-    x = np.asarray(x, dtype=float)
-    basis = p.u @ s
-    if x.ndim == 1:
-        return -(x / st2 - basis @ (core * (basis.T @ x)))
-    return -(x / st2 - ((x @ basis) * core) @ basis.T)
 
 
 def loss_integrand(m: LinearModel, p: GeneratorParams, sigma_t):

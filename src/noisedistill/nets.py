@@ -23,30 +23,26 @@ from .errors import PreconditionError
 ROW_BLOCK = 1024
 
 
-def silu(z: np.ndarray, denom: np.ndarray | None = None, out: np.ndarray | None = None) -> np.ndarray:
+def silu(z: np.ndarray, denom: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Sigmoid-weighted linear unit, z * sigmoid(z), computed as z / (1 + exp(-z)).
 
     ``denom`` (shaped like ``z``) receives 1 + exp(-z) for ``silu_grad`` to
     reuse; ``out`` may be ``z`` itself, which then holds the activation.
     """
-    if denom is None:
-        denom = np.empty_like(z)
     np.negative(z, out=denom)
     np.exp(denom, out=denom)
     denom += 1.0
     return np.divide(z, denom, out=out)
 
 
-def silu_grad(z: np.ndarray, denom: np.ndarray | None = None, out: np.ndarray | None = None,
+def silu_grad(z: np.ndarray, denom: np.ndarray, out: np.ndarray | None = None,
               work: np.ndarray | None = None) -> np.ndarray:
     """d silu / dz = s (1 + z (1 - s)) with s = 1 / denom, where ``denom`` is
-    the 1 + exp(-z) that ``silu`` stored (recomputed when not given).
+    the 1 + exp(-z) that ``silu`` stored.
 
     ``out`` receives the result and ``work`` (shaped like ``z``) the factor
     1 + z (1 - s); each is allocated when not given.
     """
-    if denom is None:
-        denom = 1.0 + np.exp(-z)
     s = np.divide(1.0, denom, out=out)
     g = np.subtract(1.0, s, out=work)
     g *= z

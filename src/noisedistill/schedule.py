@@ -34,9 +34,9 @@ class NoiseSchedule:
     sigma_max: float = 5.0
 
     def __post_init__(self):
-        if not (0 < self.sigma_min <= self.sigma_max):
+        if not (0 < self.sigma_min <= self.sigma_max < np.inf):
             raise PreconditionError(
-                f"need 0 < sigma_min <= sigma_max, got ({self.sigma_min}, {self.sigma_max})"
+                f"need 0 < sigma_min <= sigma_max < inf, got ({self.sigma_min}, {self.sigma_max})"
             )
 
     def sigma(self, t):

@@ -17,6 +17,7 @@ from .linear_theory import (
     principal_angles,
     require_theta,
 )
+from .rng import make_rng
 from .schedule import NoiseSchedule
 
 ARMIJO_C1 = 1e-4
@@ -135,7 +136,7 @@ def riemannian_step(
 
 def random_params(d: int, r: int, seed: int) -> GeneratorParams:
     """Feasible random start: U from QR of a Gaussian matrix, V = U."""
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    rng = make_rng(seed)
     u = retract(np.zeros((d, r)), rng.standard_normal((d, r)))
     return GeneratorParams(u=u, v=u.copy())
 

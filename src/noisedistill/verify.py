@@ -156,9 +156,7 @@ def _frame(dim: int, rank: int, basis: np.ndarray | None, tag: int) -> np.ndarra
     return retract(np.zeros((dim, rank)), rng.standard_normal((dim, rank)))
 
 
-def check_gap_identity(
-    dim: int, rank: int, sigma: float, basis: np.ndarray | None = None
-) -> CheckResult:
+def check_gap_identity(dim: int, rank: int, sigma: float, basis: np.ndarray | None) -> CheckResult:
     """At the analytic minimizer the W2 gap equals (d - r) sigma^2."""
     model = LinearModel(basis=_frame(dim, rank, basis, 5), sigma=sigma)
     report = wasserstein_report(model, analytic_minimizer(model))
@@ -202,7 +200,7 @@ def check_minimizer_optimality(
     sigma: float,
     schedule: NoiseSchedule,
     seed: int,
-    basis: np.ndarray | None = None,
+    basis: np.ndarray | None,
 ) -> CheckResult:
     """Random perturbations of the minimizer strictly increase the loss."""
     rng = derive(seed, 8)
@@ -227,7 +225,7 @@ def check_descent_recovery(
     schedule: NoiseSchedule,
     seeds: int,
     max_iters: int,
-    basis: np.ndarray | None = None,
+    basis: np.ndarray | None,
 ) -> CheckResult:
     """Riemannian descent from random starts reaches the minimizer family."""
     model = LinearModel(basis=_frame(dim, rank, basis, 9), sigma=sigma)

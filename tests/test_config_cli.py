@@ -5,14 +5,18 @@ import functools
 import inspect
 import json
 import os
+import pathlib
 import re
 import subprocess
 import sys
+import tempfile
 import warnings
 
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from noisedistill import cli, parallel, stiefel
 from noisedistill.cli import main
@@ -26,10 +30,11 @@ from noisedistill.config import (
     write_csv_atomic,
     write_text_atomic,
 )
-from noisedistill.diffusion import TrainConfig, ambient_sample, load_checkpoint
+from noisedistill.diffusion import TrainConfig, ambient_sample, load_checkpoint, save_checkpoint
 from noisedistill.distill import PAIRED_MODE, DistillConfig, generator_forward
 from noisedistill.errors import ConfigError
 from noisedistill.metrics import evaluate_sources, make_eval_hook
+from noisedistill.nets import DenseNet
 from noisedistill.rng import derive
 from noisedistill.schedule import NoiseSchedule
 from noisedistill.svgplot import emit_scatter_svg
@@ -404,6 +409,14 @@ BAD_CHECKPOINTS = {
          "train_config": {"batch_size": 64, "lr": 1e-3, "steps": 2, "sigma_min": 0.035,
                           "sigma_max": 1.0, "sigma_hat": 0.05, "seed": 3}}),
     "checkpoint_unknown_version": lambda text, payload: json.dumps({**payload, "version": 3}),
+    # json.dumps cannot write 1e400, the literal that parses to inf
+    "layer_size_overflows": lambda text, payload: json.dumps(
+        {**payload, "layer_sizes": "SIZES"}).replace('"SIZES"', "[3, 1e400, 2]"),
+    "layer_size_not_integer": lambda text, payload: json.dumps(
+        {**payload, "layer_sizes": [3, 4.5, 2]}),
+    "sigma_hat_past_float_range": lambda text, payload: json.dumps({**payload, "sigma_hat": 10**400}),
+    "infinite_sigma_max": lambda text, payload: json.dumps(
+        {**payload, "schedule": {**payload["schedule"], "sigma_max": float("inf")}}),
 }
 
 
@@ -411,6 +424,12 @@ BAD_CHECKPOINTS = {
 REMOVED_OPT_KEYS = {"opt_step_size_key": ("step_size", 0.2), "opt_grad_tol_key": ("grad_tol", 1e-7),
                     "opt_retraction_key": ("retraction", "qr")}
 REMOVED_KEYS = [*REMOVED_OPT_KEYS, "fake_steps_per_gen_key", "out_dir_key", "plots_key"]
+# (command, section, key, value): keys the schema allows that the command would not read.
+UNREAD_KEYS = {"distill_eval_teacher": ("distill", "eval", "teacher", "runs/teacher.json"),
+               "distill_eval_generator": ("distill", "eval", "generator", "no/such/file.json"),
+               "sweep_eval_teacher": ("sigma-sweep", "eval", "teacher", "runs/teacher.json"),
+               "sweep_eval_generator": ("sigma-sweep", "eval", "generator", "runs/generator.json"),
+               "one_step_sample_steps": ("sample", "sample", "steps", 99)}
 NON_FINITE_LITERALS = {"lr_nan": ("train", "lr", "NaN"),
                        "sigma_max_infinity": ("schedule", "sigma_max", "Infinity"),
                        "lr_overflows_to_inf": ("train", "lr", "1e400")}
@@ -477,6 +496,14 @@ def bad_input(case, tmp_path):
     if case == "sweep_with_teacher":
         return "sigma-sweep", pipeline_config("sigma_sweep",
                                               distill={"teacher": str(teacher), "steps": 1})
+    if case in UNREAD_KEYS:
+        command, section, key, value = UNREAD_KEYS[case]
+        sections = {"distill": {"distill": {"teacher": str(teacher), "steps": 1}},
+                    "sigma-sweep": {"distill": {"steps": 1}},
+                    "sample": {"sample": {"source": str(teacher), "sampler": "one_step", "n": 5}}}
+        raw = pipeline_config(command.replace("-", "_"), **sections[command])
+        raw.setdefault(section, {})[key] = value
+        return command, raw
     assert case == "distill_mode_unpaired_with_teacher"
     return "distill", pipeline_config(
         "distill", distill={"teacher": str(teacher), "mode": "standard", "steps": 1})
@@ -499,7 +526,7 @@ class TestCliBadInput:
     @pytest.mark.parametrize("case", [*BAD_CHECKPOINTS, "sigma_min_above_sigma_max",
                                       "quad_points_key", *REMOVED_KEYS, "huge_linear_sigma",
                                       "rank_not_below_dim", *BAD_BASES,
-                                      "duplicate_sigma_hats", "sweep_with_teacher",
+                                      "duplicate_sigma_hats", "sweep_with_teacher", *UNREAD_KEYS,
                                       "sigma_hat_at_sigma_max", "distill_sigma_hat_at_sigma_max",
                                       "sweep_level_at_sigma_max",
                                       "distill_mode_unpaired_with_teacher", *NON_FINITE_LITERALS])
@@ -537,6 +564,84 @@ class TestCliBadInput:
         column = header.split(",").index("gen_grad_norm")
         norms = [float(row.split(",")[column]) for row in rows]
         assert len(norms) == 4 and all(norm > 0 for norm in norms[1:])  # step 0 has no update yet
+
+
+def save_net(path, layer_sizes):
+    """A freshly initialised net of ``layer_sizes`` saved as a valid checkpoint."""
+    net = DenseNet(list(layer_sizes), derive(0, 1))
+    save_checkpoint(str(path), net, "ambient", 0.05, NoiseSchedule(0.035, 1.0), "test")
+    return str(path)
+
+
+# Every command that reads a checkpoint, as (command, config sections for the checkpoint path).
+CHECKPOINT_READERS = {
+    "sample_one_step": ("sample", lambda c: {"sample": {"source": c, "sampler": "one_step", "n": 5}}),
+    "sample_full": ("sample", lambda c: {"sample": {"source": c, "sampler": "full", "n": 5, "steps": 2}}),
+    "eval_teacher": ("eval", lambda c: {"eval": {"teacher": c, "n_eval": 100, "sample_steps": 2}}),
+    "eval_generator": ("eval", lambda c: {"eval": {"generator": c, "n_eval": 100}}),
+    "distill_teacher": ("distill", lambda c: {"distill": {"teacher": c, "steps": 1, "batch_size": 8},
+                                              "eval": {"n_eval": 100}}),
+}
+NOT_2D_NETS = {"non_square": [3, 8, 3], "three_d": [4, 8, 3], "three_d_square": [4, 8, 4]}
+
+
+class TestCheckpointShapes:
+    @pytest.mark.parametrize("reader", CHECKPOINT_READERS)
+    @pytest.mark.parametrize("net", NOT_2D_NETS)
+    def test_net_not_on_2d_points_exits_2(self, net, reader, tmp_path, capsys):
+        command, sections = CHECKPOINT_READERS[reader]
+        ckpt = save_net(tmp_path / "net.json", NOT_2D_NETS[net])
+        cfg = write_cfg(tmp_path, pipeline_config(command, **sections(ckpt)))
+        capsys.readouterr()
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "2-D" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_mutated_checkpoint_exits_0_to_3(self, data):
+        """Any one field of a tiny valid checkpoint replaced or deleted: every
+        reader exits with a contract code, and an exit 2 writes nothing."""
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = pathlib.Path(tmp)
+            payload = json.loads(pathlib.Path(save_net(tmp / "valid.json", [3, 4, 2])).read_text())
+            path = data.draw(st.sampled_from(CHECKPOINT_FIELDS), label="field")
+            owner = payload
+            for step in path[:-1]:
+                owner = owner[step]
+            if data.draw(st.booleans(), label="delete"):
+                del owner[path[-1]]
+            else:
+                owner[path[-1]] = data.draw(JSON_VALUES, label="value")
+            ckpt = tmp / "mutated.json"
+            ckpt.write_text(json.dumps(payload))
+            command, sections = CHECKPOINT_READERS[data.draw(st.sampled_from(sorted(CHECKPOINT_READERS)),
+                                                             label="reader")]
+            cfg = write_cfg(tmp, pipeline_config(command, **sections(str(ckpt))))
+            # an uncaught exception would fail the test here, before the exit code
+            code = main([command, "--config", cfg, "--out", str(tmp / "out")])
+            assert code in (0, 1, 2, 3)
+            if code == 2:
+                assert not (tmp / "out").exists()
+
+
+# Paths into the [3, 4, 2] checkpoint that the fuzz replaces or deletes.
+CHECKPOINT_FIELDS = [("format",), ("version",), ("mode",), ("sigma_hat",), ("schedule",),
+                     ("schedule", "sigma_min"), ("schedule", "sigma_max"), ("layer_sizes",),
+                     ("layer_sizes", 0), ("layer_sizes", 1), ("layer_sizes", 2), ("weights",),
+                     ("weights", 0), ("weights", 1, 0), ("weights", 0, 2, 1), ("biases",),
+                     ("biases", 0), ("biases", 1, 1), ("provenance",)]
+# Half the values are edge cases a random draw seldom makes: integers past the
+# float range, fractional sizes, huge finite floats, non-finite floats.
+JSON_VALUES = st.sampled_from([10**400, -(10**400), 4.5, 1e308, -1e308, 0, -1, True, float("inf"),
+                               float("nan"), "", [], {}]) | st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text(max_size=4), children,
+                                                                       max_size=3),
+    max_leaves=8,
+)
 
 
 def blown_up_checkpoint(tmp_path):

@@ -7,7 +7,6 @@ from noisedistill import distill
 from noisedistill.distill import (
     DistillConfig,
     draw_perturbation,
-    eps_from_score,
     fake_update,
     generator_forward,
     generator_grad_dmd,
@@ -17,9 +16,8 @@ from noisedistill.distill import (
     init_distillation,
     loss_weights,
     run_distillation,
-    score_from_mean,
 )
-from noisedistill.errors import DomainError, PreconditionError
+from noisedistill.errors import PreconditionError
 from noisedistill.nets import DenseNet
 from noisedistill.rng import derive, make_rng
 from noisedistill.schedule import NoiseSchedule
@@ -73,32 +71,6 @@ class TestInit:
     def test_non_square_teacher_rejected(self):
         with pytest.raises(PreconditionError):
             init_distillation(DenseNet([3, 4, 1], derive(0, 1)), config())
-
-
-class TestScoreRelations:
-    def test_mean_equals_input_gives_zero(self):
-        x = np.array([0.3, -0.8])
-        s = score_from_mean(x, x, 0.5)
-        assert np.allclose(s, 0.0)
-        assert np.allclose(eps_from_score(s, 0.5), 0.0)
-
-    def test_direct_substitution(self):
-        s = score_from_mean(np.zeros(2), np.array([1.0, 0.0]), 1.0)
-        assert np.allclose(s, [-1.0, 0.0])
-
-    def test_roundtrip_epsilon_identity(self):
-        rng = make_rng(4)
-        f = rng.standard_normal((5, 2))
-        x_t = rng.standard_normal((5, 2))
-        sigma_t = rng.uniform(0.2, 2.0, 5)
-        eps = eps_from_score(score_from_mean(f, x_t, sigma_t), sigma_t)
-        assert np.allclose(eps, (x_t - f) / sigma_t[:, None], atol=1e-14)
-
-    def test_zero_sigma_rejected(self):
-        with pytest.raises(DomainError):
-            score_from_mean(np.zeros(2), np.ones(2), 0.0)
-        with pytest.raises(DomainError):
-            eps_from_score(np.zeros(2), 0.0)
 
 
 class TestEstimatorZeros:

@@ -14,7 +14,6 @@ from noisedistill.errors import (
 from noisedistill.gaussians import (
     EigenDecomp,
     LowRankGaussian,
-    apply_inverse,
     fit_gaussian,
     sample,
     structured_inverse,
@@ -100,14 +99,6 @@ class TestStructuredInverse:
         with pytest.raises(SingularCovarianceError):
             structured_inverse(g)
 
-    def test_apply_inverse_matches_dense_solve(self):
-        rng = make_rng(13)
-        g = random_gaussian(rng, d=7)
-        x = rng.standard_normal(7)
-        assert np.allclose(apply_inverse(g, x), np.linalg.solve(g.dense_cov(), x), atol=1e-10)
-        batch = rng.standard_normal((5, 7))
-        expected = np.linalg.solve(g.dense_cov(), batch.T).T
-        assert np.allclose(apply_inverse(g, batch), expected, atol=1e-10)
 
 
 def dense_bures(a, b):

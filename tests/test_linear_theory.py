@@ -1,4 +1,4 @@
-"""Exact linear-Gaussian theory: scores, losses, minimizers, W2 accounting."""
+"""Exact linear-Gaussian theory: losses, minimizers, W2 accounting."""
 
 import numpy as np
 import pytest
@@ -10,11 +10,9 @@ from noisedistill.linear_theory import (
     LinearModel,
     analytic_minimizer,
     eigenvalue_loss_profile,
-    generator_score,
     loss_closed_form,
     loss_integrand,
     loss_monte_carlo,
-    noisy_score,
     principal_angles,
     trace_maximizer_check,
     wasserstein_report,
@@ -35,61 +33,6 @@ def random_model(rng, d=5, r=2, sigma=0.3):
 
 def random_params(rng, d, r):
     return GeneratorParams(u=frame(d, r, rng), v=rng.standard_normal((d, r)))
-
-
-class TestScores:
-    def test_noisy_score_zero_at_origin(self):
-        m = random_model(make_rng(1))
-        assert np.allclose(noisy_score(m, 0.2, np.zeros(5)), 0.0)
-
-    def test_noisy_score_orthogonal_direction(self):
-        rng = make_rng(2)
-        m = random_model(rng)
-        x = rng.standard_normal(5)
-        x_perp = x - m.basis @ (m.basis.T @ x)
-        st = 0.4
-        expected = -x_perp / (m.sigma**2 + st**2)
-        assert np.allclose(noisy_score(m, st, x_perp), expected, atol=1e-12)
-
-    def test_noisy_score_dense_solve_oracle(self):
-        rng = make_rng(3)
-        m = random_model(rng)
-        x = rng.standard_normal(5)
-        st = 0.7
-        cov = m.basis @ m.basis.T + (m.sigma**2 + st**2) * np.eye(5)
-        assert np.allclose(noisy_score(m, st, x), -np.linalg.solve(cov, x), atol=1e-10)
-
-    def test_generator_score_spiked_direction(self):
-        rng = make_rng(4)
-        d, r, c, st = 6, 2, 1.7, 0.3
-        u = frame(d, r, rng)
-        p = GeneratorParams(u=u, v=np.sqrt(c) * u)  # V^T V = c I
-        x = u @ rng.standard_normal(r)
-        assert np.allclose(generator_score(p, st, x), -x / (c + st**2), atol=1e-12)
-
-    def test_generator_score_orthogonal_direction(self):
-        rng = make_rng(5)
-        d, r, st = 6, 2, 0.25
-        p = random_params(rng, d, r)
-        x = rng.standard_normal(d)
-        x_perp = x - p.u @ (p.u.T @ x)
-        assert np.allclose(generator_score(p, st, x_perp), -x_perp / st**2, atol=1e-10)
-
-    def test_generator_score_dense_solve_oracle(self):
-        rng = make_rng(6)
-        d, r, st = 6, 2, 0.45
-        p = random_params(rng, d, r)
-        x = rng.standard_normal(d)
-        cov = p.u @ p.gram() @ p.u.T + st**2 * np.eye(d)
-        assert np.allclose(generator_score(p, st, x), -np.linalg.solve(cov, x), atol=1e-10)
-
-    def test_generator_score_batch_matches_loop(self):
-        rng = make_rng(7)
-        p = random_params(rng, 5, 2)
-        xs = rng.standard_normal((4, 5))
-        batch = generator_score(p, 0.3, xs)
-        for i in range(4):
-            assert np.allclose(batch[i], generator_score(p, 0.3, xs[i]), atol=1e-12)
 
 
 class TestClosedFormLoss:

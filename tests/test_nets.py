@@ -69,8 +69,10 @@ class TestForward:
     def test_silu_derivative_identity(self):
         z = np.linspace(-6, 6, 100)
         h = 1e-6
-        numeric = (silu(z + h) - silu(z - h)) / (2 * h)
-        assert np.allclose(silu_grad(z), numeric, atol=1e-8)
+        numeric = (silu(z + h, np.empty_like(z)) - silu(z - h, np.empty_like(z))) / (2 * h)
+        denom = np.empty_like(z)
+        silu(z, denom)
+        assert np.allclose(silu_grad(z, denom), numeric, atol=1e-8)
 
 
 class TestBackward:
@@ -184,17 +186,15 @@ class TestKernelsBitwise:
 
     def test_silu_matches_formula(self):
         with np.errstate(over="ignore"):
-            assert np.array_equal(silu(self.Z), reference_silu(self.Z))
+            assert np.array_equal(silu(self.Z, np.empty_like(self.Z)), reference_silu(self.Z))
 
     def test_silu_grad_from_stored_denominator(self):
         denom = np.empty_like(self.Z)
         with np.errstate(over="ignore"):
             silu(self.Z, denom)
             from_denom = silu_grad(self.Z, denom)
-            recomputed = silu_grad(self.Z)
             reference = reference_silu_grad(self.Z)
-        assert np.array_equal(from_denom, recomputed)
-        assert np.array_equal(recomputed, reference)
+        assert np.array_equal(from_denom, reference)
 
     def test_silu_grad_writes_into_given_buffers(self):
         denom, out, work = np.empty_like(self.Z), np.empty_like(self.Z), np.empty_like(self.Z)
@@ -208,7 +208,7 @@ class TestKernelsBitwise:
     def test_silu_writes_activation_over_input(self):
         z = self.Z.copy()
         with np.errstate(over="ignore"):
-            out = silu(z, out=z)
+            out = silu(z, np.empty_like(z), out=z)
             assert out is z
             assert np.array_equal(z, reference_silu(self.Z))
 

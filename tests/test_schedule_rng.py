@@ -51,6 +51,10 @@ class TestNoiseSchedule:
             NoiseSchedule(0.0, 1.0)
         with pytest.raises(PreconditionError):
             NoiseSchedule(2.0, 1.0)
+        with pytest.raises(PreconditionError):
+            NoiseSchedule(0.02, np.inf)
+        with pytest.raises(PreconditionError):
+            NoiseSchedule(0.02, np.nan)
 
 
 class TestRng:
