@@ -88,7 +88,7 @@ def _pretrain(cfg: ExperimentConfig, data, out: str, section: dict):
     tcfg = _train_config(cfg, section)
     dim = data.points.shape[1]
     net = DenseNet([dim + 1, *tcfg.hidden, dim], derive(cfg.seed, 201))
-    net, curve = pretrain(net, data, tcfg)
+    curve = pretrain(net, data, tcfg)
 
     save_checkpoint(os.path.join(out, "teacher.json"), net, tcfg.mode, tcfg.sigma_hat,
                     tcfg.schedule, provenance(cfg))
@@ -139,10 +139,7 @@ def _distill(cfg: ExperimentConfig, data, out: str, teacher, section: dict) -> l
     save("generator.json", state.generator)
     save("fake.json", state.fake)
     selection = select_best_checkpoint(history)
-    write_csv_atomic(os.path.join(out, "selection.csv"), cfg,
-                     ["selected_step", "proximal_fid", "frechet_clean", "best_frechet_clean"],
-                     [[selection.step, selection.proximal_fid, selection.frechet_to_clean,
-                       selection.best_frechet_to_clean]])
+    write_csv_atomic(os.path.join(out, "selection.csv"), cfg, list(selection), [selection])
     if cfg.plots:
         z = derive(cfg.seed, 402).standard_normal((2048, net.data_dim))
         emit_scatter_svg([("generator", generator_forward(state.generator, z, schedule)),

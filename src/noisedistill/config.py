@@ -131,13 +131,16 @@ SCHEMA = {
     },
 }
 
-_REQUIRED_SECTIONS = {
-    "verify": ["linear"],
-    "pretrain": ["dataset", "train"],
-    "distill": ["dataset", "distill"],
-    "sample": ["sample"],
-    "eval": ["dataset", "eval"],
-    "sigma_sweep": ["dataset", "train", "distill"],
+# The sections each kind reads, True for the required ones; any other section
+# is rejected.
+SECTIONS = {
+    "verify": {"linear": True, "schedule": False},
+    "pretrain": {"dataset": True, "train": True, "schedule": False},
+    "distill": {"dataset": True, "distill": True, "schedule": False, "eval": False},
+    "sample": {"sample": True},
+    "eval": {"dataset": True, "eval": True, "schedule": False},
+    "sigma_sweep": {"dataset": True, "train": True, "distill": True, "schedule": False,
+                    "eval": False, "sweep": False},
 }
 
 # Built once: ``jsonschema.validate`` would re-check the constant SCHEMA against
@@ -183,8 +186,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
     if error is not None:
         path = "/".join(str(p) for p in error.absolute_path) or "<root>"
         raise ConfigError(f"config invalid at {path}: {error.message}") from error
-    for section in _REQUIRED_SECTIONS[raw["kind"]]:
-        if section not in raw:
+    for section, required in SECTIONS[raw["kind"]].items():
+        if required and section not in raw:
             raise ConfigError(f"kind {raw['kind']!r} requires a {section!r} section")
     unread = _unread_keys(raw)
     if unread:
@@ -193,12 +196,13 @@ def parse_config(raw: dict) -> ExperimentConfig:
 
 
 def _unread_keys(raw: dict) -> list[str]:
-    """Keys the schema allows in every kind that this config's command would
-    drop: ``distill`` and ``sigma_sweep`` evaluate their own generator,
+    """Sections and keys the schema allows in every kind that this config's
+    command would drop: the sections outside its ``SECTIONS`` entry, and
+    within them, ``distill`` and ``sigma_sweep`` evaluate their own generator,
     ``sigma_sweep`` pretrains its own teachers, and the one-step sampler takes
     no steps."""
     kind = raw["kind"]
-    unread = []
+    unread = [key for key in raw if key not in (*SCHEMA["required"], *SECTIONS[kind])]
     if kind in ("distill", "sigma_sweep"):
         unread += [f"eval.{key}" for key in ("teacher", "generator") if key in raw.get("eval", {})]
     if kind == "sigma_sweep" and "teacher" in raw["distill"]:

@@ -79,10 +79,9 @@ def denoising_loss(
     if y.shape[0] < 1:
         raise PreconditionError("batch must be nonempty")
     n = y.shape[0]
-    t = schedule.sample_t(rng, n)
+    sigma_t = np.maximum(schedule.sample_sigma(rng, n), sigma_hat)
     eps = rng.standard_normal(y.shape)
 
-    sigma_t = np.maximum(schedule.sigma(t), sigma_hat)
     st2 = (sigma_t**2)[:, None]
     w_net = (st2 - sigma_hat**2) / st2
     w_skip = sigma_hat**2 / st2
@@ -92,20 +91,20 @@ def denoising_loss(
     resid = w_net * out + w_skip * x_t - y
     loss = float(np.mean(np.sum(resid**2, axis=1)))
     upstream = (2.0 / n) * w_net * resid
-    grads, _ = net.backward(cache, upstream)
-    return loss, grads
+    return loss, net.backward(cache, upstream)
 
 
 def pretrain(
     net: DenseNet,
     data,
     cfg: TrainConfig,
-) -> tuple[DenseNet, list[float]]:
-    """Train a denoiser on the dataset's noisy points; returns (net, loss curve).
+) -> list[float]:
+    """Train ``net`` in place on the dataset's noisy points; returns the loss
+    curve, one value per step.
 
     ``cfg.mode='ambient'`` uses the adjusted objective at cfg.sigma_hat,
-    ``cfg.mode='standard'`` the plain objective.  Training mutates ``net`` in
-    place; zero steps leave it untouched.  A non-finite loss, or one above
+    ``cfg.mode='standard'`` the plain objective.  Zero steps leave ``net``
+    untouched.  A non-finite loss, or one above
     DIVERGENCE_THRESHOLD times max(1, E||y||^2) over the noisy points, aborts.
     E||y||^2 is the plain loss of a net that predicts zero, so the limit scales
     with the data: large data alone is not read as divergence, but a model
@@ -126,9 +125,9 @@ def pretrain(
                 diagnostics={"step": step, "loss": loss, "limit": limit, "mode": cfg.mode},
             )
         opt.lr = cfg.lr * cosine_decay(step, cfg.steps)
-        opt.step(net.parameters(), grads)
+        opt.step(grads)
         curve.append(loss)
-    return net, curve
+    return curve
 
 
 def guard_samples(x: np.ndarray, source: str) -> np.ndarray:

@@ -166,8 +166,7 @@ def generator_grad_sds(
     eps_phi = (p.x_t - f_phi) / p.sigma_t[:, None]
     w = loss_weights(state.cfg.weighting, p.sigma_t, f_phi, p.x_g)
     upstream = w * (eps_phi - p.eps) / n
-    grads, _ = state.generator.backward(p.cache_g, upstream)
-    return grads
+    return state.generator.backward(p.cache_g, upstream)
 
 
 def generator_grad_dmd(
@@ -184,8 +183,7 @@ def generator_grad_dmd(
     f_psi = state.fake.forward(p.x_t, p.sigma_t)
     w = loss_weights(state.cfg.weighting, p.sigma_t, f_phi, p.x_g)
     upstream = w * (f_psi - f_phi) / (p.sigma_t**2)[:, None] / n
-    grads, _ = state.generator.backward(p.cache_g, upstream)
-    return grads
+    return state.generator.backward(p.cache_g, upstream)
 
 
 def generator_grad_sid(
@@ -212,8 +210,7 @@ def generator_grad_sid(
     dxt_fake = state.fake.backward(cache_psi, vec_fake, params=False)
     dxt_teacher = state.teacher.backward(cache_phi, vec_teacher, params=False)
     upstream_xg = dxt_fake + dxt_teacher + w * diff
-    grads, _ = state.generator.backward(p.cache_g, upstream_xg)
-    return grads
+    return state.generator.backward(p.cache_g, upstream_xg)
 
 
 _GRAD_FNS = {
@@ -236,7 +233,7 @@ def fake_update(state: DistillState, rng: np.random.Generator) -> float:
     y_tilde = x_g + cfg.sigma_hat * eps_c
     sigma_hat_eff = cfg.sigma_hat if cfg.mode == "adjusted" else 0.0
     loss, grads = denoising_loss(state.fake, y_tilde, sigma_hat_eff, cfg.schedule, rng)
-    state.fake_opt.step(state.fake.parameters(), grads)
+    state.fake_opt.step(grads)
     return loss
 
 
@@ -246,7 +243,7 @@ def generator_update(state: DistillState, rng: np.random.Generator) -> float:
     z = rng.standard_normal((cfg.batch_size, state.generator.data_dim))
     grads = _GRAD_FNS[cfg.method](state, z, rng)
     grad_norm = float(np.sqrt(sum(np.sum(g * g) for g in grads)))
-    state.gen_opt.step(state.generator.parameters(), grads)
+    state.gen_opt.step(grads)
     return grad_norm
 
 
@@ -254,7 +251,7 @@ def run_distillation(
     teacher: DenseNet,
     cfg: DistillConfig,
     teacher_mode: str,
-    eval_hook=None,
+    eval_hook,
 ) -> tuple[DistillState, list[dict]]:
     """Alternate fake and generator updates for cfg.steps iterations.
 
@@ -277,8 +274,7 @@ def run_distillation(
 
     def record(step: int, fake_loss: float, grad_norm: float):
         row = {"step": step, "fake_loss": fake_loss, "gen_grad_norm": grad_norm}
-        if eval_hook is not None:
-            row.update(eval_hook(state))
+        row.update(eval_hook(state))
         state.history.append(row)
 
     record(0, float("nan"), float("nan"))

@@ -2,21 +2,11 @@
 
 
 class PreconditionError(ValueError):
-    """An input violates a documented precondition (bad shape, non-orthonormal
-    factor, parameters outside the constraint set, ...)."""
-
-
-class DomainError(ValueError):
-    """The inputs are structurally valid but outside the operation's domain
-    (non-commuting covariances, sigma_t = 0, u <= 0, ...)."""
-
-
-class SingularCovarianceError(DomainError):
-    """A covariance with a zero isotropic floor cannot be inverted."""
-
-
-class InsufficientDataError(ValueError):
-    """Too few samples to estimate the requested quantity."""
+    """An input violates a documented precondition: a bad shape, a
+    non-orthonormal factor, parameters outside the constraint set, inputs
+    outside an operation's domain (non-commuting covariances, u <= 0, a
+    singular covariance) or too few samples for an estimate.  The CLI exits
+    2 on it."""
 
 
 class StalledOptimizationError(RuntimeError):

@@ -19,12 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    InsufficientDataError,
-    PreconditionError,
-    SingularCovarianceError,
-)
+from .errors import PreconditionError
 
 ORTHONORMAL_TOL = 1e-10
 COMMUTE_TOL = 1e-8
@@ -95,7 +90,7 @@ def structured_inverse(g: LowRankGaussian) -> tuple[float, float]:
     downdate form with ``floor_inv = 1/c`` and ``correction = s / (c (c+s))``.
     """
     if g.floor == 0:
-        raise SingularCovarianceError("covariance with floor = 0 is singular")
+        raise PreconditionError("covariance with floor = 0 is singular")
     floor_inv = 1.0 / g.floor
     correction = g.spike / (g.floor * (g.floor + g.spike))
     return floor_inv, correction
@@ -120,7 +115,7 @@ def w2_commuting(a: LowRankGaussian, b: LowRankGaussian) -> float:
         m = fa @ cross @ fb.T
         comm_norm = a.spike * b.spike * np.max(np.abs(m - m.T))
         if comm_norm > COMMUTE_TOL:
-            raise DomainError(
+            raise PreconditionError(
                 f"covariances do not commute: commutator max-norm {comm_norm:.3e} > {COMMUTE_TOL:.0e}"
             )
 
@@ -174,7 +169,7 @@ def fit_gaussian(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise PreconditionError(f"expected an n x d sample matrix, got shape {x.shape}")
     n = x.shape[0]
     if n < 2:
-        raise InsufficientDataError(f"need at least 2 samples to fit a covariance, got {n}")
+        raise PreconditionError(f"need at least 2 samples to fit a covariance, got {n}")
     mean = x.mean(axis=0)
     centered = x - mean
     cov = centered.T @ centered / (n - 1)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, PreconditionError
+from .errors import PreconditionError
 from .gaussians import COMMUTE_TOL, LowRankGaussian, check_orthonormal, w2_commuting
 from .schedule import NoiseSchedule
 
@@ -168,25 +168,18 @@ def loss_monte_carlo(
     return estimate, stderr
 
 
-def analytic_minimizer(m: LinearModel, q: np.ndarray | None = None) -> GeneratorParams:
-    """A global minimizer of the loss: U = E Q and V^T V = (1 + sigma^2) I.
+def analytic_minimizer(m: LinearModel) -> GeneratorParams:
+    """A global minimizer of the loss: U = E and V = sqrt(1 + sigma^2) E, so
+    V^T V = (1 + sigma^2) I.
 
-    Any orthogonal Q yields the same induced distribution N(0, (1+sigma^2) EE^T);
-    V is realized on the frame E Q itself so its Gram matrix is a multiple of
-    the identity by construction.
+    Every U = E Q with Q orthogonal (and V on the same frame) induces the same
+    distribution N(0, (1+sigma^2) EE^T) and attains the same loss.
     """
-    r = m.rank
-    if q is None:
-        q = np.eye(r)
-    q = np.asarray(q, dtype=float)
-    if q.shape != (r, r) or np.max(np.abs(q.T @ q - np.eye(r))) > 1e-10:
-        raise PreconditionError("q must be an r x r orthogonal matrix")
-    frame = m.basis @ q
-    return GeneratorParams(u=frame, v=np.sqrt(1.0 + m.sigma**2) * frame)
+    return GeneratorParams(u=m.basis, v=np.sqrt(1.0 + m.sigma**2) * m.basis)
 
 
 def principal_angles(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Canonical angles between col(a) and col(b), ascending, in radians."""
+    """Canonical angles between col(a) and col(b) in radians, largest first."""
     qa, _ = np.linalg.qr(np.asarray(a, dtype=float))
     qb, _ = np.linalg.qr(np.asarray(b, dtype=float))
     cosines = np.linalg.svd(qa.T @ qb, compute_uv=False)
@@ -220,7 +213,7 @@ def wasserstein_report(m: LinearModel, p: GeneratorParams) -> WassersteinReport:
     lam, s = np.linalg.eigh(w)
     misfit = float(np.max(np.abs(proj @ w @ (p.u.T - proj.T @ m.basis.T))))
     if misfit > COMMUTE_TOL * lam[-1]:
-        raise DomainError(
+        raise PreconditionError(
             "generator covariance does not commute with the data covariance: "
             f"max |E^T C (I - E E^T)| = {misfit:.3e} > {COMMUTE_TOL:.0e} * lambda_max(V^T V); "
             "align col(U) with col(E) or its complement"
@@ -247,7 +240,7 @@ def eigenvalue_loss_profile(u: float, sigma: float, s: NoiseSchedule) -> float:
     whose unique minimizer is u = 1 + sigma^2 for every bounded schedule.
     """
     if u <= 0:
-        raise DomainError(f"the profile is defined for u > 0, got {u}")
+        raise PreconditionError(f"the profile is defined for u > 0, got {u}")
     nodes, weights = s.quadrature()
     st2 = s.sigma(nodes) ** 2
     vals = u / (sigma**2 + st2 + 1.0) ** 2 - u / (st2 * (u + st2))

@@ -9,13 +9,11 @@ training set, so it needs no clean data at all.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .diffusion import SAMPLER_STEPS, ambient_sample, guard_samples
 from .distill import generator_forward
-from .errors import InsufficientDataError, PreconditionError
+from .errors import PreconditionError
 from .gaussians import fit_gaussian, symmetric_eigen
 from .rng import derive
 from .toydata import sample_clean
@@ -75,7 +73,7 @@ def proximal_fid(
     gen_samples = np.atleast_2d(np.asarray(gen_samples, dtype=float))
     noisy_reference = np.atleast_2d(np.asarray(noisy_reference, dtype=float))
     if gen_samples.shape[0] < MIN_METRIC_SAMPLES or noisy_reference.shape[0] < MIN_METRIC_SAMPLES:
-        raise InsufficientDataError(
+        raise PreconditionError(
             f"need at least {MIN_METRIC_SAMPLES} points per set, got "
             f"{gen_samples.shape[0]} and {noisy_reference.shape[0]}"
         )
@@ -159,29 +157,23 @@ def evaluate_sources(
     return rows
 
 
-@dataclass(frozen=True)
-class CheckpointSelection:
-    step: int
-    proximal_fid: float
-    frechet_to_clean: float  # true metric at the selected checkpoint, when known
-    best_frechet_to_clean: float  # the run's true minimum, for the report
-
-
-def select_best_checkpoint(history: list[dict]) -> CheckpointSelection:
+def select_best_checkpoint(history: list[dict]) -> dict:
     """Pick the checkpoint minimizing proximal FID (earliest step on ties).
 
-    ``history`` rows need ``step`` and ``proximal_fid``; when rows also carry
-    ``frechet_clean`` (the metric-history column) the selection reports the
-    true metric at the chosen step next to the run's true minimum.
+    ``history`` rows need ``step`` and ``proximal_fid``.  Returns the
+    ``selection.csv`` row, keyed by its columns: ``selected_step``, its
+    ``proximal_fid`` and ``frechet_clean`` (nan when the row has none), and
+    ``best_frechet_clean``, the run's true minimum over the rows with a
+    proximal FID.
     """
     rows = [r for r in history if np.isfinite(r.get("proximal_fid", np.nan))]
     if not rows:
-        raise InsufficientDataError("history has no rows with a proximal_fid value")
+        raise PreconditionError("history has no rows with a proximal_fid value")
     chosen = min(rows, key=lambda r: (r["proximal_fid"], r["step"]))
     true_vals = [r["frechet_clean"] for r in rows if np.isfinite(r.get("frechet_clean", np.nan))]
-    return CheckpointSelection(
-        step=int(chosen["step"]),
-        proximal_fid=float(chosen["proximal_fid"]),
-        frechet_to_clean=float(chosen.get("frechet_clean", np.nan)),
-        best_frechet_to_clean=float(min(true_vals)) if true_vals else float("nan"),
-    )
+    return {
+        "selected_step": int(chosen["step"]),
+        "proximal_fid": float(chosen["proximal_fid"]),
+        "frechet_clean": float(chosen.get("frechet_clean", np.nan)),
+        "best_frechet_clean": float(min(true_vals)) if true_vals else float("nan"),
+    }

@@ -35,13 +35,12 @@ def silu(z: np.ndarray, denom: np.ndarray, out: np.ndarray | None = None) -> np.
     return np.divide(z, denom, out=out)
 
 
-def silu_grad(z: np.ndarray, denom: np.ndarray, out: np.ndarray | None = None,
-              work: np.ndarray | None = None) -> np.ndarray:
+def silu_grad(z: np.ndarray, denom: np.ndarray, out: np.ndarray, work: np.ndarray) -> np.ndarray:
     """d silu / dz = s (1 + z (1 - s)) with s = 1 / denom, where ``denom`` is
     the 1 + exp(-z) that ``silu`` stored.
 
-    ``out`` receives the result and ``work`` (shaped like ``z``) the factor
-    1 + z (1 - s); each is allocated when not given.
+    ``out`` receives the result and ``work`` (both shaped like ``z``) the
+    factor 1 + z (1 - s).
     """
     s = np.divide(1.0, denom, out=out)
     g = np.subtract(1.0, s, out=work)
@@ -170,14 +169,15 @@ class DenseNet:
             h = z
 
     def backward(self, cache, upstream: np.ndarray, params: bool = True):
-        """Reverse pass: gradients of sum(upstream * output) in params and input.
+        """Reverse pass: the gradient of sum(upstream * output) in the
+        parameters or, with ``params=False``, in the input.
 
-        Returns ``(grads, d_input)`` where ``grads`` matches the structure of
-        ``parameters()`` and ``d_input`` is the (n, data_dim) gradient with
-        respect to the data part of the input (the sigma channel is treated
-        as a constant).  With ``params=False`` the parameter gradients are
-        skipped and only ``d_input`` is returned.  Neither ``cache`` nor
-        ``upstream`` is modified, and the returned arrays are fresh.
+        Returns the parameter gradients, structured like ``parameters()``; the
+        input layer's product delta @ W[0] is then skipped.  With
+        ``params=False`` it returns only the (n, data_dim) gradient with
+        respect to the data part of the input (the sigma channel is treated as
+        a constant), and no parameter gradient is formed.  Neither ``cache``
+        nor ``upstream`` is modified, and the returned arrays are fresh.
 
         The hidden-width temporaries go to three flat buffers that the net
         keeps across calls (see ``_reverse_buffers``), so a training step maps
@@ -203,13 +203,12 @@ class DenseNet:
             if params:
                 w_grads[i] = delta.T @ acts[i]
                 b_grads[i] = delta.sum(axis=0)
-            if i == 0:  # the input layer's product is small and returned: fresh
-                delta = delta @ self.weights[0]
-            else:
+            if i > 0:
                 delta = np.matmul(delta, self.weights[i], out=view(spare, self.layer_sizes[i]))
                 held, spare = spare, held
-        d_input = delta[:, : self.data_dim]
-        return (w_grads + b_grads, d_input) if params else d_input
+        if params:
+            return w_grads + b_grads
+        return (delta @ self.weights[0])[:, : self.data_dim]  # small and returned: fresh
 
     def _reverse_buffers(self, rows: int) -> tuple:
         """Three flat buffers of at least ``rows`` times the widest hidden
@@ -258,9 +257,11 @@ def cosine_decay(step: int, steps: int) -> float:
 
 
 class Adam:
-    """Adam with the fixed constants beta1=0.9, beta2=0.999, eps=1e-8."""
+    """Adam with the fixed constants beta1=0.9, beta2=0.999, eps=1e-8, over the
+    ``params`` it is built on: live arrays that ``step`` updates in place."""
 
     def __init__(self, params: list[np.ndarray], lr: float):
+        self.params = params
         self.lr = lr
         self.beta1 = 0.9
         self.beta2 = 0.999
@@ -269,11 +270,12 @@ class Adam:
         self.m = [np.zeros_like(p) for p in params]
         self.v = [np.zeros_like(p) for p in params]
 
-    def step(self, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
+    def step(self, grads: list[np.ndarray]) -> None:
+        """One update of every parameter along ``grads``, ordered like ``params``."""
         self.t += 1
         b1c = 1.0 - self.beta1**self.t
         b2c = 1.0 - self.beta2**self.t
-        for p, g, m, v in zip(params, grads, self.m, self.v):
+        for p, g, m, v in zip(self.params, grads, self.m, self.v):
             m *= self.beta1
             m += (1.0 - self.beta1) * g
             v *= self.beta2

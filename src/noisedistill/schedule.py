@@ -46,11 +46,9 @@ class NoiseSchedule:
         out = self.sigma_min * ratio**t
         return float(out) if out.ndim == 0 else out
 
-    def sample_t(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return rng.uniform(0.0, 1.0, size=n)
-
     def sample_sigma(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return self.sigma(self.sample_t(rng, n))
+        """Noise levels at ``n`` times drawn from Unif(0, 1)."""
+        return self.sigma(rng.uniform(0.0, 1.0, size=n))
 
     def quadrature(self) -> tuple[np.ndarray, np.ndarray]:
         """Read-only nodes and weights of the one rule every average over

@@ -10,13 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import StalledOptimizationError
-from .linear_theory import (
-    GeneratorParams,
-    LinearModel,
-    loss_closed_form,
-    principal_angles,
-    require_theta,
-)
+from .linear_theory import GeneratorParams, LinearModel, loss_closed_form, require_theta
 from .rng import make_rng
 from .schedule import NoiseSchedule
 
@@ -26,7 +20,6 @@ VTV_FLOOR = 1e-10
 STIEFEL_TOL = 1e-10
 STEP_SIZE = 0.2  # first trial step of the line search
 GRAD_TOL = 1e-7  # Riemannian gradient norm that counts as converged
-MAX_ITERS = 2000  # iteration budget of one descent when the caller names none
 
 
 @dataclass
@@ -36,16 +29,12 @@ class OptTrace:
     iters: list = field(default_factory=list)
     losses: list = field(default_factory=list)
     grad_norms: list = field(default_factory=list)
-    angle_max: list = field(default_factory=list)
-    vtv_dev: list = field(default_factory=list)
     converged: bool = False
 
-    def append(self, it, loss, grad_norm, angle, dev):
+    def append(self, it, loss, grad_norm):
         self.iters.append(int(it))
         self.losses.append(float(loss))
         self.grad_norms.append(float(grad_norm))
-        self.angle_max.append(float(angle))
-        self.vtv_dev.append(float(dev))
 
 
 def euclidean_gradient(m: LinearModel, p: GeneratorParams, s: NoiseSchedule) -> tuple[np.ndarray, np.ndarray]:
@@ -145,18 +134,19 @@ def optimize(
     m: LinearModel,
     p0: GeneratorParams,
     s: NoiseSchedule,
-    max_iters: int = MAX_ITERS,
+    max_iters: int,
 ) -> tuple[GeneratorParams, OptTrace]:
-    """Run descent until the Riemannian gradient norm drops below GRAD_TOL.
+    """Run descent until the Riemannian gradient norm drops below GRAD_TOL, for
+    at most ``max_iters`` steps.
 
     Returns the last iterate, the one the trace's final row describes, and the
-    trace; non-convergence within max_iters is reported through
-    ``trace.converged`` rather than an error.  Every accepted step passes the
-    Armijo test, so no step raises the loss and the last iterate has the lowest.
+    trace of (iteration, loss, gradient norm) per iterate; non-convergence is
+    reported through ``trace.converged`` rather than an error.  Every accepted
+    step passes the Armijo test, so no step raises the loss and the last
+    iterate has the lowest.
     """
     require_theta(p0, tol=STIEFEL_TOL)
     trace = OptTrace()
-    target_gram = (1.0 + m.sigma**2) * np.eye(m.rank)
 
     p = p0
     loss = loss_closed_form(m, p, s)
@@ -166,9 +156,7 @@ def optimize(
         du, dv = euclidean_gradient(m, p, s)
         xi = tangent_project(p.u, du)
         grad_norm = float(np.sqrt(np.sum(xi * xi) + np.sum(dv * dv)))
-        angle = float(principal_angles(p.u, m.basis)[0])
-        dev = float(np.linalg.norm(p.gram() - target_gram))
-        trace.append(it, loss, grad_norm, angle, dev)
+        trace.append(it, loss, grad_norm)
 
         if grad_norm <= GRAD_TOL:
             trace.converged = True

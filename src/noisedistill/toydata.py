@@ -36,7 +36,6 @@ class ToyDataset:
     clean: np.ndarray  # n x 2, pre-corruption counterparts
     kind: str
     sigma_data: float
-    seed: int
 
     def __post_init__(self):
         if self.points.shape[0] < MIN_POINTS:
@@ -78,4 +77,4 @@ def make_dataset(kind: str, n: int, sigma_data: float, seed: int) -> ToyDataset:
     rng = derive(seed, 0)
     clean = sample_clean(kind, n, rng)
     noisy = clean + sigma_data * rng.standard_normal(clean.shape)
-    return ToyDataset(points=noisy, clean=clean, kind=kind, sigma_data=sigma_data, seed=seed)
+    return ToyDataset(points=noisy, clean=clean, kind=kind, sigma_data=sigma_data)

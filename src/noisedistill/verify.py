@@ -30,13 +30,14 @@ from .linear_theory import (
     eigenvalue_loss_profile,
     loss_closed_form,
     loss_monte_carlo,
+    principal_angles,
     trace_maximizer_check,
     wasserstein_report,
 )
 from .metrics import frechet_gaussian
 from .rng import derive
 from .schedule import NoiseSchedule
-from .stiefel import MAX_ITERS, optimize, random_params, retract
+from .stiefel import optimize, random_params, retract
 
 
 @dataclass(frozen=True)
@@ -227,13 +228,17 @@ def check_descent_recovery(
     max_iters: int,
     basis: np.ndarray | None,
 ) -> CheckResult:
-    """Riemannian descent from random starts reaches the minimizer family."""
+    """Riemannian descent from random starts reaches the minimizer family: the
+    final U spans the data frame (largest principal angle) and V^T V is
+    (1 + sigma^2) I (Frobenius deviation), each within 1e-3."""
     model = LinearModel(basis=_frame(dim, rank, basis, 9), sigma=sigma)
+    target_gram = (1.0 + sigma**2) * np.eye(rank)
     successes = 0
     for k in range(seeds):
         p0 = random_params(dim, rank, seed=1000 + k)
-        p_final, trace = optimize(model, p0, schedule, max_iters)
-        if trace.angle_max[-1] <= 1e-3 and trace.vtv_dev[-1] <= 1e-3:
+        p_final, _ = optimize(model, p0, schedule, max_iters)
+        if (principal_angles(p_final.u, model.basis)[0] <= 1e-3
+                and np.linalg.norm(p_final.gram() - target_gram) <= 1e-3):
             successes += 1
     needed = math.ceil(0.9 * seeds)
     return CheckResult("descent_recovers_minimizer", float(successes), float(needed),
@@ -273,7 +278,7 @@ def run_verification(
     schedule: NoiseSchedule,
     basis: np.ndarray | None,
     seeds: int = 20,
-    max_iters: int = MAX_ITERS,
+    max_iters: int = 2000,
     mc_instances: int = 20,
     mc_samples: int = 100000,
 ) -> list[CheckResult]:

@@ -22,6 +22,7 @@ from noisedistill import cli, parallel, stiefel
 from noisedistill.cli import main
 from noisedistill.config import (
     SCHEMA,
+    SECTIONS,
     format_cell,
     from_section,
     load_config,
@@ -39,6 +40,7 @@ from noisedistill.rng import derive
 from noisedistill.schedule import NoiseSchedule
 from noisedistill.svgplot import emit_scatter_svg
 from noisedistill.toydata import make_dataset
+from noisedistill.verify import run_verification
 
 
 def verify_config(**overrides):
@@ -61,15 +63,16 @@ def verify_config(**overrides):
 
 
 def pipeline_config(kind, **sections):
-    raw = {
-        "version": 1,
-        "kind": kind,
-        "seed": 3,
+    """A small ``kind`` config: the base sections that ``kind`` reads, then
+    ``sections`` (any keys, read or not) on top."""
+    base = {
         "dataset": {"kind": "ring", "n": 256, "sigma_data": 0.05},
         "schedule": {"sigma_min": 0.035, "sigma_max": 1.0},
         "train": {"batch_size": 64, "lr": 1e-3, "steps": 60, "sigma_hat": 0.05,
                   "mode": "ambient", "hidden": [16, 16]},
     }
+    raw = {"version": 1, "kind": kind, "seed": 3,
+           **{name: sec for name, sec in base.items() if name in SECTIONS[kind]}}
     raw.update(sections)
     return raw
 
@@ -205,7 +208,8 @@ class TestFromSection:
         assert (dcfg.mode, dcfg.sigma_hat, dcfg.seed) == ("adjusted", 0.1, 4)
 
     def test_verify_runs_at_the_optimizer_default_tolerance(self):
-        assert (stiefel.STEP_SIZE, stiefel.GRAD_TOL, stiefel.MAX_ITERS) == (0.2, 1e-7, 2000)
+        max_iters = inspect.signature(run_verification).parameters["max_iters"].default
+        assert (stiefel.STEP_SIZE, stiefel.GRAD_TOL, max_iters) == (0.2, 1e-7, 2000)
 
 
 class TestScatterSvg:
@@ -430,6 +434,11 @@ UNREAD_KEYS = {"distill_eval_teacher": ("distill", "eval", "teacher", "runs/teac
                "sweep_eval_teacher": ("sigma-sweep", "eval", "teacher", "runs/teacher.json"),
                "sweep_eval_generator": ("sigma-sweep", "eval", "generator", "runs/generator.json"),
                "one_step_sample_steps": ("sample", "sample", "steps", 99)}
+# A section the command does not read: (command, section, its content).
+UNREAD_SECTIONS = {"sample_schedule": ("sample", "schedule", {"sigma_max": 2.0}),
+                   "distill_train": ("distill", "train", {"steps": 5}),
+                   "pretrain_sweep": ("pretrain", "sweep", {"sigma_hats": [0.1]}),
+                   "eval_linear": ("eval", "linear", {"dim": 4, "rank": 1, "sigma": 0.1})}
 NON_FINITE_LITERALS = {"lr_nan": ("train", "lr", "NaN"),
                        "sigma_max_infinity": ("schedule", "sigma_max", "Infinity"),
                        "lr_overflows_to_inf": ("train", "lr", "1e400")}
@@ -539,6 +548,22 @@ class TestCliBadInput:
         err = capsys.readouterr().err
         assert err.startswith("config error:")
         assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("case", UNREAD_SECTIONS)
+    def test_unread_section_exits_2(self, case, tmp_path, capsys):
+        command, section, content = UNREAD_SECTIONS[case]
+        teacher = str(pretrained_teacher(tmp_path))
+        read = {"sample": {"sample": {"source": teacher, "sampler": "full", "n": 5, "steps": 2}},
+                "distill": {"distill": {"teacher": teacher, "steps": 1}},
+                "pretrain": {},
+                "eval": {"eval": {"teacher": teacher, "n_eval": 256}}}
+        raw = pipeline_config(command, **read[command], **{section: content})
+        cfg = write_cfg(tmp_path, raw, "unread.json")
+        capsys.readouterr()
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: not read by a {command!r} config, so rejected: {section}\n"
         assert not (tmp_path / "out").exists()
 
     def test_standard_teacher_distills_in_standard_mode(self, tmp_path, monkeypatch):
@@ -826,7 +851,6 @@ class TestCliEval:
         assert main(["distill", "--config", write_cfg(tmp_path, distilled, "d.json"),
                      "--out", str(out)]) == 0
         raw = pipeline_config("eval", eval={"generator": str(out / "generator.json"), "n_eval": 256})
-        raw["train"]["sigma_hat"] = 0.3  # another command's section: not read by eval
         assert main(["eval", "--config", write_cfg(tmp_path, raw, "e.json"),
                      "--out", str(tmp_path / "e")]) == 0
         row = csv_body(tmp_path / "e" / "eval.csv")[-1].split(",")
@@ -837,8 +861,8 @@ class TestCliEval:
         expected = {sigma_hat: evaluate_sources(data, NoiseSchedule(0.035, 1.0), sigma_hat,
                                                 generator=generator, n_eval=256,
                                                 eval_seed=raw["seed"])[-1]["proximal_fid"]
-                    for sigma_hat in (0.07, 0.3)}
-        assert float(row[2]) == expected[0.07] != expected[0.3]
+                    for sigma_hat in (0.07, 0.05)}  # the generator's, the data's
+        assert float(row[2]) == expected[0.07] != expected[0.05]
 
 
 def declared_default(build, name):

@@ -37,6 +37,10 @@ def config(**kw):
     return DistillConfig(**base)
 
 
+def no_metrics(state):
+    return {}
+
+
 def perturbed_state(cfg, seed=0, scale=0.3):
     state = init_distillation(tiny_teacher(seed), cfg)
     rng = derive(seed, 9)
@@ -225,7 +229,7 @@ class TestEstimatorFiniteDifferences:
             def backward(self, cache, upstream, params=True):
                 _, x = cache
                 d_input = upstream * self.a
-                return ([np.sum(upstream * x, axis=0)], d_input) if params else d_input
+                return [np.sum(upstream * x, axis=0)] if params else d_input
 
         cfg = config(method="sid", alpha=1.0, weighting="constant", sigma_hat=0.0)
         gen = LinearNet([1.3, 0.7])
@@ -297,7 +301,7 @@ class TestAlternation:
             monkeypatch.setattr(distill, name, recording(name, getattr(distill, name)))
         teacher = tiny_teacher(24)
         cfg = config(steps=3, eval_every=10)
-        run_distillation(teacher, cfg, teacher_mode="ambient")
+        run_distillation(teacher, cfg, teacher_mode="ambient", eval_hook=no_metrics)
         per_step = {}
         for name, step in calls:
             per_step.setdefault(step, []).append(name)
@@ -307,7 +311,8 @@ class TestAlternation:
 
     def test_mode_mismatch_rejected(self):
         with pytest.raises(PreconditionError):
-            run_distillation(tiny_teacher(25), config(mode="adjusted"), teacher_mode="standard")
+            run_distillation(tiny_teacher(25), config(mode="adjusted"), teacher_mode="standard",
+                             eval_hook=no_metrics)
 
     def test_adjusted_mode_rejects_sigma_hat_at_sigma_max(self):
         for sigma_hat in (SCHED.sigma_max, 1.5 * SCHED.sigma_max):
@@ -319,14 +324,15 @@ class TestAlternation:
         teacher = tiny_teacher(26)
         digest = teacher.params_digest()
         cfg = config(steps=6, eval_every=3)
-        _, hist1 = run_distillation(teacher, cfg, teacher_mode="ambient")
+        _, hist1 = run_distillation(teacher, cfg, teacher_mode="ambient", eval_hook=no_metrics)
         assert teacher.params_digest() == digest
-        _, hist2 = run_distillation(teacher, cfg, teacher_mode="ambient")
+        _, hist2 = run_distillation(teacher, cfg, teacher_mode="ambient", eval_hook=no_metrics)
         assert repr(hist1) == repr(hist2)  # repr-compare so nan == nan rows agree
 
     def test_sds_skips_fake_updates(self):
         teacher = tiny_teacher(27)
-        state, hist = run_distillation(teacher, config(method="sds", steps=3), teacher_mode="ambient")
+        state, hist = run_distillation(teacher, config(method="sds", steps=3), teacher_mode="ambient",
+                                       eval_hook=no_metrics)
         assert state.fake_opt.t == 0  # the fake net never took a step
         assert state.gen_opt.t == 3
         assert np.isnan(hist[-1]["fake_loss"])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
-from noisedistill.errors import DomainError, PreconditionError
+from noisedistill.errors import PreconditionError
 from noisedistill.linear_theory import (
     GeneratorParams,
     LinearModel,
@@ -187,12 +187,9 @@ class TestAnalyticMinimizer:
         base = loss_closed_form(m, analytic_minimizer(m), sched)
         for _ in range(5):
             q, _ = np.linalg.qr(rng.standard_normal((2, 2)))
-            assert loss_closed_form(m, analytic_minimizer(m, q), sched) == pytest.approx(base, rel=1e-10)
-
-    def test_rejects_non_orthogonal_q(self):
-        m = random_model(make_rng(33), 5, 2, 0.3)
-        with pytest.raises(PreconditionError):
-            analytic_minimizer(m, np.array([[1.0, 1.0], [0.0, 1.0]]))
+            frame = m.basis @ q
+            rotated = GeneratorParams(u=frame, v=np.sqrt(1.0 + m.sigma**2) * frame)
+            assert loss_closed_form(m, rotated, sched) == pytest.approx(base, rel=1e-10)
 
 
 class TestWassersteinReport:
@@ -239,7 +236,7 @@ class TestWassersteinReport:
         m = LinearModel(basis=e, sigma=0.2)
         mixed = np.array([[np.cos(0.6)], [np.sin(0.6)], [0.0], [0.0]])
         p = GeneratorParams(u=mixed, v=mixed)
-        with pytest.raises(DomainError):
+        with pytest.raises(PreconditionError):
             wasserstein_report(m, p)
 
     def test_degenerate_gram_splits_cleanly(self):
@@ -275,7 +272,7 @@ class TestWassersteinReport:
             rep = wasserstein_report(m, p)
             assert rep.gap == pytest.approx((d - 1) * 0.2**2, abs=1e-9)
         else:
-            with pytest.raises(DomainError):
+            with pytest.raises(PreconditionError):
                 wasserstein_report(m, p)
 
 
@@ -316,7 +313,7 @@ class TestEigenvalueProfile:
         assert abs(deriv) <= 1e-9
 
     def test_rejects_nonpositive_u(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(PreconditionError):
             eigenvalue_loss_profile(0.0, 0.3, NoiseSchedule())
 
 
@@ -373,3 +370,10 @@ class TestPrincipalAngles:
 
     def test_orthogonal_subspaces(self):
         assert principal_angles(np.eye(4)[:, :2], np.eye(4)[:, 2:])[0] == pytest.approx(np.pi / 2)
+
+    def test_largest_angle_first(self):
+        """Rotating one column of a frame by 0.3 rad out of its span gives the
+        angles 0.3 and 0, in that order."""
+        a = np.eye(4)[:, :2]
+        b = np.column_stack([np.cos(0.3) * a[:, 0] + np.sin(0.3) * np.eye(4)[:, 2], a[:, 1]])
+        assert principal_angles(a, b) == pytest.approx([0.3, 0.0], abs=1e-7)

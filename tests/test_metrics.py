@@ -3,10 +3,9 @@
 import numpy as np
 import pytest
 
-from noisedistill.errors import InsufficientDataError, PreconditionError
+from noisedistill.errors import PreconditionError
 from noisedistill.gaussians import LowRankGaussian, sample, w2_commuting
 from noisedistill.metrics import (
-    CheckpointSelection,
     frechet_between_samples,
     frechet_gaussian,
     proximal_fid,
@@ -110,7 +109,7 @@ class TestProximalFid:
         assert a == b
 
     def test_insufficient_samples_rejected(self):
-        with pytest.raises(InsufficientDataError):
+        with pytest.raises(PreconditionError):
             proximal_fid(np.zeros((10, 2)), 0.1, np.zeros((200, 2)), make_rng(0))
 
 
@@ -119,9 +118,9 @@ class TestSelection:
         history = [{"step": s, "proximal_fid": 1.0 / (s + 1), "frechet_clean": 2.0 / (s + 1)}
                    for s in range(5)]
         sel = select_best_checkpoint(history)
-        assert sel.step == 4
-        assert sel.frechet_to_clean == pytest.approx(0.4)
-        assert sel.best_frechet_to_clean == pytest.approx(0.4)
+        assert sel["selected_step"] == 4
+        assert sel["frechet_clean"] == pytest.approx(0.4)
+        assert sel["best_frechet_clean"] == pytest.approx(0.4)
 
     def test_tie_breaks_to_earliest_step(self):
         history = [
@@ -129,7 +128,7 @@ class TestSelection:
             {"step": 1, "proximal_fid": 0.2, "frechet_clean": 0.3},
             {"step": 2, "proximal_fid": 0.2, "frechet_clean": 0.1},
         ]
-        assert select_best_checkpoint(history).step == 1
+        assert select_best_checkpoint(history)["selected_step"] == 1
 
     def test_reports_gap_to_true_minimum(self):
         history = [
@@ -138,17 +137,20 @@ class TestSelection:
             {"step": 2, "proximal_fid": 0.2, "frechet_clean": 0.2},
         ]
         sel = select_best_checkpoint(history)
-        assert sel.step == 1
-        assert sel.frechet_to_clean == pytest.approx(0.3)
-        assert sel.best_frechet_to_clean == pytest.approx(0.2)
+        assert sel["selected_step"] == 1
+        assert sel["frechet_clean"] == pytest.approx(0.3)
+        assert sel["best_frechet_clean"] == pytest.approx(0.2)
 
     def test_empty_history_rejected(self):
-        with pytest.raises(InsufficientDataError):
+        with pytest.raises(PreconditionError):
             select_best_checkpoint([{"step": 0}])
 
     def test_selection_type(self):
+        """The selection is the selection.csv row, keyed by its columns."""
         sel = select_best_checkpoint([{"step": 3, "proximal_fid": 0.4, "frechet_clean": 0.5}])
-        assert isinstance(sel, CheckpointSelection)
+        assert list(sel) == ["selected_step", "proximal_fid", "frechet_clean", "best_frechet_clean"]
+        assert sel == {"selected_step": 3, "proximal_fid": 0.4, "frechet_clean": 0.5,
+                       "best_frechet_clean": 0.5}
 
 
 class TestSampleSize:

@@ -57,8 +57,7 @@ class TestForward:
         for k in range(2):
             e = np.zeros((1, 2))
             e[0, k] = 1.0
-            _, dx = net.backward(cache, e)
-            jac[k] = dx[0]
+            jac[k] = net.backward(cache, e, params=False)[0]
         errs = []
         for h in (1e-2, 1e-3):
             delta = rng.standard_normal((1, 2)) * h
@@ -72,7 +71,7 @@ class TestForward:
         numeric = (silu(z + h, np.empty_like(z)) - silu(z - h, np.empty_like(z))) / (2 * h)
         denom = np.empty_like(z)
         silu(z, denom)
-        assert np.allclose(silu_grad(z, denom), numeric, atol=1e-8)
+        assert np.allclose(silu_grad(z, denom, np.empty_like(z), np.empty_like(z)), numeric, atol=1e-8)
 
 
 class TestBackward:
@@ -84,7 +83,7 @@ class TestBackward:
         y = np.array([[1.0, 0.5]])
         out, cache = net.forward_cached(x, sigma)
         upstream = 2.0 * (out - y)
-        grads, _ = net.backward(cache, upstream)
+        grads = net.backward(cache, upstream)
         inp = np.concatenate([x[0], [np.log(sigma) / 4.0]])
         assert np.allclose(grads[0], upstream.T @ inp[None, :], atol=1e-12)
         assert np.allclose(grads[1], upstream[0], atol=1e-12)
@@ -96,7 +95,7 @@ class TestBackward:
         sigma = rng.uniform(0.1, 2.0, 6)
         upstream = rng.standard_normal((6, 2))
         _, cache = net.forward_cached(x, sigma)
-        grads, _ = net.backward(cache, upstream)
+        grads = net.backward(cache, upstream)
         analytic = flat_grads(grads)
 
         flat = net.get_flat()
@@ -119,9 +118,9 @@ class TestBackward:
         net = tiny_net(9)
         x = derive(9, 3).standard_normal((4, 2))
         _, cache = net.forward_cached(x, 0.5)
-        grads, dx = net.backward(cache, np.zeros((4, 2)))
+        grads = net.backward(cache, np.zeros((4, 2)))
         assert all(np.all(g == 0) for g in grads)
-        assert np.all(dx == 0)
+        assert np.all(net.backward(cache, np.zeros((4, 2)), params=False) == 0)
 
 
 def reference_silu(z):
@@ -169,8 +168,7 @@ class ReferenceNet(DenseNet):
             w_grads[i] = delta.T @ acts[i]
             b_grads[i] = delta.sum(axis=0)
             delta = delta @ self.weights[i]
-        d_input = delta[:, : self.data_dim]
-        return (w_grads + b_grads, d_input) if params else d_input
+        return w_grads + b_grads if params else delta[:, : self.data_dim]
 
 
 def kernel_batch(seed=14, n=37):
@@ -192,7 +190,7 @@ class TestKernelsBitwise:
         denom = np.empty_like(self.Z)
         with np.errstate(over="ignore"):
             silu(self.Z, denom)
-            from_denom = silu_grad(self.Z, denom)
+            from_denom = silu_grad(self.Z, denom, np.empty_like(self.Z), np.empty_like(self.Z))
             reference = reference_silu_grad(self.Z)
         assert np.array_equal(from_denom, reference)
 
@@ -221,7 +219,8 @@ class TestKernelsBitwise:
         net = tiny_net(14, sizes=(3, 24, 24, 24, 2))
         x, sigma, upstream = kernel_batch()
         _, cache = net.forward_cached(x, sigma)
-        _, d_input = net.backward(cache, upstream)
+        _, ref_cache = ReferenceNet.sharing(net).forward_cached(x, sigma)
+        d_input = ReferenceNet.sharing(net).backward(ref_cache, upstream, params=False)
         assert np.array_equal(net.backward(cache, upstream, params=False), d_input)
 
     def test_kernels_match_reference_net(self):
@@ -231,9 +230,10 @@ class TestKernelsBitwise:
         out, cache = net.forward_cached(x, sigma)
         ref_out, ref_cache = ref.forward_cached(x, sigma)
         assert np.array_equal(out, ref_out)
-        grads, d_input = net.backward(cache, upstream)
-        ref_grads, ref_d_input = ref.backward(ref_cache, upstream)
-        assert np.array_equal(d_input, ref_d_input)
+        grads = net.backward(cache, upstream)
+        ref_grads = ref.backward(ref_cache, upstream)
+        d_input = net.backward(cache, upstream, params=False)
+        assert np.array_equal(d_input, ref.backward(ref_cache, upstream, params=False))
         assert all(np.array_equal(g, r) for g, r in zip(grads, ref_grads))
 
     def test_second_forward_leaves_first_result_unchanged(self):
@@ -250,11 +250,11 @@ class TestKernelsBitwise:
         _, cache = net.forward_cached(x, sigma)
         cache_before = [[a.copy() for a in part] for part in cache]
         upstream_before = upstream.copy()
-        grads1, d1 = net.backward(cache, upstream)
+        grads1, d1 = net.backward(cache, upstream), net.backward(cache, upstream, params=False)
         assert np.array_equal(upstream, upstream_before)
         assert all(np.array_equal(a, b) for part, kept in zip(cache, cache_before)
                    for a, b in zip(part, kept))
-        grads2, d2 = net.backward(cache, upstream)
+        grads2, d2 = net.backward(cache, upstream), net.backward(cache, upstream, params=False)
         assert np.array_equal(d1, d2)
         assert all(np.array_equal(g1, g2) for g1, g2 in zip(grads1, grads2))
 
@@ -286,21 +286,22 @@ class TestReverseBuffers:
         net = tiny_net(17, self.SIZES)
         x, sigma, upstream = self.batch(300, 1)
         _, cache = net.forward_cached(x, sigma)
-        grads, d_input = net.backward(cache, upstream)
+        grads = net.backward(cache, upstream)
         d_only = net.backward(cache, upstream, params=False)
-        returned = [*grads, d_input, d_only]
+        returned = [*grads, d_only]
         kept = [a.copy() for a in returned]
         # another upstream, more rows, fewer rows
         for n, seed in [(300, 2), (700, 3), (5, 4)]:
             x, sigma, upstream = self.batch(n, seed)
             _, cache = net.forward_cached(x, sigma)
-            later_grads, later_d_input = net.backward(cache, upstream)
-            net.backward(cache, upstream, params=False)
+            later_grads = net.backward(cache, upstream)
+            later_d_input = net.backward(cache, upstream, params=False)
         assert all(np.array_equal(a, b) for a, b in zip(returned, kept))
         # what larger calls left in the buffers does not leak into a smaller one
         ref = ReferenceNet.sharing(net)
-        ref_grads, ref_d_input = ref.backward(ref.forward_cached(x, sigma)[1], upstream)
-        assert np.array_equal(later_d_input, ref_d_input)
+        ref_cache = ref.forward_cached(x, sigma)[1]
+        ref_grads = ref.backward(ref_cache, upstream)
+        assert np.array_equal(later_d_input, ref.backward(ref_cache, upstream, params=False))
         assert all(np.array_equal(g, r) for g, r in zip(later_grads, ref_grads))
 
     def test_copies_and_loaded_nets_get_buffers_of_their_own(self, tmp_path):
@@ -432,7 +433,7 @@ class TestReferenceContract:
         teacher = as_net(DenseNet(self.SIZES, derive(4, 1)))
         tcfg = TrainConfig(batch_size=64, lr=1e-3, steps=20, schedule=self.SCHED, sigma_hat=0.05, seed=4,
                            mode="ambient")
-        _, curve = pretrain(teacher, data, tcfg)
+        curve = pretrain(teacher, data, tcfg)
         dcfg = DistillConfig(method="sid", steps=3, batch_size=64, sigma_hat=0.05, schedule=self.SCHED)
         state = init_distillation(teacher, dcfg)
         state.fake, state.generator = as_net(state.fake), as_net(state.generator)
@@ -479,7 +480,7 @@ class TestAdam:
         p = np.array([1.0, -2.0])
         g = np.array([0.5, 0.1])
         opt = Adam([p], lr=0.01)
-        opt.step([p], [g])
+        opt.step([g])
         # first step with bias correction: update = lr * g / (|g| + eps)
         expected = np.array([1.0, -2.0]) - 0.01 * g / (np.abs(g) + 1e-8)
         assert np.allclose(p, expected, atol=1e-10)
@@ -487,12 +488,12 @@ class TestAdam:
     def test_zero_gradient_keeps_params_at_init(self):
         p = np.array([0.3, 0.7])
         opt = Adam([p], lr=0.1)
-        opt.step([p], [np.zeros(2)])
+        opt.step([np.zeros(2)])
         assert np.allclose(p, [0.3, 0.7])
 
     def test_descends_quadratic(self):
         p = np.array([5.0])
         opt = Adam([p], lr=0.1)
         for _ in range(500):
-            opt.step([p], [2.0 * p])
+            opt.step([2.0 * p])
         assert abs(p[0]) < 1e-2

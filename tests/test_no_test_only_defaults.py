@@ -1,0 +1,131 @@
+"""Every default in the package is one that the program both takes and overrides.
+
+A default that every program call overrides is dead weight, and the parameter
+should be required; a default that no program call overrides makes the
+parameter a knob that only tests turn.  The check reads the source, not the
+running program.  For each defaulted parameter of a module-level function or a
+method in the package, it collects the calls by name (``f(...)`` or
+``obj.f(...)``) in package and benchmark code, and asks whether some call sets
+the parameter (by keyword or by position) and some call leaves it out.  Names
+are matched without types, as in ``test_no_test_only_code.py``.
+
+Skipped, because their calls cannot be read off the call sites: functions
+that code uses as values (``from_section`` targets, dispatch dicts,
+``parallel.map_groups`` arguments), calls that unpack ``*args`` or
+``**kwargs``, dunder methods (called through syntax) and functions with no
+program call at all (the other guard's business).
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "noisedistill"
+BENCH = ROOT / "bench"
+
+ALLOWED = {
+    "emit_scatter_svg(meta)": "the golden-bytes test in test_config_cli.py pins a panel "
+                              "written without the provenance comment",
+}
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def definitions(tree):
+    """(def node, whether it is a method taking self or cls) of each
+    module-level function and each method of a module-level class."""
+    for node in tree.body:
+        if isinstance(node, FUNCTIONS):
+            yield node, False
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, FUNCTIONS):
+                    static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                                 for d in item.decorator_list)
+                    yield item, not static
+
+
+def defaulted_params(node, bound):
+    """(positional parameter names, as callers number them; defaulted names)."""
+    args = node.args
+    positional = [a.arg for a in args.posonlyargs + args.args]
+    defaulted = positional[len(positional) - len(args.defaults):]
+    defaulted += [a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+    return positional[1:] if bound else positional, defaulted
+
+
+def called_name(func):
+    if isinstance(func, ast.Name):
+        return func.id
+    if isinstance(func, ast.Attribute):
+        return func.attr
+    return None
+
+
+def calls_and_values(trees):
+    """{name: [(positional count, keyword names)]} of the plain calls, and the
+    names used as values (loaded other than as the callee of a call)."""
+    calls, callees, loads = {}, set(), []
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                callees.add(id(node.func))
+                name = called_name(node.func)
+                splat = (any(isinstance(a, ast.Starred) for a in node.args)
+                         or any(k.arg is None for k in node.keywords))
+                if name is not None and not splat:
+                    calls.setdefault(name, []).append((len(node.args), {k.arg for k in node.keywords}))
+            elif isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
+                loads.append(node)
+    values = {called_name(node) for node in loads if id(node) not in callees}
+    return calls, values
+
+
+def default_findings(package=PACKAGE, bench=BENCH):
+    """``name(param)`` of each defaulted parameter that every program call
+    sets, or that none does."""
+    parsed = [ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))]
+    program = parsed + [ast.parse(path.read_text()) for path in sorted(bench.glob("*.py"))]
+    calls, values = calls_and_values(program)
+    findings = []
+    for tree in parsed:
+        for node, bound in definitions(tree):
+            name = node.name
+            if name in values or name not in calls or (name.startswith("__") and name.endswith("__")):
+                continue
+            positional, defaulted = defaulted_params(node, bound)
+            for param in defaulted:
+                index = positional.index(param) if param in positional else len(positional)
+                sets = [param in keywords or n_args > index for n_args, keywords in calls[name]]
+                if all(sets) or not any(sets):
+                    findings.append(f"{name}({param})")
+    return sorted(findings)
+
+
+def test_every_default_is_both_taken_and_overridden_by_the_program():
+    findings = [f for f in default_findings() if f not in ALLOWED]
+    assert not findings, f"defaults that every program call sets, or that none does: {findings}"
+
+
+def test_allowlist_holds_only_findings():
+    """An allowed default that the program starts to take should leave the list."""
+    assert set(ALLOWED) <= set(default_findings())
+
+
+def test_check_flags_defaults_that_all_or_no_calls_set(tmp_path):
+    package, bench = tmp_path / "pkg", tmp_path / "bench"
+    package.mkdir()
+    bench.mkdir()
+    (package / "mod.py").write_text(
+        "def f(a, b=1, c=2, *, d=3):\n    return a\n"
+        "def g(x, y=0):\n    return x\n"
+        "def h(x, y=0):\n    return x\n"
+        "class Net:\n"
+        "    def step(self, grads, scale=1.0):\n        return grads\n"
+        "    def __init__(self, size=4):\n        self.size = size\n"
+        "def run(net):\n"
+        "    f(1, 5)\n    f(1, d=4)\n    net.step([], 2.0)\n    net.step([], scale=3.0)\n"
+        "    h(*[1, 2])\n    return TABLE['g'](1)\n"
+        "TABLE = {'g': g}\n"
+    )
+    (bench / "run.py").write_text("from mod import f\nf(0, 1, d=2)\n")
+    assert default_findings(package, bench) == ["f(c)", "step(scale)"]
