@@ -316,6 +316,9 @@ def main(argv=None) -> int:
     except (ConfigError, PreconditionError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except MemoryError as exc:  # sizes within config.MAX_ARRAY_SIZE that this machine cannot hold
+        print(f"config error: out of memory{f': {exc}' if str(exc) else ''}", file=sys.stderr)
+        return EXIT_CONFIG
     except DivergenceError as exc:
         print(f"divergence: {exc}", file=sys.stderr)
         if exc.diagnostics.get("checkpoint_path"):

@@ -1,5 +1,13 @@
 """Experiment configuration: one JSON document, schema-validated, hashable.
 
+``SCHEMA`` (JSON Schema, draft 2020-12) is the one definition of a valid
+config.  A compact walk of it accepts or rejects a document; only a rejected
+document imports ``jsonschema``, whose best-matching error words the message
+(importing it would add about 0.1 s to every command's start-up).  The walk returns
+the document as the program reads it: an integral float at an ``integer``
+position (``300.0``) becomes an int.  Every count that sizes an array is
+capped at ``MAX_ARRAY_SIZE``.
+
 Unknown keys are rejected everywhere so a typo cannot silently fall back to a
 default.  The effective config (after a ``--seed`` override) is
 canonicalized and hashed; every artifact a run writes embeds that hash next to
@@ -15,8 +23,6 @@ import math
 import os
 from dataclasses import dataclass, replace
 
-import jsonschema
-
 from . import __version__
 from .errors import ConfigError
 
@@ -27,6 +33,16 @@ OUT_ROOT_ENV = "NOISEDISTILL_OUT_ROOT"
 _POS_NUM = {"type": "number", "exclusiveMinimum": 0}
 _NONNEG_NUM = {"type": "number", "minimum": 0}
 _POS_INT = {"type": "integer", "minimum": 1}
+# Largest count that sizes an array (the sampling grid's ``steps`` among them).
+# A product of two such counts stays inside numpy's index range (2**63), so an
+# oversized request fails as MemoryError (exit 2), not as an index overflow.
+# Loop counts are not capped: a huge one is only a long run.
+MAX_ARRAY_SIZE = 2**28
+
+
+def _size(minimum: int) -> dict:
+    return {"type": "integer", "minimum": minimum, "maximum": MAX_ARRAY_SIZE}
+
 
 SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
@@ -42,12 +58,12 @@ SCHEMA = {
             "additionalProperties": False,
             "required": ["dim", "rank", "sigma"],
             "properties": {
-                "dim": _POS_INT,
-                "rank": _POS_INT,
+                "dim": _size(1),
+                "rank": _size(1),
                 "sigma": _NONNEG_NUM,
                 "basis": {"type": "array", "items": {"type": "array", "items": {"type": "number"}}},
                 "mc_instances": _POS_INT,
-                "mc_samples": {"type": "integer", "minimum": 100},
+                "mc_samples": _size(100),
                 "opt": {
                     "type": "object",
                     "additionalProperties": False,
@@ -66,7 +82,7 @@ SCHEMA = {
             "required": ["kind", "n", "sigma_data"],
             "properties": {
                 "kind": {"enum": ["ring", "two_moons", "mode_grid"]},
-                "n": {"type": "integer", "minimum": 256},
+                "n": _size(256),
                 "sigma_data": _NONNEG_NUM,
             },
         },
@@ -74,12 +90,12 @@ SCHEMA = {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "batch_size": _POS_INT,
+                "batch_size": _size(1),
                 "lr": _POS_NUM,
                 "steps": {"type": "integer", "minimum": 0},
                 "sigma_hat": _NONNEG_NUM,
                 "mode": {"enum": ["standard", "ambient"]},
-                "hidden": {"type": "array", "items": _POS_INT, "minItems": 1},
+                "hidden": {"type": "array", "items": _size(1), "minItems": 1},
             },
         },
         "distill": {
@@ -93,7 +109,7 @@ SCHEMA = {
                 "lr_fake": _POS_NUM,
                 "lr_gen": _POS_NUM,
                 "steps": _POS_INT,
-                "batch_size": _POS_INT,
+                "batch_size": _size(1),
                 "sigma_hat": _NONNEG_NUM,
                 "eval_every": _POS_INT,
                 "weighting": {"enum": ["constant", "sigma2", "sid-normalized"]},
@@ -106,8 +122,8 @@ SCHEMA = {
             "properties": {
                 "source": {"type": "string"},
                 "sampler": {"enum": ["one_step", "full", "truncated"]},
-                "n": {"type": "integer", "minimum": 0},
-                "steps": {"type": "integer", "minimum": 2},
+                "n": _size(0),
+                "steps": _size(2),
             },
         },
         "eval": {
@@ -116,8 +132,8 @@ SCHEMA = {
             "properties": {
                 "teacher": {"type": "string"},
                 "generator": {"type": "string"},
-                "n_eval": {"type": "integer", "minimum": 100},
-                "sample_steps": {"type": "integer", "minimum": 2},
+                "n_eval": _size(100),
+                "sample_steps": _size(2),
             },
         },
         "sweep": {
@@ -143,9 +159,69 @@ SECTIONS = {
                     "eval": False, "sweep": False},
 }
 
-# Built once: ``jsonschema.validate`` would re-check the constant SCHEMA against
-# its metaschema on every call (a tier-1 test checks it instead).
-_VALIDATOR = jsonschema.validators.validator_for(SCHEMA)(SCHEMA)
+_JSON_TYPES = {"object": dict, "array": list, "string": str, "boolean": bool, "null": type(None)}
+
+
+class _Rejected(Exception):
+    """A document that ``SCHEMA`` does not accept."""
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _json_key(value):
+    """A hashable stand-in that is equal for exactly the values JSON Schema
+    calls equal: ``1`` and ``1.0`` are one number, but ``true`` is not ``1``."""
+    if isinstance(value, list):
+        return "array", tuple(map(_json_key, value))
+    if isinstance(value, dict):
+        return "object", frozenset((key, _json_key(item)) for key, item in value.items())
+    return "number" if _is_number(value) else type(value).__name__, value
+
+
+def _conform(schema, value):
+    """``value`` as the program reads it, with each integral float at an
+    ``integer`` position turned into an int; raises ``_Rejected`` where
+    ``schema`` does not accept it.  Interprets, with JSON Schema's semantics,
+    exactly the keywords ``SCHEMA`` uses: type, const, enum, minimum,
+    exclusiveMinimum, maximum, required, properties, additionalProperties,
+    items, minItems and uniqueItems (``$schema`` is an annotation)."""
+    if isinstance(schema, bool):
+        if not schema:
+            raise _Rejected
+        return value
+    number = _is_number(value)
+    kind = schema.get("type")
+    if kind == "integer":
+        if not (number and (isinstance(value, int) or value.is_integer())):
+            raise _Rejected
+        value = int(value)
+    elif kind == "number":
+        if not number:
+            raise _Rejected
+    elif kind is not None and not isinstance(value, _JSON_TYPES[kind]):
+        raise _Rejected
+    if "const" in schema and _json_key(value) != _json_key(schema["const"]):
+        raise _Rejected
+    if "enum" in schema and _json_key(value) not in set(map(_json_key, schema["enum"])):
+        raise _Rejected
+    if number and ("minimum" in schema and value < schema["minimum"]
+                   or "exclusiveMinimum" in schema and value <= schema["exclusiveMinimum"]
+                   or "maximum" in schema and value > schema["maximum"]):
+        raise _Rejected
+    if isinstance(value, dict):
+        if not all(key in value for key in schema.get("required", ())):
+            raise _Rejected
+        properties, other = schema.get("properties", {}), schema.get("additionalProperties", True)
+        return {key: _conform(properties.get(key, other), item) for key, item in value.items()}
+    if isinstance(value, list):
+        if len(value) < schema.get("minItems", 0):
+            raise _Rejected
+        if schema.get("uniqueItems") and len(set(map(_json_key, value))) < len(value):
+            raise _Rejected
+        return [_conform(schema.get("items", True), item) for item in value]
+    return value
 
 
 @dataclass(frozen=True)
@@ -182,10 +258,17 @@ class ExperimentConfig:
 
 
 def parse_config(raw: dict) -> ExperimentConfig:
-    error = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(raw))
-    if error is not None:
-        path = "/".join(str(p) for p in error.absolute_path) or "<root>"
-        raise ConfigError(f"config invalid at {path}: {error.message}") from error
+    try:
+        raw = _conform(SCHEMA, raw)
+    except _Rejected:
+        # jsonschema words the rejection; should it find no error, the config stands
+        import jsonschema
+
+        validator = jsonschema.validators.validator_for(SCHEMA)(SCHEMA)
+        error = jsonschema.exceptions.best_match(validator.iter_errors(raw))
+        if error is not None:
+            path = "/".join(str(p) for p in error.absolute_path) or "<root>"
+            raise ConfigError(f"config invalid at {path}: {error.message}") from error
     for section, required in SECTIONS[raw["kind"]].items():
         if required and section not in raw:
             raise ConfigError(f"kind {raw['kind']!r} requires a {section!r} section")

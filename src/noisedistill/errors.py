@@ -20,9 +20,9 @@ class DivergenceError(RuntimeError):
     ``checkpoint`` the last healthy state, when the caller kept one.
     """
 
-    def __init__(self, message, diagnostics=None, checkpoint=None):
+    def __init__(self, message, diagnostics, checkpoint=None):
         super().__init__(message)
-        self.diagnostics = diagnostics or {}
+        self.diagnostics = diagnostics
         self.checkpoint = checkpoint
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -9,14 +10,12 @@ import numpy as np
 from .errors import PreconditionError
 
 
+@functools.cache  # built on first use (only verify needs it) and shared, hence read-only
 def _gauss_legendre_64() -> tuple[np.ndarray, np.ndarray]:
     x, w = np.polynomial.legendre.leggauss(64)
     nodes, weights = (x + 1.0) / 2.0, w / 2.0
     nodes.flags.writeable = weights.flags.writeable = False
     return nodes, weights
-
-
-_QUADRATURE = _gauss_legendre_64()  # built once and shared, hence read-only
 
 
 @dataclass(frozen=True)
@@ -54,7 +53,7 @@ class NoiseSchedule:
         """Read-only nodes and weights of the one rule every average over
         t ~ Unif(0, 1) uses: 64-node Gauss-Legendre, exact for polynomials in
         t of degree up to 127."""
-        return _QUADRATURE
+        return _gauss_legendre_64()
 
     def sampling_grid(self, steps: int) -> np.ndarray:
         """Decreasing geometric grid sigma_max = s[0] > ... > s[-1] = sigma_min."""

@@ -18,9 +18,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from noisedistill import cli, parallel, stiefel
+from noisedistill import cli, config, parallel, stiefel
 from noisedistill.cli import main
 from noisedistill.config import (
+    KINDS,
+    MAX_ARRAY_SIZE,
     SCHEMA,
     SECTIONS,
     format_cell,
@@ -75,6 +77,109 @@ def pipeline_config(kind, **sections):
            **{name: sec for name, sec in base.items() if name in SECTIONS[kind]}}
     raw.update(sections)
     return raw
+
+
+# The keywords config._conform interprets; SCHEMA may use no other.
+CHECKED_KEYWORDS = {"$schema", "type", "const", "enum", "minimum", "exclusiveMinimum", "maximum",
+                    "required", "properties", "additionalProperties", "items", "minItems",
+                    "uniqueItems"}
+VALIDATOR = jsonschema.validators.validator_for(SCHEMA)(SCHEMA)
+
+
+def schema_keywords(schema):
+    yield from schema
+    for sub in [*schema.get("properties", {}).values(), schema.get("items"),
+                schema.get("additionalProperties")]:
+        if isinstance(sub, dict):
+            yield from schema_keywords(sub)
+
+
+def schema_at(path):
+    """The subschema at ``path`` (keys and list indices), {} where SCHEMA says nothing."""
+    schema = SCHEMA
+    for step in path:
+        schema = schema.get("items", {}) if isinstance(step, int) else schema.get("properties", {}).get(step, {})
+    return schema
+
+
+def integer_positions(schema, value):
+    """The values at ``integer`` positions of a document that ``schema`` accepts."""
+    if schema.get("type") == "integer":
+        yield value
+    elif isinstance(value, dict):
+        for key, item in value.items():
+            yield from integer_positions(schema["properties"][key], item)
+    elif isinstance(value, list):
+        for item in value:
+            yield from integer_positions(schema["items"], item)
+
+
+# Values for any position: bools, integral and fractional floats, repeated
+# items and one value of each JSON type.
+ANY_VALUES = [None, True, False, 0, 1, 2.0, 2.5, -1.0, 1e308, "x", [], [0.5, 0.5], [1, 1.0],
+              [True, 1], {}]
+
+
+def schema_edges(schema):
+    """Values at the edges of ``schema``: its bounds, off by one and as
+    floats, and its const and enum members, the const also as a float."""
+    values = []
+    for key in ("minimum", "exclusiveMinimum", "maximum"):
+        if key in schema:
+            values += [schema[key], schema[key] - 1, schema[key] + 1, float(schema[key])]
+    if "const" in schema:
+        values += [schema["const"], float(schema["const"])]
+    return values + schema.get("enum", [])
+
+
+def document_paths(value, path=()):
+    yield path
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, item in items:
+        yield from document_paths(item, (*path, key))
+
+
+# A valid document of each kind, with every key its sections allow.
+VALID_DOCUMENTS = {
+    "verify": verify_config(linear={"dim": 4, "rank": 1, "sigma": 0.3, "basis": [[1.0], [0.0], [0.0], [0.0]],
+                                    "mc_instances": 2, "mc_samples": 100,
+                                    "opt": {"seeds": 3, "max_iters": 800}}),
+    "pretrain": pipeline_config("pretrain"),
+    "distill": pipeline_config("distill", distill={
+        "teacher": "t.json", "method": "sid", "mode": "adjusted", "alpha": 1.2, "lr_fake": 1e-3,
+        "lr_gen": 1e-3, "steps": 5, "batch_size": 8, "sigma_hat": 0.05, "eval_every": 2,
+        "weighting": "sigma2"}, eval={"n_eval": 100, "sample_steps": 2}),
+    "sample": pipeline_config("sample", sample={"source": "t.json", "sampler": "full", "n": 0, "steps": 2}),
+    "eval": pipeline_config("eval", eval={"teacher": "t.json", "generator": "g.json", "n_eval": 100,
+                                          "sample_steps": 2}),
+    "sigma_sweep": pipeline_config("sigma_sweep", distill={"steps": 1}, sweep={"sigma_hats": [0.0, 0.1]}),
+}
+
+
+@st.composite
+def config_documents(draw):
+    """A valid document of any kind with one to three edits: a value replaced
+    by one at the edge of its schema, a key deleted, an unknown key added, or
+    a list item repeated."""
+    doc = copy.deepcopy(VALID_DOCUMENTS[draw(st.sampled_from(KINDS))])
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(document_paths(doc))[1:]))
+        *head, last = path
+        owner = doc
+        for step in head:
+            owner = owner[step]
+        target = owner[last]
+        edit = draw(st.sampled_from(["replace", "delete", "unknown", "repeat"]))
+        if edit == "replace" or edit == "delete" and isinstance(owner, list):
+            edges = schema_edges(schema_at(path))
+            owner[last] = draw(st.sampled_from(edges if edges and draw(st.booleans()) else ANY_VALUES))
+        elif edit == "delete":
+            del owner[last]
+        elif edit == "unknown" and isinstance(target, dict):
+            target["unknown"] = 1
+        elif edit == "repeat" and isinstance(target, list) and target:
+            target.append(copy.deepcopy(target[0]))
+    return doc
 
 
 class TestConfigValidation:
@@ -132,6 +237,29 @@ class TestConfigValidation:
             parse_config(bad)
         assert str(got.value) == f"config invalid at {path}: {expected.value.message}"
 
+    def test_schema_uses_only_the_keywords_the_checker_interprets(self):
+        assert set(schema_keywords(SCHEMA)) <= CHECKED_KEYWORDS
+
+    @settings(derandomize=True, database=None, max_examples=500, deadline=None)
+    @given(doc=config_documents())
+    def test_checker_agrees_with_jsonschema(self, doc):
+        """The checker rejects a document exactly when jsonschema does, and
+        parse_config words the rejection as jsonschema's best match."""
+        error = jsonschema.exceptions.best_match(VALIDATOR.iter_errors(doc))
+        try:
+            conformed = config._conform(SCHEMA, doc)
+        except config._Rejected:
+            conformed = None
+        assert (conformed is None) == (error is not None)
+        if error is not None:
+            path = "/".join(str(p) for p in error.absolute_path) or "<root>"
+            with pytest.raises(ConfigError) as got:
+                parse_config(doc)
+            assert str(got.value) == f"config invalid at {path}: {error.message}"
+        else:
+            assert conformed == doc
+            assert all(type(v) is int for v in integer_positions(SCHEMA, conformed))
+
 
 @pytest.mark.parametrize("preset,expected", [(None, "1"), ("3", "3")])
 def test_cli_import_pins_blas_threads_unless_set(preset, expected):
@@ -151,6 +279,31 @@ def test_cli_import_does_not_load_scipy():
     env = {**os.environ, "PYTHONPATH": src}
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert result.stdout.strip() == "[]"
+
+
+def test_valid_runs_do_not_load_jsonschema(tmp_path):
+    """jsonschema only words a rejected config, and only verify builds the quadrature rule."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    pretrain = write_cfg(tmp_path, pipeline_config("pretrain", train={"steps": 2, "hidden": [4]}), "pre.json")
+    verify = write_cfg(tmp_path, verify_config(linear={"dim": 3, "rank": 1, "sigma": 0.3, "mc_instances": 1,
+                                                       "mc_samples": 100, "opt": {"seeds": 1, "max_iters": 5}}),
+                       "verify.json")
+    code = (
+        "import json, sys\n"
+        "import noisedistill.cli as cli\n"
+        "def loaded():\n"
+        "    return sorted(m for m in sys.modules if m.split('.')[0] == 'jsonschema'\n"
+        "                  or m.startswith('numpy.polynomial'))\n"
+        "seen = [loaded()]\n"
+        f"assert cli.main(['pretrain', '--config', {pretrain!r}, '--out', {str(tmp_path / 'pre')!r}]) == 0\n"
+        "seen.append(loaded())\n"
+        f"assert cli.main(['verify', '--config', {verify!r}, '--out', {str(tmp_path / 'verify')!r}]) in (0, 1)\n"
+        "seen.append([m for m in loaded() if m.split('.')[0] == 'jsonschema'])\n"
+        "print(json.dumps(seen))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert json.loads(result.stdout.splitlines()[-1]) == [[], [], []]
 
 
 class TestAtomicWrites:
@@ -589,6 +742,132 @@ class TestCliBadInput:
         column = header.split(",").index("gen_grad_norm")
         norms = [float(row.split(",")[column]) for row in rows]
         assert len(norms) == 4 and all(norm > 0 for norm in norms[1:])  # step 0 has no update yet
+
+
+def schema_leaves(schema, prefix=""):
+    """(dotted key, schema) of every leaf key below ``schema``."""
+    for key, sub in schema["properties"].items():
+        if sub.get("type") == "object":
+            yield from schema_leaves(sub, f"{prefix}{key}.")
+        else:
+            yield prefix + key, sub
+
+
+# The keys whose value sizes an array ("[]": each item of the list).
+ARRAY_SIZE_KEYS = {"dataset.n", "train.batch_size", "train.hidden[]", "distill.batch_size", "sample.n",
+                   "sample.steps", "eval.n_eval", "eval.sample_steps", "linear.dim", "linear.rank",
+                   "linear.mc_samples"}
+WRONG_TYPES = {"null": None, "boolean": True, "integer": 1, "number": 0.5, "string": "x", "array": [],
+               "object": {}}
+
+
+def fuzz_values(key, schema):
+    """(label, value) of every fuzz value at one leaf key: each wrong JSON
+    type, below the minimum and at the exclusive one, 2.0 and 2.5 at
+    integers, 10**30 at array sizes, +-1e308 at numbers, and for a list the
+    same values as its one item."""
+    kind = schema.get("type")
+    right = {"integer": {"integer"}, "number": {"integer", "number"}}.get(kind, {kind})
+    values = [(f"type_{name}", value) for name, value in WRONG_TYPES.items() if name not in right]
+    if "minimum" in schema:
+        values.append(("below_minimum", schema["minimum"] - 1))
+    if "exclusiveMinimum" in schema:
+        values.append(("at_exclusive_minimum", schema["exclusiveMinimum"]))
+    if kind == "integer":
+        values += [("2.0", 2.0), ("2.5", 2.5)]
+    if kind == "number":
+        values += [("1e308", 1e308), ("-1e308", -1e308)]
+    if key in ARRAY_SIZE_KEYS:
+        values.append(("1e30", 10**30))
+    if kind == "array":
+        values.append(("empty", []))
+        values += [(f"[{label}]", [value]) for label, value in fuzz_values(f"{key}[]", schema["items"])]
+        if schema.get("uniqueItems"):
+            values.append(("repeated", [0.5, 0.5]))
+    return values
+
+
+FUZZ_CASES = [pytest.param(kind, key, value, id=f"{kind}-{key}-{label}")
+              for kind in KINDS
+              for key, schema in schema_leaves(SCHEMA)
+              if key.split(".")[0] in (*SCHEMA["required"], *SECTIONS[kind])
+              for label, value in fuzz_values(key, schema)]
+
+
+@pytest.fixture(scope="module")
+def fuzz_teacher(tmp_path_factory):
+    return str(pretrained_teacher(tmp_path_factory.mktemp("fuzz")))
+
+
+def tiny_config(kind, teacher):
+    """A valid ``kind`` config that runs in well under a second."""
+    train = {"batch_size": 8, "steps": 2, "hidden": [4]}
+    evaluation = {"n_eval": 100, "sample_steps": 2}
+    return {
+        "verify": verify_config(linear={"dim": 3, "rank": 1, "sigma": 0.3, "mc_instances": 1,
+                                        "mc_samples": 100, "opt": {"seeds": 1, "max_iters": 5}}),
+        "pretrain": pipeline_config("pretrain", train=train),
+        "distill": pipeline_config("distill", distill={"teacher": teacher, "steps": 1, "batch_size": 8},
+                                   eval=evaluation),
+        "sample": pipeline_config("sample", sample={"source": teacher, "sampler": "full", "n": 5,
+                                                    "steps": 2}),
+        "eval": pipeline_config("eval", eval={"teacher": teacher, **evaluation}),
+        "sigma_sweep": pipeline_config("sigma_sweep", train=train, eval=evaluation,
+                                       distill={"steps": 1, "batch_size": 8}, sweep={"sigma_hats": [0.05]}),
+    }[kind]
+
+
+def set_key(raw, key, value):
+    *sections, last = key.split(".")
+    for section in sections:
+        raw = raw.setdefault(section, {})
+    raw[last] = value
+
+
+class TestCliFuzz:
+    @pytest.mark.parametrize("kind,key,value", FUZZ_CASES)
+    def test_exit_code_contract(self, kind, key, value, fuzz_teacher, tmp_path):
+        """One leaf key of a tiny valid config set to one fuzz value: the
+        command exits with a contract code, exit 2 on a config that
+        load_config rejects, and an exit 2 writes nothing."""
+        raw = tiny_config(kind, fuzz_teacher)
+        set_key(raw, key, value)
+        cfg, out = write_cfg(tmp_path, raw), tmp_path / "out"
+        # an uncaught exception would fail the test here, before the exit code
+        code = main([kind.replace("_", "-"), "--config", cfg, "--out", str(out)])
+        assert code in ((0, 1, 2, 3) if kind == "verify" else (0, 2, 3))
+        try:
+            load_config(cfg, expected_kind=kind)
+        except ConfigError:
+            assert code == 2
+        assert code != 2 or not out.exists()
+
+    @pytest.mark.parametrize("kind,key,value", [
+        ("pretrain", "dataset.n", 300.0), ("pretrain", "train.batch_size", 64.0),
+        ("pretrain", "train.hidden", [8.0]), ("pretrain", "train.steps", 5.0), ("pretrain", "seed", 1.0),
+        ("verify", "linear.dim", 8.0), ("verify", "linear.mc_samples", 1000.0),
+        ("verify", "linear.opt.seeds", 1.0)])
+    def test_integral_float_runs_as_its_integer(self, kind, key, value, fuzz_teacher, tmp_path):
+        """Artifacts, provenance line included, are those of the int spelling."""
+        runs = []
+        for name, spelling in (("float", value), ("int", json.loads(json.dumps(value).replace(".0", "")))):
+            raw = tiny_config(kind, fuzz_teacher)
+            set_key(raw, key, spelling)
+            out = tmp_path / name
+            code = main([kind, "--config", write_cfg(tmp_path, raw, f"{name}.json"), "--out", str(out)])
+            runs.append((code, {p.name: p.read_bytes() for p in out.iterdir()}))
+        assert runs[0][0] in (0, 1) and runs[0] == runs[1]
+
+    def test_array_past_the_address_space_exits_2(self, tmp_path, capsys):
+        """Widths within MAX_ARRAY_SIZE whose weight matrix (256 TiB) no
+        machine can map: the first layer takes 3 MiB, then allocation fails."""
+        raw = pipeline_config("pretrain", train={"steps": 1, "hidden": [2**17, MAX_ARRAY_SIZE]})
+        capsys.readouterr()
+        assert main(["pretrain", "--config", write_cfg(tmp_path, raw), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: out of memory: Unable to allocate 256. TiB")
+        assert len(err.splitlines()) == 1
+        assert not (tmp_path / "out").exists()
 
 
 def save_net(path, layer_sizes):

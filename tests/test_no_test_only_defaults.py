@@ -3,17 +3,19 @@
 A default that every program call overrides is dead weight, and the parameter
 should be required; a default that no program call overrides makes the
 parameter a knob that only tests turn.  The check reads the source, not the
-running program.  For each defaulted parameter of a module-level function or a
-method in the package, it collects the calls by name (``f(...)`` or
-``obj.f(...)``) in package and benchmark code, and asks whether some call sets
-the parameter (by keyword or by position) and some call leaves it out.  Names
-are matched without types, as in ``test_no_test_only_code.py``.
+running program.  For each defaulted parameter of a module-level function, a
+method or a class's ``__init__`` in the package, it collects the calls by name
+(``f(...)`` or ``obj.f(...)``; ``Cls(...)`` for ``Cls.__init__``) in package and
+benchmark code, and asks whether some call sets the parameter (by keyword or by
+position) and some call leaves it out.  Names are matched without types, as in
+``test_no_test_only_code.py``.
 
 Skipped, because their calls cannot be read off the call sites: functions
-that code uses as values (``from_section`` targets, dispatch dicts,
-``parallel.map_groups`` arguments), calls that unpack ``*args`` or
-``**kwargs``, dunder methods (called through syntax) and functions with no
-program call at all (the other guard's business).
+and classes that code uses as values (``from_section`` targets, dispatch
+dicts, ``parallel.map_groups`` arguments; naming a class in an ``except``
+clause does not count), calls that unpack ``*args`` or ``**kwargs``, other
+dunder methods (called through syntax) and functions with no program call at
+all (the other guard's business).
 """
 
 import ast
@@ -31,17 +33,18 @@ FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
 def definitions(tree):
-    """(def node, whether it is a method taking self or cls) of each
-    module-level function and each method of a module-level class."""
+    """(def node, whether it is a method taking self or cls, the name its
+    callers call it by) of each module-level function and each method of a
+    module-level class; a class's ``__init__`` is called by the class name."""
     for node in tree.body:
         if isinstance(node, FUNCTIONS):
-            yield node, False
+            yield node, False, node.name
         elif isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, FUNCTIONS):
                     static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
                                  for d in item.decorator_list)
-                    yield item, not static
+                    yield item, not static, node.name if item.name == "__init__" else item.name
 
 
 def defaulted_params(node, bound):
@@ -63,11 +66,14 @@ def called_name(func):
 
 def calls_and_values(trees):
     """{name: [(positional count, keyword names)]} of the plain calls, and the
-    names used as values (loaded other than as the callee of a call)."""
+    names used as values (loaded other than as the callee of a call or as an
+    exception type that an ``except`` clause catches)."""
     calls, callees, loads = {}, set(), []
     for tree in trees:
         for node in ast.walk(tree):
-            if isinstance(node, ast.Call):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                callees.update(id(n) for n in ast.walk(node.type))
+            elif isinstance(node, ast.Call):
                 callees.add(id(node.func))
                 name = called_name(node.func)
                 splat = (any(isinstance(a, ast.Starred) for a in node.args)
@@ -88,8 +94,7 @@ def default_findings(package=PACKAGE, bench=BENCH):
     calls, values = calls_and_values(program)
     findings = []
     for tree in parsed:
-        for node, bound in definitions(tree):
-            name = node.name
+        for node, bound, name in definitions(tree):
             if name in values or name not in calls or (name.startswith("__") and name.endswith("__")):
                 continue
             positional, defaulted = defaulted_params(node, bound)
@@ -122,10 +127,15 @@ def test_check_flags_defaults_that_all_or_no_calls_set(tmp_path):
         "class Net:\n"
         "    def step(self, grads, scale=1.0):\n        return grads\n"
         "    def __init__(self, size=4):\n        self.size = size\n"
+        "    def __eq__(self, other, strict=False):\n        return strict\n"
+        "class Stop(RuntimeError):\n"
+        "    def __init__(self, message, info=None, state=None):\n        self.info = info\n"
         "def run(net):\n"
         "    f(1, 5)\n    f(1, d=4)\n    net.step([], 2.0)\n    net.step([], scale=3.0)\n"
-        "    h(*[1, 2])\n    return TABLE['g'](1)\n"
+        "    h(*[1, 2])\n    Net()\n    Net(8)\n    net.__eq__(net, True)\n"
+        "    try:\n        raise Stop('a', {})\n    except Stop:\n        raise Stop('b', info={}, state=1)\n"
+        "    return TABLE['g'](1)\n"
         "TABLE = {'g': g}\n"
     )
     (bench / "run.py").write_text("from mod import f\nf(0, 1, d=2)\n")
-    assert default_findings(package, bench) == ["f(c)", "step(scale)"]
+    assert default_findings(package, bench) == ["Stop(info)", "f(c)", "step(scale)"]
