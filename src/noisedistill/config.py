@@ -1,12 +1,11 @@
 """Experiment configuration: one JSON document, schema-validated, hashable.
 
 ``SCHEMA`` (JSON Schema, draft 2020-12) is the one definition of a valid
-config.  A compact walk of it accepts or rejects a document; only a rejected
-document imports ``jsonschema``, whose best-matching error words the message
-(importing it would add about 0.1 s to every command's start-up).  The walk returns
-the document as the program reads it: an integral float at an ``integer``
-position (``300.0``) becomes an int.  Every count that sizes an array is
-capped at ``MAX_ARRAY_SIZE``.
+config.  One compact walk of it validates a document, words each failure as
+jsonschema does and reports the one jsonschema's ``best_match`` picks.  It
+returns the document as the program reads it: an integral float at an
+``integer`` position (``300.0``) becomes an int.  Every count that sizes an
+array is capped at ``MAX_ARRAY_SIZE``.
 
 Unknown keys are rejected everywhere so a typo cannot silently fall back to a
 default.  The effective config (after a ``--seed`` override) is
@@ -21,6 +20,7 @@ import inspect
 import json
 import math
 import os
+import sys
 from dataclasses import dataclass, replace
 
 from . import __version__
@@ -38,6 +38,9 @@ _POS_INT = {"type": "integer", "minimum": 1}
 # oversized request fails as MemoryError (exit 2), not as an index overflow.
 # Loop counts are not capped: a huge one is only a long run.
 MAX_ARRAY_SIZE = 2**28
+# Largest linear.sigma for which 4 (1 + sigma^2), the verify battery's bracket
+# for the profile minimizer, is finite.
+SIGMA_LIMIT = math.sqrt(sys.float_info.max) / 2
 
 
 def _size(minimum: int) -> dict:
@@ -60,7 +63,7 @@ SCHEMA = {
             "properties": {
                 "dim": _size(1),
                 "rank": _size(1),
-                "sigma": _NONNEG_NUM,
+                "sigma": {"type": "number", "minimum": 0, "maximum": SIGMA_LIMIT},
                 "basis": {"type": "array", "items": {"type": "array", "items": {"type": "number"}}},
                 "mc_instances": _POS_INT,
                 "mc_samples": _size(100),
@@ -162,10 +165,6 @@ SECTIONS = {
 _JSON_TYPES = {"object": dict, "array": list, "string": str, "boolean": bool, "null": type(None)}
 
 
-class _Rejected(Exception):
-    """A document that ``SCHEMA`` does not accept."""
-
-
 def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
@@ -180,47 +179,53 @@ def _json_key(value):
     return "number" if _is_number(value) else type(value).__name__, value
 
 
-def _conform(schema, value):
-    """``value`` as the program reads it, with each integral float at an
-    ``integer`` position turned into an int; raises ``_Rejected`` where
-    ``schema`` does not accept it.  Interprets, with JSON Schema's semantics,
-    exactly the keywords ``SCHEMA`` uses: type, const, enum, minimum,
-    exclusiveMinimum, maximum, required, properties, additionalProperties,
-    items, minItems and uniqueItems (``$schema`` is an annotation)."""
-    if isinstance(schema, bool):
-        if not schema:
-            raise _Rejected
-        return value
+def _conform(schema: dict, value, path: tuple, errors: list):
+    """``value`` as the program reads it: each integral float at an
+    ``integer`` position becomes an int.  Appends a ``(path, message)`` pair,
+    worded as jsonschema words it, to ``errors`` for each failure of the
+    keywords ``SCHEMA`` uses (``$schema`` is an annotation), checking each
+    object's own keywords in ``SCHEMA``'s order before its properties."""
+
+    def reject(message: str):
+        errors.append((path, message))
+
     number = _is_number(value)
     kind = schema.get("type")
-    if kind == "integer":
-        if not (number and (isinstance(value, int) or value.is_integer())):
-            raise _Rejected
-        value = int(value)
-    elif kind == "number":
-        if not number:
-            raise _Rejected
-    elif kind is not None and not isinstance(value, _JSON_TYPES[kind]):
-        raise _Rejected
+    typed = (kind is None or isinstance(value, _JSON_TYPES.get(kind, ())) or kind == "number" and number
+             or kind == "integer" and number and (isinstance(value, int) or value.is_integer()))
+    if not typed:  # checked no further
+        reject(f"{value!r} is not of type {kind!r}")
+        return value
     if "const" in schema and _json_key(value) != _json_key(schema["const"]):
-        raise _Rejected
+        reject(f"{schema['const']!r} was expected")
     if "enum" in schema and _json_key(value) not in set(map(_json_key, schema["enum"])):
-        raise _Rejected
-    if number and ("minimum" in schema and value < schema["minimum"]
-                   or "exclusiveMinimum" in schema and value <= schema["exclusiveMinimum"]
-                   or "maximum" in schema and value > schema["maximum"]):
-        raise _Rejected
+        reject(f"{value!r} is not one of {schema['enum']!r}")
+    if number:  # bounds are worded with the number as the document spells it
+        if "minimum" in schema and value < schema["minimum"]:
+            reject(f"{value!r} is less than the minimum of {schema['minimum']!r}")
+        if "exclusiveMinimum" in schema and value <= schema["exclusiveMinimum"]:
+            reject(f"{value!r} is less than or equal to the minimum of {schema['exclusiveMinimum']!r}")
+        if "maximum" in schema and value > schema["maximum"]:
+            reject(f"{value!r} is greater than the maximum of {schema['maximum']!r}")
+    if kind == "integer":
+        return int(value)
     if isinstance(value, dict):
-        if not all(key in value for key in schema.get("required", ())):
-            raise _Rejected
-        properties, other = schema.get("properties", {}), schema.get("additionalProperties", True)
-        return {key: _conform(properties.get(key, other), item) for key, item in value.items()}
+        properties = schema.get("properties", {})
+        extras = sorted(key for key in value if key not in properties)
+        if extras and schema.get("additionalProperties") is False:
+            reject(f"Additional properties are not allowed ({', '.join(map(repr, extras))} "
+                   f"{'was' if len(extras) == 1 else 'were'} unexpected)")
+        errors.extend((path, f"{key!r} is a required property")
+                      for key in schema.get("required", ()) if key not in value)
+        return {key: _conform(properties[key], item, (*path, key), errors) if key in properties else item
+                for key, item in value.items()}
     if isinstance(value, list):
         if len(value) < schema.get("minItems", 0):
-            raise _Rejected
+            reject(f"{value!r} {'should be non-empty' if schema['minItems'] == 1 else 'is too short'}")
         if schema.get("uniqueItems") and len(set(map(_json_key, value))) < len(value):
-            raise _Rejected
-        return [_conform(schema.get("items", True), item) for item in value]
+            reject(f"{value!r} has non-unique elements")
+        return [_conform(schema.get("items", {}), item, (*path, index), errors)
+                for index, item in enumerate(value)]
     return value
 
 
@@ -258,17 +263,12 @@ class ExperimentConfig:
 
 
 def parse_config(raw: dict) -> ExperimentConfig:
-    try:
-        raw = _conform(SCHEMA, raw)
-    except _Rejected:
-        # jsonschema words the rejection; should it find no error, the config stands
-        import jsonschema
-
-        validator = jsonschema.validators.validator_for(SCHEMA)(SCHEMA)
-        error = jsonschema.exceptions.best_match(validator.iter_errors(raw))
-        if error is not None:
-            path = "/".join(str(p) for p in error.absolute_path) or "<root>"
-            raise ConfigError(f"config invalid at {path}: {error.message}") from error
+    errors = []
+    raw = _conform(SCHEMA, raw, (), errors)
+    if errors:
+        # best_match's pick: the shallowest, then the greatest path, then the first
+        path, message = max(errors, key=lambda error: (-len(error[0]), error[0]))
+        raise ConfigError(f"config invalid at {'/'.join(map(str, path)) or '<root>'}: {message}")
     for section, required in SECTIONS[raw["kind"]].items():
         if required and section not in raw:
             raise ConfigError(f"kind {raw['kind']!r} requires a {section!r} section")

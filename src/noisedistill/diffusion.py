@@ -49,11 +49,11 @@ class TrainConfig:
             raise PreconditionError(f"unknown pretraining mode {self.mode!r}; choose from {MODES}")
         if self.sigma_hat < 0:
             raise PreconditionError(f"sigma_hat must be nonnegative, got {self.sigma_hat}")
-        if self.sigma_hat >= self.schedule.sigma_max:
+        if self.mode == "ambient" and self.sigma_hat >= self.schedule.sigma_max:
             raise PreconditionError(
                 f"sigma_hat {self.sigma_hat} must be below the schedule's sigma_max "
-                f"{self.schedule.sigma_max}: every noise level would be clipped to sigma_hat, "
-                "so every loss and gradient would be 0"
+                f"{self.schedule.sigma_max} in ambient mode: every noise level would be clipped "
+                "to sigma_hat, so every loss and gradient would be 0"
             )
         if self.steps < 0 or self.batch_size < 1 or self.lr <= 0:
             raise PreconditionError("need steps >= 0, batch_size >= 1, lr > 0")
@@ -94,6 +94,13 @@ def denoising_loss(
     return loss, net.backward(cache, upstream)
 
 
+def divergence_limit(points: np.ndarray) -> float:
+    """The largest sane training loss on ``points``: DIVERGENCE_THRESHOLD times
+    max(1, E||y||^2), the plain loss of a net that predicts zero.  Large data
+    alone is not read as divergence, but a model blown up from the start is."""
+    return DIVERGENCE_THRESHOLD * max(1.0, float(np.mean(np.sum(points**2, axis=1))))
+
+
 def pretrain(
     net: DenseNet,
     data,
@@ -104,17 +111,14 @@ def pretrain(
 
     ``cfg.mode='ambient'`` uses the adjusted objective at cfg.sigma_hat,
     ``cfg.mode='standard'`` the plain objective.  Zero steps leave ``net``
-    untouched.  A non-finite loss, or one above
-    DIVERGENCE_THRESHOLD times max(1, E||y||^2) over the noisy points, aborts.
-    E||y||^2 is the plain loss of a net that predicts zero, so the limit scales
-    with the data: large data alone is not read as divergence, but a model
-    blown up from the start is.
+    untouched.  A non-finite loss, or one above ``divergence_limit`` of the
+    noisy points, aborts.
     """
     sigma_hat = cfg.sigma_hat if cfg.mode == "ambient" else 0.0
     rng = make_rng(cfg.seed)
     opt = Adam(net.parameters(), cfg.lr)
     points = data.points
-    limit = DIVERGENCE_THRESHOLD * max(1.0, float(np.mean(np.sum(points**2, axis=1))))
+    limit = divergence_limit(points)
     curve = []
     for step in range(cfg.steps):
         idx = rng.integers(0, points.shape[0], cfg.batch_size)

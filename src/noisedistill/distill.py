@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .diffusion import DIVERGENCE_THRESHOLD, denoising_loss
+from .diffusion import denoising_loss
 from .errors import DivergenceError, PreconditionError
 from .nets import Adam, DenseNet, cosine_decay
 from .rng import make_rng
@@ -252,13 +252,15 @@ def run_distillation(
     cfg: DistillConfig,
     teacher_mode: str,
     eval_hook,
+    loss_limit: float,
 ) -> tuple[DistillState, list[dict]]:
     """Alternate fake and generator updates for cfg.steps iterations.
 
     ``eval_hook(state) -> dict`` is sampled at the eval cadence (and at the
     start and end) and its values land in the metric history.  The teacher's
     pretraining mode must pair with cfg.mode as ``PAIRED_MODE`` says
-    (standard with standard, ambient with adjusted).
+    (standard with standard, ambient with adjusted).  A fake loss above
+    ``loss_limit`` (``divergence_limit`` of the data) is divergence.
     """
     if teacher_mode not in PAIRED_MODE:
         raise PreconditionError(f"unknown teacher pretraining mode {teacher_mode!r}")
@@ -289,7 +291,7 @@ def run_distillation(
         grad_norm = generator_update(state, rng)
 
         healthy = np.isfinite(grad_norm) and (cfg.method == "sds" or
-                                              (np.isfinite(fake_loss) and fake_loss <= DIVERGENCE_THRESHOLD))
+                                              (np.isfinite(fake_loss) and fake_loss <= loss_limit))
         if not healthy:
             raise DivergenceError(
                 f"distillation diverged at step {j}: fake_loss={fake_loss:.3e}, "

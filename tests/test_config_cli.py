@@ -228,6 +228,13 @@ class TestConfigValidation:
         verify_config(linear={"dim": 0, "rank": "one", "sigma": -1.0}),
         verify_config(schedule={"sigma_min": 0, "sigma_max": "big", "extra": 1}),
         {"kind": "verify"},
+        # sibling failures at one depth in two sections
+        verify_config(linear={"dim": 0, "rank": 1, "sigma": 0.3}, schedule={"sigma_min": 0}),
+        pipeline_config("pretrain", train={"hidden": [0, 2.5]}),  # list-index paths
+        verify_config(linear={"dim": 4, "rank": 1, "extra": 1}),  # unknown and missing key in one object
+        # a fraction at an integer key below its minimum fails type and bound
+        verify_config(linear={"dim": 4, "rank": 1, "sigma": 0.3, "mc_instances": 0.5}),
+        verify_config(linear={"dim": 4, "rank": 1, "sigma": 1e160}),
     ])
     def test_error_message_matches_jsonschema_validate(self, bad):
         with pytest.raises(jsonschema.ValidationError) as expected:
@@ -246,11 +253,9 @@ class TestConfigValidation:
         """The checker rejects a document exactly when jsonschema does, and
         parse_config words the rejection as jsonschema's best match."""
         error = jsonschema.exceptions.best_match(VALIDATOR.iter_errors(doc))
-        try:
-            conformed = config._conform(SCHEMA, doc)
-        except config._Rejected:
-            conformed = None
-        assert (conformed is None) == (error is not None)
+        errors = []
+        conformed = config._conform(SCHEMA, doc, (), errors)
+        assert bool(errors) == (error is not None)
         if error is not None:
             path = "/".join(str(p) for p in error.absolute_path) or "<root>"
             with pytest.raises(ConfigError) as got:
@@ -282,9 +287,11 @@ def test_cli_import_does_not_load_scipy():
 
 
 def test_valid_runs_do_not_load_jsonschema(tmp_path):
-    """jsonschema only words a rejected config, and only verify builds the quadrature rule."""
+    """The program never loads jsonschema, not even to word a rejected config,
+    and only verify builds the quadrature rule."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
     pretrain = write_cfg(tmp_path, pipeline_config("pretrain", train={"steps": 2, "hidden": [4]}), "pre.json")
+    rejected = write_cfg(tmp_path, pipeline_config("pretrain", train={"steps": -1}), "bad.json")
     verify = write_cfg(tmp_path, verify_config(linear={"dim": 3, "rank": 1, "sigma": 0.3, "mc_instances": 1,
                                                        "mc_samples": 100, "opt": {"seeds": 1, "max_iters": 5}}),
                        "verify.json")
@@ -299,11 +306,13 @@ def test_valid_runs_do_not_load_jsonschema(tmp_path):
         "seen.append(loaded())\n"
         f"assert cli.main(['verify', '--config', {verify!r}, '--out', {str(tmp_path / 'verify')!r}]) in (0, 1)\n"
         "seen.append([m for m in loaded() if m.split('.')[0] == 'jsonschema'])\n"
+        f"assert cli.main(['pretrain', '--config', {rejected!r}, '--out', {str(tmp_path / 'bad')!r}]) == 2\n"
+        "seen.append([m for m in loaded() if m.split('.')[0] == 'jsonschema'])\n"
         "print(json.dumps(seen))\n"
     )
     env = {**os.environ, "PYTHONPATH": src}
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert json.loads(result.stdout.splitlines()[-1]) == [[], [], []]
+    assert json.loads(result.stdout.splitlines()[-1]) == [[], [], [], []]
 
 
 class TestAtomicWrites:
@@ -729,6 +738,12 @@ class TestCliBadInput:
         assert main(["distill", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
         assert modes == ["standard"]
 
+    def test_standard_pretraining_takes_sigma_hat_above_sigma_max(self, tmp_path):
+        """Standard pretraining trains at sigma_hat 0, so no level is clipped."""
+        raw = pipeline_config("pretrain", train={"steps": 20, "sigma_hat": 1.5, "mode": "standard",
+                                                 "hidden": [16, 16]})
+        assert main(["pretrain", "--config", write_cfg(tmp_path, raw), "--out", str(tmp_path / "out")]) == 0
+
     def test_standard_mode_trains_at_sigma_hat_above_sigma_max(self, tmp_path):
         """Only the adjusted fake update clips its noise levels to sigma_hat."""
         teacher = pretrained_teacher(tmp_path, mode="standard")
@@ -985,6 +1000,18 @@ class TestCliDivergence:
         out = tmp_path / "out"
         assert main(["pretrain", "--config", write_cfg(tmp_path, raw), "--out", str(out)]) == 0
         assert float(csv_body(out / "pretrain_loss.csv")[-1].split(",")[1]) > 1e6
+
+    def test_large_scale_data_distills(self, tmp_path):
+        """The fake loss is held to pretraining's limit, which scales with the data."""
+        scale = {"dataset": {"kind": "ring", "n": 256, "sigma_data": 1e4},
+                 "schedule": {"sigma_min": 0.035, "sigma_max": 3e4}}
+        pre = pipeline_config("pretrain", **scale, train={"steps": 50, "sigma_hat": 1e4})
+        assert main(["pretrain", "--config", write_cfg(tmp_path, pre, "pre.json"),
+                     "--out", str(tmp_path / "pre")]) == 0
+        raw = pipeline_config("distill", **scale, distill={
+            "teacher": str(tmp_path / "pre" / "teacher.json"), "steps": 20, "batch_size": 32})
+        assert main(["distill", "--config", write_cfg(tmp_path, raw, "distill.json"),
+                     "--out", str(tmp_path / "distill")]) == 0
 
     def test_exploding_learning_rate_exits_3(self, tmp_path, capsys):
         raw = pipeline_config("pretrain")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from noisedistill import distill
+from noisedistill.diffusion import DIVERGENCE_THRESHOLD
 from noisedistill.distill import (
     DistillConfig,
     draw_perturbation,
@@ -301,7 +302,8 @@ class TestAlternation:
             monkeypatch.setattr(distill, name, recording(name, getattr(distill, name)))
         teacher = tiny_teacher(24)
         cfg = config(steps=3, eval_every=10)
-        run_distillation(teacher, cfg, teacher_mode="ambient", eval_hook=no_metrics)
+        run_distillation(teacher, cfg, teacher_mode="ambient", eval_hook=no_metrics,
+                         loss_limit=DIVERGENCE_THRESHOLD)
         per_step = {}
         for name, step in calls:
             per_step.setdefault(step, []).append(name)
@@ -312,7 +314,7 @@ class TestAlternation:
     def test_mode_mismatch_rejected(self):
         with pytest.raises(PreconditionError):
             run_distillation(tiny_teacher(25), config(mode="adjusted"), teacher_mode="standard",
-                             eval_hook=no_metrics)
+                             eval_hook=no_metrics, loss_limit=DIVERGENCE_THRESHOLD)
 
     def test_adjusted_mode_rejects_sigma_hat_at_sigma_max(self):
         for sigma_hat in (SCHED.sigma_max, 1.5 * SCHED.sigma_max):
@@ -324,15 +326,17 @@ class TestAlternation:
         teacher = tiny_teacher(26)
         digest = teacher.params_digest()
         cfg = config(steps=6, eval_every=3)
-        _, hist1 = run_distillation(teacher, cfg, teacher_mode="ambient", eval_hook=no_metrics)
+        _, hist1 = run_distillation(teacher, cfg, teacher_mode="ambient", eval_hook=no_metrics,
+                                    loss_limit=DIVERGENCE_THRESHOLD)
         assert teacher.params_digest() == digest
-        _, hist2 = run_distillation(teacher, cfg, teacher_mode="ambient", eval_hook=no_metrics)
+        _, hist2 = run_distillation(teacher, cfg, teacher_mode="ambient", eval_hook=no_metrics,
+                                    loss_limit=DIVERGENCE_THRESHOLD)
         assert repr(hist1) == repr(hist2)  # repr-compare so nan == nan rows agree
 
     def test_sds_skips_fake_updates(self):
         teacher = tiny_teacher(27)
         state, hist = run_distillation(teacher, config(method="sds", steps=3), teacher_mode="ambient",
-                                       eval_hook=no_metrics)
+                                       eval_hook=no_metrics, loss_limit=DIVERGENCE_THRESHOLD)
         assert state.fake_opt.t == 0  # the fake net never took a step
         assert state.gen_opt.t == 3
         assert np.isnan(hist[-1]["fake_loss"])
