@@ -188,8 +188,6 @@ def cmd_pretrain(cfg: ExperimentConfig, out: str) -> int:
 
 def cmd_distill(cfg: ExperimentConfig, out: str) -> int:
     dsec = cfg.section("distill")
-    if "teacher" not in dsec:
-        raise ConfigError("distill.teacher (checkpoint path) is required")
     _distill(cfg, _dataset(cfg), out, _load_checkpoint_input(dsec["teacher"]), dsec)
     return EXIT_OK
 

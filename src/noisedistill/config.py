@@ -275,6 +275,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
     unread = _unread_keys(raw)
     if unread:
         raise ConfigError(f"not read by a {raw['kind']!r} config, so rejected: {', '.join(unread)}")
+    if raw["kind"] == "distill" and "teacher" not in raw["distill"]:  # sigma_sweep trains its own
+        raise ConfigError("distill.teacher (checkpoint path) is required")
     return ExperimentConfig(raw=raw, out=None, plots=False)
 
 

@@ -35,12 +35,12 @@ SAMPLER_STEPS = 64  # reverse-process grid points when a config names none
 
 @dataclass(frozen=True)
 class TrainConfig:
+    schedule: NoiseSchedule
+    seed: int
     batch_size: int = 128
     lr: float = 1e-3
     steps: int = 20000
-    schedule: NoiseSchedule = NoiseSchedule()
     sigma_hat: float = 0.0
-    seed: int = 0
     mode: str = "ambient"
     hidden: tuple = (64, 64, 64)  # denoiser hidden widths
 

@@ -38,16 +38,16 @@ PAIRED_MODE = {"standard": "standard", "ambient": "adjusted"}
 
 @dataclass(frozen=True)
 class DistillConfig:
+    mode: str  # pairs with the teacher's pretraining mode (PAIRED_MODE)
+    sigma_hat: float
+    schedule: NoiseSchedule
+    seed: int
     method: str = "sid"
-    mode: str = "adjusted"
     alpha: float = 1.2  # SiD mixing weight
     lr_fake: float = 1e-3
     lr_gen: float = 2e-4
     steps: int = 20000
     batch_size: int = 128
-    sigma_hat: float = 0.0
-    schedule: NoiseSchedule = NoiseSchedule()
-    seed: int = 0
     eval_every: int = 500
     weighting: str = "sid-normalized"
 
@@ -76,8 +76,7 @@ class DistillState:
     fake_opt: Adam
     gen_opt: Adam
     cfg: DistillConfig
-    step: int = 0
-    history: list = field(default_factory=list)
+    step: int = field(default=0, init=False)
 
 
 def init_distillation(teacher: DenseNet, cfg: DistillConfig) -> DistillState:
@@ -273,11 +272,12 @@ def run_distillation(
     rng = make_rng(cfg.seed)
     teacher_digest = teacher.params_digest()
     last_healthy = teacher.copy()
+    history = []
 
     def record(step: int, fake_loss: float, grad_norm: float):
         row = {"step": step, "fake_loss": fake_loss, "gen_grad_norm": grad_norm}
         row.update(eval_hook(state))
-        state.history.append(row)
+        history.append(row)
 
     record(0, float("nan"), float("nan"))
     for j in range(1, cfg.steps + 1):
@@ -305,4 +305,4 @@ def run_distillation(
 
     if teacher.params_digest() != teacher_digest:
         raise RuntimeError("teacher parameters changed during distillation")
-    return state, state.history
+    return state, history

@@ -101,7 +101,7 @@ def _one_step_samples(generator, schedule, n_eval: int, eval_seed: int) -> np.nd
     return guard_samples(generator_forward(generator, z, schedule), "one-step generator")
 
 
-def make_eval_hook(dataset, sigma_hat: float, schedule, n_eval: int = N_EVAL, eval_seed: int = 0):
+def make_eval_hook(dataset, sigma_hat: float, schedule, eval_seed: int, n_eval: int = N_EVAL):
     """Standard metric hook for distillation runs.
 
     The clean reference fit, the evaluation latents, and the corruption
@@ -121,17 +121,18 @@ def evaluate_sources(
     dataset,
     schedule,
     sigma_hat: float,
-    teacher=None,
-    generator=None,
+    teacher,
+    generator,
+    eval_seed: int,
     n_eval: int = N_EVAL,
     sample_steps: int = SAMPLER_STEPS,
-    eval_seed: int = 0,
 ) -> list[dict]:
     """Metric rows for the raw noisy data and every available model.
 
     Sources: the noisy training points themselves, the teacher run as a full
-    and as a truncated sampler, and the one-step generator.  All rows share
-    one clean reference fit and one evaluation seed.
+    and as a truncated sampler, and the one-step generator; a ``None`` teacher
+    or generator adds no row.  All rows share one clean reference fit and one
+    evaluation seed.
     """
     score = _scorer(dataset, sigma_hat, n_eval, eval_seed)
 

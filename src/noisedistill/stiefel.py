@@ -26,10 +26,10 @@ GRAD_TOL = 1e-7  # Riemannian gradient norm that counts as converged
 class OptTrace:
     """Per-iteration records of a descent run."""
 
-    iters: list = field(default_factory=list)
-    losses: list = field(default_factory=list)
-    grad_norms: list = field(default_factory=list)
-    converged: bool = False
+    iters: list = field(default_factory=list, init=False)
+    losses: list = field(default_factory=list, init=False)
+    grad_norms: list = field(default_factory=list, init=False)
+    converged: bool = field(default=False, init=False)
 
     def append(self, it, loss, grad_norm):
         self.iters.append(int(it))

@@ -27,19 +27,17 @@ def _to_canvas(points: np.ndarray) -> np.ndarray:
     return xy
 
 
-def emit_scatter_svg(point_sets, path, meta: str | None = None) -> None:
+def emit_scatter_svg(point_sets, path, meta: str) -> None:
     """Write labelled 2-D point sets to ``path`` as one SVG scatter panel.
 
     ``point_sets`` is a list of (label, n x 2 array) with at most five
-    entries; an empty list yields a valid empty canvas.  ``meta``, when given,
-    lands in a leading XML comment (used for config hash / seed headers).
+    entries; an empty list yields a valid empty canvas.  ``meta`` (the config
+    hash / seed provenance) lands in a leading XML comment.
     """
     point_sets = list(point_sets)
     if len(point_sets) > MAX_SETS:
         raise PreconditionError(f"at most {MAX_SETS} point sets per panel, got {len(point_sets)}")
-    lines = ['<?xml version="1.0" encoding="UTF-8"?>']
-    if meta:
-        lines.append(f"<!-- {meta} -->")
+    lines = ['<?xml version="1.0" encoding="UTF-8"?>', f"<!-- {meta} -->"]
     lines.append(
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{CANVAS}" height="{CANVAS}" '
         f'viewBox="0 0 {CANVAS} {CANVAS}">'

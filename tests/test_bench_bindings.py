@@ -1,22 +1,30 @@
-"""Every function the benchmark tracer wraps still exists in the package.
+"""Every part of the package that the benchmark reaches into still fits it.
 
 ``bench/tracer.py`` names its targets as (span, home module, attribute or
-``Class.method``); a deleted or renamed target fails here instead of in a
-benchmark run.
+``Class.method``), and ``bench/run.py``'s stage table rebuilds a distillation
+state; a deleted or renamed target, or a reshaped state, fails here instead of
+in a benchmark run.
 """
 
 import importlib
 import importlib.util
+import os
+import sys
 import threading
 from pathlib import Path
 
 import numpy as np
+import pytest
 
+import noisedistill
 from noisedistill import nets, parallel
+from noisedistill.distill import DistillConfig, run_distillation
 from noisedistill.nets import DenseNet
 from noisedistill.rng import derive
+from noisedistill.schedule import NoiseSchedule
 
-TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+TRACER = BENCH / "tracer.py"
 
 
 def load_tracer():
@@ -98,3 +106,36 @@ def test_backward_reaches_silu_grad_through_the_module_name(monkeypatch):
     net.backward(cache, np.ones((7, 2)))
     net.backward(cache, np.ones((7, 2)), params=False)
     assert calls == [(7, 5), (7, 6), (7, 8)] * 2  # hidden layers, last to first
+
+
+@pytest.fixture
+def bench_run(monkeypatch):
+    """``bench/run.py`` as a module, loaded with ``bench/`` on ``sys.path``.
+    The BLAS thread variables it sets on import, ``sys.path`` and the bench
+    modules it imports are restored afterwards."""
+    environ, modules = dict(os.environ), set(sys.modules)
+    monkeypatch.syspath_prepend(str(BENCH))
+    spec = importlib.util.spec_from_file_location("bench_run", BENCH / "run.py")
+    module = importlib.util.module_from_spec(spec)
+    try:
+        spec.loader.exec_module(module)
+        yield module
+    finally:
+        os.environ.clear()
+        os.environ.update(environ)
+        for name in set(sys.modules) - modules:
+            if Path(getattr(sys.modules[name], "__file__", None) or "").parent == BENCH:
+                del sys.modules[name]
+
+
+def test_stage_table_times_every_estimator_on_a_distillation_state(bench_run):
+    """``stage_table`` deep-copies the state ``run_distillation`` returns, swaps
+    the estimator with ``dataclasses.replace`` and times generator updates."""
+    teacher = DenseNet([3, 4, 2], derive(0, 1))
+    cfg = DistillConfig(mode="adjusted", sigma_hat=0.1, schedule=NoiseSchedule(0.05, 2.0), seed=0,
+                        steps=2, batch_size=8, eval_every=1)
+    result = run_distillation(teacher, cfg, teacher_mode="ambient", eval_hook=lambda state: {},
+                              loss_limit=1e6)
+    times = bench_run.stage_table(result[0], noisedistill)
+    assert sorted(times) == ["dmd", "sds", "sid"]
+    assert all(np.isfinite(ms) and ms > 0 for ms in times.values())

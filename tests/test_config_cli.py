@@ -172,7 +172,9 @@ def config_documents(draw):
         edit = draw(st.sampled_from(["replace", "delete", "unknown", "repeat"]))
         if edit == "replace" or edit == "delete" and isinstance(owner, list):
             edges = schema_edges(schema_at(path))
-            owner[last] = draw(st.sampled_from(edges if edges and draw(st.booleans()) else ANY_VALUES))
+            pool = edges if edges and draw(st.booleans()) else ANY_VALUES
+            # a copy, so a later edit of this document cannot change the pool
+            owner[last] = copy.deepcopy(draw(st.sampled_from(pool)))
         elif edit == "delete":
             del owner[last]
         elif edit == "unknown" and isinstance(target, dict):
@@ -315,6 +317,29 @@ def test_valid_runs_do_not_load_jsonschema(tmp_path):
     assert json.loads(result.stdout.splitlines()[-1]) == [[], [], [], []]
 
 
+def test_config_documents_share_no_value_with_the_pool():
+    """Each draw edits its own copy of a pool value, so no draw sees the edits
+    of an earlier one: no list or dict of a document is one of ANY_VALUES, and
+    500 draws leave them as they were."""
+    pristine = copy.deepcopy(ANY_VALUES)
+    pool = {id(value) for value in ANY_VALUES if isinstance(value, (list, dict))}
+    shared = []
+
+    def containers(value):
+        if isinstance(value, (list, dict)):
+            yield value
+            for item in value.values() if isinstance(value, dict) else value:
+                yield from containers(item)
+
+    @settings(derandomize=True, database=None, max_examples=500, deadline=None)
+    @given(doc=config_documents())
+    def draw(doc):
+        shared.extend(value for value in containers(doc) if id(value) in pool)
+
+    draw()
+    assert not shared and ANY_VALUES == pristine
+
+
 class TestAtomicWrites:
     def test_no_partial_artifact_on_interrupted_rename(self, tmp_path, monkeypatch):
         target = tmp_path / "out.csv"
@@ -352,21 +377,26 @@ class TestAtomicWrites:
 
 
 class TestFromSection:
+    TRAIN_FIXED = {"schedule": NoiseSchedule(), "seed": 3}
+    DISTILL_FIXED = {"mode": "adjusted", "sigma_hat": 0.1, "schedule": NoiseSchedule(), "seed": 3}
+
     def test_empty_section_gives_dataclass_defaults(self):
-        assert from_section(TrainConfig, {}) == TrainConfig()
-        assert from_section(DistillConfig, {}) == DistillConfig()
+        assert from_section(TrainConfig, {}, **self.TRAIN_FIXED) == TrainConfig(**self.TRAIN_FIXED)
+        assert from_section(DistillConfig, {}, **self.DISTILL_FIXED) == DistillConfig(**self.DISTILL_FIXED)
         assert from_section(NoiseSchedule, {}) == NoiseSchedule()
 
     def test_section_key_overrides_default(self):
-        tcfg = from_section(TrainConfig, {"lr": 3e-3, "hidden": [8], "mode": "standard"})
+        tcfg = from_section(TrainConfig, {"lr": 3e-3, "hidden": [8], "mode": "standard"},
+                            **self.TRAIN_FIXED)
         assert tcfg.lr == 3e-3
-        assert tcfg.steps == TrainConfig().steps
-        assert from_section(DistillConfig, {"steps": 7, "teacher": "t.json"}).steps == 7
+        assert tcfg.steps == declared_default(TrainConfig, "steps")
+        dcfg = from_section(DistillConfig, {"steps": 7, "teacher": "t.json"}, **self.DISTILL_FIXED)
+        assert dcfg.steps == 7
         assert from_section(NoiseSchedule, {"sigma_max": 2.0}) == NoiseSchedule(0.02, 2.0)
 
     def test_fixed_value_overrides_section(self):
         dcfg = from_section(DistillConfig, {"mode": "standard", "sigma_hat": 0.1},
-                            mode="adjusted", seed=4)
+                            mode="adjusted", schedule=NoiseSchedule(), seed=4)
         assert (dcfg.mode, dcfg.sigma_hat, dcfg.seed) == ("adjusted", 0.1, 4)
 
     def test_verify_runs_at_the_optimizer_default_tolerance(self):
@@ -375,12 +405,14 @@ class TestFromSection:
 
 
 class TestScatterSvg:
+    SVG_META = "config_hash=000000000000 seed=0 version=0.1.0"
+
     def test_golden_bytes_for_tiny_input(self, tmp_path):
         path1 = tmp_path / "a.svg"
         path2 = tmp_path / "b.svg"
         pts = np.array([[0.0, 0.0], [1.0, -1.0]])
-        emit_scatter_svg([("data", pts)], str(path1))
-        emit_scatter_svg([("data", pts)], str(path2))
+        emit_scatter_svg([("data", pts)], str(path1), self.SVG_META)
+        emit_scatter_svg([("data", pts)], str(path2), self.SVG_META)
         assert path1.read_bytes() == path2.read_bytes()
         body = path1.read_text()
         assert body.startswith('<?xml version="1.0"')
@@ -388,7 +420,7 @@ class TestScatterSvg:
 
     def test_empty_input_still_valid(self, tmp_path):
         path = tmp_path / "empty.svg"
-        emit_scatter_svg([], str(path))
+        emit_scatter_svg([], str(path), self.SVG_META)
         body = path.read_text()
         assert body.startswith('<?xml version="1.0"')
         assert "</svg>" in body
@@ -396,7 +428,7 @@ class TestScatterSvg:
     def test_many_points_under_size_budget(self, tmp_path):
         rng = np.random.default_rng(0)
         path = tmp_path / "big.svg"
-        emit_scatter_svg([("cloud", rng.standard_normal((10000, 2)))], str(path))
+        emit_scatter_svg([("cloud", rng.standard_normal((10000, 2)))], str(path), self.SVG_META)
         assert path.stat().st_size < 2_000_000
 
     def test_too_many_sets_rejected(self, tmp_path):
@@ -404,7 +436,7 @@ class TestScatterSvg:
         from noisedistill.errors import PreconditionError
 
         with pytest.raises(PreconditionError):
-            emit_scatter_svg(sets, str(tmp_path / "x.svg"))
+            emit_scatter_svg(sets, str(tmp_path / "x.svg"), self.SVG_META)
 
 
 def write_cfg(tmp_path, raw, name="cfg.json"):
@@ -606,6 +638,10 @@ NON_FINITE_LITERALS = {"lr_nan": ("train", "lr", "NaN"),
                        "lr_overflows_to_inf": ("train", "lr", "1e400")}
 
 
+# The whole message of the bad-input cases whose wording is part of the contract.
+BAD_INPUT_MESSAGES = {"distill_without_teacher": "distill.teacher (checkpoint path) is required"}
+
+
 def bad_input(case, tmp_path):
     """(command, config) of one bad-input case; the config is a dict, or a
     JSON text where it holds a literal ``json.dumps`` cannot write."""
@@ -635,6 +671,8 @@ def bad_input(case, tmp_path):
         raw = verify_config()
         raw["linear"]["sigma"] = 1e160
         return "verify", raw
+    if case == "distill_without_teacher":
+        return "distill", pipeline_config("distill", distill={"steps": 1})
     if case == "fake_steps_per_gen_key":
         return "distill", pipeline_config(
             "distill", distill={"teacher": str(teacher), "steps": 1, "fake_steps_per_gen": 1})
@@ -700,7 +738,8 @@ class TestCliBadInput:
                                       "duplicate_sigma_hats", "sweep_with_teacher", *UNREAD_KEYS,
                                       "sigma_hat_at_sigma_max", "distill_sigma_hat_at_sigma_max",
                                       "sweep_level_at_sigma_max",
-                                      "distill_mode_unpaired_with_teacher", *NON_FINITE_LITERALS])
+                                      "distill_mode_unpaired_with_teacher", "distill_without_teacher",
+                                      *NON_FINITE_LITERALS])
     def test_exits_2_without_traceback(self, case, tmp_path, capsys):
         command, raw = bad_input(case, tmp_path)
         cfg = write_cfg(tmp_path, raw, "bad.json")
@@ -710,6 +749,8 @@ class TestCliBadInput:
         err = capsys.readouterr().err
         assert err.startswith("config error:")
         assert "Traceback" not in err
+        if case in BAD_INPUT_MESSAGES:
+            assert err == f"config error: {BAD_INPUT_MESSAGES[case]}\n"
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("case", UNREAD_SECTIONS)
@@ -1165,7 +1206,7 @@ class TestCliEval:
         data = make_dataset("ring", 256, 0.05, raw["seed"])
         generator = load_checkpoint(out / "generator.json")[0]
         expected = {sigma_hat: evaluate_sources(data, NoiseSchedule(0.035, 1.0), sigma_hat,
-                                                generator=generator, n_eval=256,
+                                                teacher=None, generator=generator, n_eval=256,
                                                 eval_seed=raw["seed"])[-1]["proximal_fid"]
                     for sigma_hat in (0.07, 0.05)}  # the generator's, the data's
         assert float(row[2]) == expected[0.07] != expected[0.05]
@@ -1177,8 +1218,8 @@ def declared_default(build, name):
 
 # (command, section, key, the default of the dataclass or function the section builds)
 OMITTED_KEYS = {
-    "train.mode": ("pretrain", "train", "mode", TrainConfig().mode),
-    "train.hidden": ("pretrain", "train", "hidden", list(TrainConfig().hidden)),
+    "train.mode": ("pretrain", "train", "mode", declared_default(TrainConfig, "mode")),
+    "train.hidden": ("pretrain", "train", "hidden", list(declared_default(TrainConfig, "hidden"))),
     "eval.n_eval/eval": ("eval", "eval", "n_eval", declared_default(evaluate_sources, "n_eval")),
     "eval.n_eval/distill": ("distill", "eval", "n_eval", declared_default(make_eval_hook, "n_eval")),
     "eval.sample_steps": ("eval", "eval", "sample_steps",

@@ -434,7 +434,8 @@ class TestReferenceContract:
         tcfg = TrainConfig(batch_size=64, lr=1e-3, steps=20, schedule=self.SCHED, sigma_hat=0.05, seed=4,
                            mode="ambient")
         curve = pretrain(teacher, data, tcfg)
-        dcfg = DistillConfig(method="sid", steps=3, batch_size=64, sigma_hat=0.05, schedule=self.SCHED)
+        dcfg = DistillConfig(mode="adjusted", sigma_hat=0.05, schedule=self.SCHED, seed=0, method="sid",
+                             steps=3, batch_size=64)
         state = init_distillation(teacher, dcfg)
         state.fake, state.generator = as_net(state.fake), as_net(state.generator)
         rng = make_rng(5)
