@@ -31,7 +31,6 @@ from .diffusion import (
 )
 from .distill import PAIRED_MODE, DistillConfig, generator_forward, run_distillation
 from .errors import ConfigError, DivergenceError, PreconditionError
-from .linear_theory import LinearModel
 from .metrics import evaluate_sources, make_eval_hook, select_best_checkpoint
 from .nets import DenseNet
 from .rng import derive
@@ -151,17 +150,8 @@ def _distill(cfg: ExperimentConfig, data, out: str, teacher, section: dict) -> l
 
 def cmd_verify(cfg: ExperimentConfig, out: str) -> int:
     lin = cfg.section("linear")
-    basis = None
-    if "basis" in lin:
-        try:
-            basis = np.asarray(lin["basis"], dtype=float)
-            if basis.shape != (lin["dim"], lin["rank"]):
-                raise PreconditionError(f"shape {basis.shape} is not (dim, rank) = {(lin['dim'], lin['rank'])}")
-            LinearModel(basis=basis, sigma=lin["sigma"])  # orthonormality gate
-        except ValueError as exc:  # PreconditionError, or a ragged basis
-            raise ConfigError(f"linear.basis rejected: {exc}") from exc
     checks = from_section(run_verification, {**lin, **lin.get("opt", {})}, seed=cfg.seed,
-                          schedule=_schedule(cfg), basis=basis)
+                          schedule=_schedule(cfg))
     rows = [
         {"check": c.name, "value": c.value, "threshold": c.threshold,
          "passed": c.passed, "detail": c.detail}

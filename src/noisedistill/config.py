@@ -23,7 +23,7 @@ import os
 import sys
 from dataclasses import dataclass, replace
 
-from . import __version__
+from . import __version__, toydata
 from .errors import ConfigError
 
 CONFIG_VERSION = 1
@@ -64,7 +64,6 @@ SCHEMA = {
                 "dim": _size(1),
                 "rank": _size(1),
                 "sigma": {"type": "number", "minimum": 0, "maximum": SIGMA_LIMIT},
-                "basis": {"type": "array", "items": {"type": "array", "items": {"type": "number"}}},
                 "mc_instances": _POS_INT,
                 "mc_samples": _size(100),
                 "opt": {
@@ -84,8 +83,8 @@ SCHEMA = {
             "additionalProperties": False,
             "required": ["kind", "n", "sigma_data"],
             "properties": {
-                "kind": {"enum": ["ring", "two_moons", "mode_grid"]},
-                "n": _size(256),
+                "kind": {"enum": list(toydata.KINDS)},
+                "n": _size(toydata.MIN_POINTS),
                 "sigma_data": _NONNEG_NUM,
             },
         },

@@ -113,7 +113,6 @@ class _Perturbation:
 
     x_g: np.ndarray
     cache_g: tuple
-    base: np.ndarray  # y~ in standard mode, x_g in adjusted mode
     sigma_t: np.ndarray
     eps: np.ndarray
     x_t: np.ndarray
@@ -133,7 +132,7 @@ def draw_perturbation(state: DistillState, z: np.ndarray, rng: np.random.Generat
     sigma_t = cfg.schedule.sample_sigma(rng, x_g.shape[0])
     eps = rng.standard_normal(x_g.shape)
     x_t = base + sigma_t[:, None] * eps
-    return _Perturbation(x_g, cache_g, base, sigma_t, eps, x_t)
+    return _Perturbation(x_g, cache_g, sigma_t, eps, x_t)
 
 
 def loss_weights(

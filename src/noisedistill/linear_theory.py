@@ -188,13 +188,13 @@ def principal_angles(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class WassersteinReport:
-    w2_noisy_clean: float
     w2_distilled_clean: float
     gap: float
 
 
 def wasserstein_report(m: LinearModel, p: GeneratorParams) -> WassersteinReport:
-    """Squared W2 distances (noisy vs clean, distilled vs clean) and their gap.
+    """Squared W2 distance of the distilled to the clean data, and its gap to
+    that of the noisy data (noisy vs clean minus distilled vs clean).
 
     Requires the generator covariance C = U W U^T, W = V^T V, to commute with
     E E^T, i.e. the r x d block E^T C (I - E E^T) to vanish; it is rejected
@@ -223,7 +223,6 @@ def wasserstein_report(m: LinearModel, p: GeneratorParams) -> WassersteinReport:
     w2_distilled = max(float(np.sum(lam) + m.rank - 2.0 * np.dot(root_lam, aligned)), 0.0)
 
     return WassersteinReport(
-        w2_noisy_clean=w2_noisy,
         w2_distilled_clean=w2_distilled,
         gap=w2_noisy - w2_distilled,
     )

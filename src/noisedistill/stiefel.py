@@ -24,17 +24,16 @@ GRAD_TOL = 1e-7  # Riemannian gradient norm that counts as converged
 
 @dataclass
 class OptTrace:
-    """Per-iteration records of a descent run."""
+    """A descent run: the iteration number and loss of each iterate, and
+    whether the last one met the gradient tolerance."""
 
     iters: list = field(default_factory=list, init=False)
     losses: list = field(default_factory=list, init=False)
-    grad_norms: list = field(default_factory=list, init=False)
     converged: bool = field(default=False, init=False)
 
-    def append(self, it, loss, grad_norm):
+    def append(self, it, loss):
         self.iters.append(int(it))
         self.losses.append(float(loss))
-        self.grad_norms.append(float(grad_norm))
 
 
 def euclidean_gradient(m: LinearModel, p: GeneratorParams, s: NoiseSchedule) -> tuple[np.ndarray, np.ndarray]:
@@ -140,10 +139,10 @@ def optimize(
     at most ``max_iters`` steps.
 
     Returns the last iterate, the one the trace's final row describes, and the
-    trace of (iteration, loss, gradient norm) per iterate; non-convergence is
-    reported through ``trace.converged`` rather than an error.  Every accepted
-    step passes the Armijo test, so no step raises the loss and the last
-    iterate has the lowest.
+    trace of (iteration, loss) per iterate; non-convergence is reported
+    through ``trace.converged`` rather than an error.  Every accepted step
+    passes the Armijo test, so no step raises the loss and the last iterate
+    has the lowest.
     """
     require_theta(p0, tol=STIEFEL_TOL)
     trace = OptTrace()
@@ -156,7 +155,7 @@ def optimize(
         du, dv = euclidean_gradient(m, p, s)
         xi = tangent_project(p.u, du)
         grad_norm = float(np.sqrt(np.sum(xi * xi) + np.sum(dv * dv)))
-        trace.append(it, loss, grad_norm)
+        trace.append(it, loss)
 
         if grad_norm <= GRAD_TOL:
             trace.converged = True

@@ -150,16 +150,16 @@ def check_profile_convexity(schedule: NoiseSchedule, sigma: float) -> CheckResul
                        detail="minimum second difference on the grid")
 
 
-def _frame(dim: int, rank: int, basis: np.ndarray | None, tag: int) -> np.ndarray:
-    if basis is not None:
-        return np.asarray(basis, dtype=float)
+def _frame(dim: int, rank: int, tag: int) -> np.ndarray:
+    """The data frame of one check: a fixed random orthonormal frame per
+    (dim, rank), drawn from the check's own ``tag`` and not from the seed."""
     rng = derive(int(dim * 1000 + rank), tag)
     return retract(np.zeros((dim, rank)), rng.standard_normal((dim, rank)))
 
 
-def check_gap_identity(dim: int, rank: int, sigma: float, basis: np.ndarray | None) -> CheckResult:
+def check_gap_identity(dim: int, rank: int, sigma: float) -> CheckResult:
     """At the analytic minimizer the W2 gap equals (d - r) sigma^2."""
-    model = LinearModel(basis=_frame(dim, rank, basis, 5), sigma=sigma)
+    model = LinearModel(basis=_frame(dim, rank, 5), sigma=sigma)
     report = wasserstein_report(model, analytic_minimizer(model))
     err = abs(report.gap - (dim - rank) * sigma**2)
     return CheckResult(f"w2_gap_identity_d{dim}_r{rank}", err, 1e-9, err <= 1e-9)
@@ -201,11 +201,10 @@ def check_minimizer_optimality(
     sigma: float,
     schedule: NoiseSchedule,
     seed: int,
-    basis: np.ndarray | None,
 ) -> CheckResult:
     """Random perturbations of the minimizer strictly increase the loss."""
     rng = derive(seed, 8)
-    model = LinearModel(basis=_frame(dim, rank, basis, 8), sigma=sigma)
+    model = LinearModel(basis=_frame(dim, rank, 8), sigma=sigma)
     star = analytic_minimizer(model)
     base = loss_closed_form(model, star, schedule)
     min_margin = np.inf
@@ -226,12 +225,11 @@ def check_descent_recovery(
     schedule: NoiseSchedule,
     seeds: int,
     max_iters: int,
-    basis: np.ndarray | None,
 ) -> CheckResult:
     """Riemannian descent from random starts reaches the minimizer family: the
     final U spans the data frame (largest principal angle) and V^T V is
     (1 + sigma^2) I (Frobenius deviation), each within 1e-3."""
-    model = LinearModel(basis=_frame(dim, rank, basis, 9), sigma=sigma)
+    model = LinearModel(basis=_frame(dim, rank, 9), sigma=sigma)
     target_gram = (1.0 + sigma**2) * np.eye(rank)
     successes = 0
     for k in range(seeds):
@@ -276,16 +274,14 @@ def run_verification(
     sigma: float,
     seed: int,
     schedule: NoiseSchedule,
-    basis: np.ndarray | None,
     seeds: int = 20,
     max_iters: int = 2000,
     mc_instances: int = 20,
     mc_samples: int = 100000,
 ) -> list[CheckResult]:
-    """The full battery; deterministic in (arguments, seed).  ``basis`` is the
-    data frame, or None for a seeded random one.  ``seeds`` and ``max_iters``
-    set the descent-recovery check: its number of random starts and the
-    iteration budget of each."""
+    """The full battery; deterministic in (arguments, seed).  ``seeds`` and
+    ``max_iters`` set the descent-recovery check: its number of random starts
+    and the iteration budget of each."""
     checks = [
         check_woodbury(seed),
         check_w2_bures(seed),
@@ -293,10 +289,10 @@ def run_verification(
         check_trace_bound(seed),
         check_profile_minimizer(schedule, sigmas=(0.1, 0.2, 0.5, sigma)),
         check_profile_convexity(schedule, sigma=max(sigma, 0.1)),
-        check_gap_identity(dim, rank, sigma, basis=basis),
+        check_gap_identity(dim, rank, sigma),
         check_closed_vs_monte_carlo(seed, schedule, instances=mc_instances, n=mc_samples),
-        check_minimizer_optimality(dim, rank, sigma, schedule, seed, basis=basis),
-        check_descent_recovery(dim, rank, sigma, schedule, seeds, max_iters, basis=basis),
+        check_minimizer_optimality(dim, rank, sigma, schedule, seed),
+        check_descent_recovery(dim, rank, sigma, schedule, seeds, max_iters),
         check_von_neumann(seed),
         check_sample_fit_roundtrip(seed),
     ]

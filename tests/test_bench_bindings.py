@@ -1,8 +1,9 @@
 """Every part of the package that the benchmark reaches into still fits it.
 
 ``bench/tracer.py`` names its targets as (span, home module, attribute or
-``Class.method``), and ``bench/run.py``'s stage table rebuilds a distillation
-state; a deleted or renamed target, or a reshaped state, fails here instead of
+``Class.method``), ``bench/run.py``'s stage table rebuilds a distillation
+state, and its workloads write configs for the CLI; a deleted or renamed
+target, a reshaped state, or a config the schema rejects fails here instead of
 in a benchmark run.
 """
 
@@ -17,7 +18,7 @@ import numpy as np
 import pytest
 
 import noisedistill
-from noisedistill import nets, parallel
+from noisedistill import config, nets, parallel
 from noisedistill.distill import DistillConfig, run_distillation
 from noisedistill.nets import DenseNet
 from noisedistill.rng import derive
@@ -139,3 +140,13 @@ def test_stage_table_times_every_estimator_on_a_distillation_state(bench_run):
     times = bench_run.stage_table(result[0], noisedistill)
     assert sorted(times) == ["dmd", "sds", "sid"]
     assert all(np.isfinite(ms) and ms > 0 for ms in times.values())
+
+
+@pytest.mark.parametrize("workload", ["pipeline", "sampling", "verify"])
+def test_every_benchmark_config_is_accepted(workload, bench_run, tmp_path):
+    """Every config ``bench/run.py`` writes passes the schema, so a schema
+    change that would reject one fails here instead of in a benchmark run."""
+    plan = bench_run.Plan(workload, 1, str(tmp_path))
+    for op in [*plan.setup_ops, *plan.ops]:
+        op.write_config()
+        config.load_config(op.config_path, expected_kind=op.cfg["kind"])

@@ -93,7 +93,8 @@ class TestEstimatorZeros:
 
     def test_sds_zero_when_teacher_predicts_noise_exactly(self):
         # a teacher whose eps-prediction equals the injected noise comes from
-        # f(x_t) = x_t - sigma_t * eps = base; emulate with an exact stand-in
+        # f(x_t) = x_t - sigma_t * eps = x_g (adjusted mode at sigma_hat 0);
+        # emulate with an exact stand-in
         cfg = config(method="sds", sigma_hat=0.0, mode="adjusted")
         state = init_distillation(tiny_teacher(7), cfg)
         z = derive(7, 2).standard_normal((8, 2))
@@ -102,7 +103,7 @@ class TestEstimatorZeros:
             data_dim = 2
 
             def forward(self, x, sigma):
-                return perturbation.base
+                return perturbation.x_g
 
         rng = make_rng(3)
         perturbation = draw_perturbation(state, z, rng)
