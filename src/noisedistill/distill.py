@@ -258,7 +258,8 @@ def run_distillation(
     start and end) and its values land in the metric history.  The teacher's
     pretraining mode must pair with cfg.mode as ``PAIRED_MODE`` says
     (standard with standard, ambient with adjusted).  A fake loss above
-    ``loss_limit`` (``divergence_limit`` of the data) is divergence.
+    ``loss_limit`` (``divergence_limit`` of the data) is divergence; that error
+    and the eval hook's carry the generator of the last completed eval.
     """
     if teacher_mode not in PAIRED_MODE:
         raise PreconditionError(f"unknown teacher pretraining mode {teacher_mode!r}")
@@ -270,13 +271,20 @@ def run_distillation(
     state = init_distillation(teacher, cfg)
     rng = make_rng(cfg.seed)
     teacher_digest = teacher.params_digest()
-    last_healthy = teacher.copy()
+    last_healthy = None
     history = []
 
     def record(step: int, fake_loss: float, grad_norm: float):
+        nonlocal last_healthy
         row = {"step": step, "fake_loss": fake_loss, "gen_grad_norm": grad_norm}
-        row.update(eval_hook(state))
+        try:
+            row.update(eval_hook(state))
+        except DivergenceError as exc:  # the hook's guard on the generator's samples
+            exc.diagnostics["step"] = step
+            exc.checkpoint = last_healthy
+            raise
         history.append(row)
+        last_healthy = state.generator.copy()
 
     record(0, float("nan"), float("nan"))
     for j in range(1, cfg.steps + 1):
@@ -300,7 +308,6 @@ def run_distillation(
             )
         if j % cfg.eval_every == 0 or j == cfg.steps:
             record(j, fake_loss, grad_norm)
-            last_healthy = state.generator.copy()
 
     if teacher.params_digest() != teacher_digest:
         raise RuntimeError("teacher parameters changed during distillation")

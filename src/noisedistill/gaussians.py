@@ -25,15 +25,15 @@ ORTHONORMAL_TOL = 1e-10
 COMMUTE_TOL = 1e-8
 
 
-def check_orthonormal(f: np.ndarray, tol: float = ORTHONORMAL_TOL, name: str = "factor") -> None:
-    """Raise unless ``f`` has orthonormal columns within ``tol`` (max-norm)."""
+def check_orthonormal(f: np.ndarray, name: str = "factor") -> None:
+    """Raise unless ``f`` has orthonormal columns within ``ORTHONORMAL_TOL`` (max-norm)."""
     f = np.asarray(f, dtype=float)
     if f.ndim != 2 or f.shape[0] < f.shape[1]:
         raise PreconditionError(f"{name} must be a tall d x r matrix, got shape {f.shape}")
     gram_err = np.max(np.abs(f.T @ f - np.eye(f.shape[1])))
-    if gram_err > tol:
+    if gram_err > ORTHONORMAL_TOL:
         raise PreconditionError(
-            f"{name} columns are not orthonormal: max |F^T F - I| = {gram_err:.3e} > {tol:.0e}"
+            f"{name} columns are not orthonormal: max |F^T F - I| = {gram_err:.3e} > {ORTHONORMAL_TOL:.0e}"
         )
 
 

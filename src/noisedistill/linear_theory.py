@@ -19,7 +19,6 @@ from .errors import PreconditionError
 from .gaussians import COMMUTE_TOL, LowRankGaussian, check_orthonormal, w2_commuting
 from .schedule import NoiseSchedule
 
-THETA_TOL = 1e-8
 # Samples per block of the Monte Carlo loss, which draws and scores one block at
 # a time; the last block takes the remainder.
 MC_BLOCK = 4096
@@ -52,7 +51,8 @@ class LinearModel:
 
 @dataclass(frozen=True)
 class GeneratorParams:
-    """Linear generator G(z) = U V^T z with U on the Stiefel manifold."""
+    """Linear generator G(z) = U V^T z, checked to lie in Theta when built: U has
+    orthonormal columns within ``ORTHONORMAL_TOL`` (max-norm), V^T V is positive definite."""
 
     u: np.ndarray  # d x r
     v: np.ndarray  # d x r
@@ -62,8 +62,12 @@ class GeneratorParams:
         v = np.asarray(self.v, dtype=float)
         if u.shape != v.shape or u.ndim != 2:
             raise PreconditionError(f"U and V must be d x r with equal shapes, got {u.shape}, {v.shape}")
+        check_orthonormal(u, name="U")
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "v", v)
+        lam_min = float(np.linalg.eigvalsh(self.gram())[0])
+        if lam_min <= 0:
+            raise PreconditionError(f"V^T V must be positive definite, smallest eigenvalue {lam_min:.3e}")
 
     @property
     def rank(self) -> int:
@@ -73,14 +77,6 @@ class GeneratorParams:
         """V^T V, the Gram matrix that carries the generator's spectrum."""
         w = self.v.T @ self.v
         return (w + w.T) / 2.0
-
-
-def require_theta(p: GeneratorParams, tol: float = THETA_TOL) -> None:
-    """Raise unless U has orthonormal columns within ``tol`` and V^T V is positive definite."""
-    check_orthonormal(p.u, tol, "U")
-    lam_min = float(np.linalg.eigvalsh(p.gram())[0])
-    if lam_min <= 0:
-        raise PreconditionError(f"V^T V must be positive definite, smallest eigenvalue {lam_min:.3e}")
 
 
 def loss_integrand(m: LinearModel, p: GeneratorParams, sigma_t):
@@ -116,7 +112,6 @@ def loss_integrand(m: LinearModel, p: GeneratorParams, sigma_t):
 def loss_closed_form(m: LinearModel, p: GeneratorParams, s: NoiseSchedule) -> float:
     """Schedule-averaged loss: the exact integrand over t, averaged with the
     schedule's fixed 64-node Gauss-Legendre rule (``NoiseSchedule.quadrature``)."""
-    require_theta(p)
     nodes, weights = s.quadrature()
     return float(np.dot(weights, loss_integrand(m, p, s.sigma(nodes))))
 
@@ -135,7 +130,6 @@ def loss_monte_carlo(
     """
     if n < 100:
         raise PreconditionError(f"need n >= 100 samples, got {n}")
-    require_theta(p)
     d = m.dim
 
     sigma_ts = s.sample_sigma(rng, n)[:, None]
@@ -201,9 +195,9 @@ def wasserstein_report(m: LinearModel, p: GeneratorParams) -> WassersteinReport:
     above 1e-8 relative to the largest eigenvalue of W.  For commuting
     covariances W2^2(C, E E^T) = tr W + r - 2 sum_i sqrt(lam_i) |E^T U s_i|^2
     over the eigenpairs (lam_i, s_i) of W, a sum that does not depend on the
-    basis chosen inside a repeated eigenvalue.  tr C = tr W needs U^T U = I.
+    basis chosen inside a repeated eigenvalue.  tr C = tr W needs U^T U = I,
+    which ``GeneratorParams`` checked when ``p`` was built.
     """
-    check_orthonormal(p.u, THETA_TOL, "U")
     sig2 = m.sigma**2
     clean = LowRankGaussian(m.basis, 1.0, 0.0)
     noisy = LowRankGaussian(m.basis, 1.0, sig2)

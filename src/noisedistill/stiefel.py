@@ -10,14 +10,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import StalledOptimizationError
-from .linear_theory import GeneratorParams, LinearModel, loss_closed_form, require_theta
+from .linear_theory import GeneratorParams, LinearModel, loss_closed_form
 from .rng import make_rng
 from .schedule import NoiseSchedule
 
 ARMIJO_C1 = 1e-4
 MIN_STEP = 1e-14
 VTV_FLOOR = 1e-10
-STIEFEL_TOL = 1e-10
 STEP_SIZE = 0.2  # first trial step of the line search
 GRAD_TOL = 1e-7  # Riemannian gradient norm that counts as converged
 
@@ -48,7 +47,6 @@ def euclidean_gradient(m: LinearModel, p: GeneratorParams, s: NoiseSchedule) -> 
 
     with (lam, S) the eigendecomposition of W.
     """
-    require_theta(p)
     nodes, weights = s.quadrature()
 
     w = p.gram()
@@ -93,12 +91,11 @@ def riemannian_step(
     """One backtracked descent step; returns (new params, accepted step, new loss).
 
     The U-gradient is projected to the tangent space and retracted (QR with a
-    positive-diagonal fix); V moves by plain descent.  A step is
-    accepted when it satisfies the Armijo condition with c1 = 1e-4 and keeps
-    V^T V safely positive definite; otherwise the step is halved, down to a
-    floor of 1e-14 at which the optimization is declared stalled.
+    positive-diagonal fix); V moves by plain descent.  A trial step is accepted
+    when its V^T V has no eigenvalue below ``VTV_FLOOR`` (tested before its
+    params are built) and it satisfies the Armijo condition with c1 = 1e-4;
+    otherwise the step is halved, and below 1e-14 it raises ``StalledOptimizationError``.
     """
-    require_theta(p, tol=STIEFEL_TOL)
     du, dv = grads
     xi = tangent_project(p.u, du)
     slope = float(np.sum(xi * xi) + np.sum(dv * dv))
@@ -109,9 +106,9 @@ def riemannian_step(
     while True:
         u_new = retract(p.u, -eta * xi)
         v_new = p.v - eta * dv
-        candidate = GeneratorParams(u=u_new, v=v_new)
-        lam_min = np.linalg.eigvalsh(candidate.gram())[0]
-        if lam_min >= VTV_FLOOR:
+        w = v_new.T @ v_new  # symmetrised as GeneratorParams.gram does
+        if np.linalg.eigvalsh((w + w.T) / 2.0)[0] >= VTV_FLOOR:
+            candidate = GeneratorParams(u=u_new, v=v_new)
             loss_new = loss_closed_form(m, candidate, s)
             if loss_new <= loss_current - ARMIJO_C1 * eta * slope:
                 return candidate, eta, loss_new
@@ -142,9 +139,8 @@ def optimize(
     trace of (iteration, loss) per iterate; non-convergence is reported
     through ``trace.converged`` rather than an error.  Every accepted step
     passes the Armijo test, so no step raises the loss and the last iterate
-    has the lowest.
+    has the lowest.  ``GeneratorParams`` checked that ``p0`` lies in Theta.
     """
-    require_theta(p0, tol=STIEFEL_TOL)
     trace = OptTrace()
 
     p = p0

@@ -18,8 +18,9 @@ import numpy as np
 import pytest
 
 import noisedistill
-from noisedistill import config, nets, parallel
+from noisedistill import config, nets, parallel, stiefel
 from noisedistill.distill import DistillConfig, run_distillation
+from noisedistill.linear_theory import GeneratorParams, LinearModel, loss_closed_form
 from noisedistill.nets import DenseNet
 from noisedistill.rng import derive
 from noisedistill.schedule import NoiseSchedule
@@ -107,6 +108,28 @@ def test_backward_reaches_silu_grad_through_the_module_name(monkeypatch):
     net.backward(cache, np.ones((7, 2)))
     net.backward(cache, np.ones((7, 2)), params=False)
     assert calls == [(7, 5), (7, 6), (7, 8)] * 2  # hidden layers, last to first
+
+
+def test_line_search_reaches_retract_through_the_module_name_once_per_trial_step(monkeypatch):
+    """``stiefel.linesearch.accept_ratio`` counts the ``stiefel.retract`` spans
+    under ``riemannian_step``, one per trial step, a step that the V^T V floor
+    rejects included.  Here the full step zeroes a column of V, so the line
+    search tries the step and its half."""
+    calls = []
+    retract = stiefel.retract
+
+    def retract_spy(*args, **kwargs):
+        calls.append(1)
+        return retract(*args, **kwargs)
+
+    m = LinearModel(basis=retract(np.zeros((6, 2)), derive(0, 1).standard_normal((6, 2))), sigma=0.5)
+    p = GeneratorParams(u=m.basis, v=2.0 * m.basis)
+    grads = (np.zeros_like(p.u), 4.0 * p.v * [1.0, 0.0])
+    sched = NoiseSchedule()
+    monkeypatch.setattr(stiefel, "retract", retract_spy)
+    _, step, _ = stiefel.riemannian_step(m, p, grads, sched, 0.25, loss_closed_form(m, p, sched))
+    assert step == 0.125
+    assert len(calls) == 2
 
 
 @pytest.fixture

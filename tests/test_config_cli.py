@@ -1037,6 +1037,23 @@ class TestCliDivergence:
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    def test_generator_blown_up_at_an_eval_leaves_the_last_healthy_checkpoint(self, tmp_path, capsys):
+        pre = pipeline_config("pretrain", seed=1, train={"batch_size": 16, "steps": 3, "sigma_hat": 0.05,
+                                                         "hidden": [16, 16]})
+        assert main(["pretrain", "--config", write_cfg(tmp_path, pre, "pre.json"),
+                     "--out", str(tmp_path / "pre")]) == 0
+        raw = pipeline_config("distill", seed=1, eval={"n_eval": 256}, distill={
+            "teacher": str(tmp_path / "pre" / "teacher.json"), "method": "sds", "steps": 40,
+            "batch_size": 16, "lr_gen": 10, "eval_every": 1})
+        out = tmp_path / "distill"
+        capsys.readouterr()
+        assert main(["distill", "--config", write_cfg(tmp_path, raw, "distill.json"), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("divergence: one-step generator samples diverged")
+        assert f"last healthy checkpoint: {out / 'last_healthy.json'}" in err
+        net = load_checkpoint(str(out / "last_healthy.json"))[0]
+        assert net.layer_sizes == [3, 16, 16, 2]
+
     def test_large_scale_data_is_not_divergence(self, tmp_path):
         raw = pipeline_config("pretrain", dataset={"kind": "ring", "n": 256, "sigma_data": 1000})
         out = tmp_path / "out"

@@ -18,7 +18,7 @@ from noisedistill.distill import (
     loss_weights,
     run_distillation,
 )
-from noisedistill.errors import PreconditionError
+from noisedistill.errors import DivergenceError, PreconditionError
 from noisedistill.nets import DenseNet
 from noisedistill.rng import derive, make_rng
 from noisedistill.schedule import NoiseSchedule
@@ -333,6 +333,22 @@ class TestAlternation:
         _, hist2 = run_distillation(teacher, cfg, teacher_mode="ambient", eval_hook=no_metrics,
                                     loss_limit=DIVERGENCE_THRESHOLD)
         assert repr(hist1) == repr(hist2)  # repr-compare so nan == nan rows agree
+
+    def test_divergence_in_the_eval_hook_keeps_the_last_evaluated_generator(self):
+        seen = {}
+
+        def hook(state):
+            if state.step == 4:
+                raise DivergenceError("samples diverged", diagnostics={"source": "test"})
+            seen[state.step] = state.generator.params_digest()
+            return {}
+
+        with pytest.raises(DivergenceError) as caught:
+            run_distillation(tiny_teacher(28), config(steps=6, eval_every=1), teacher_mode="ambient",
+                             eval_hook=hook, loss_limit=DIVERGENCE_THRESHOLD)
+        assert sorted(seen) == [0, 1, 2, 3]
+        assert caught.value.checkpoint.params_digest() == seen[3]
+        assert caught.value.diagnostics == {"source": "test", "step": 4}
 
     def test_sds_skips_fake_updates(self):
         teacher = tiny_teacher(27)

@@ -100,9 +100,21 @@ class TestClosedFormLoss:
     def test_rejects_params_outside_theta(self):
         rng = make_rng(15)
         m = random_model(rng, 5, 2, 0.3)
-        bad = GeneratorParams(u=np.ones((5, 2)), v=rng.standard_normal((5, 2)))
         with pytest.raises(PreconditionError):
-            loss_closed_form(m, bad, NoiseSchedule())
+            loss_closed_form(m, GeneratorParams(u=np.ones((5, 2)), v=rng.standard_normal((5, 2))),
+                             NoiseSchedule())
+
+
+class TestGeneratorParams:
+    def test_rejects_u_off_the_stiefel_manifold_by_1e9(self):
+        u = np.eye(5)[:, :2] * np.sqrt(1.0 + 1e-9)  # max |U^T U - I| = 1e-9
+        with pytest.raises(PreconditionError, match="U columns are not orthonormal"):
+            GeneratorParams(u=u, v=u)
+
+    def test_rejects_rank_deficient_v(self):
+        u = np.eye(5)[:, :2]
+        with pytest.raises(PreconditionError, match=r"V\^T V must be positive definite"):
+            GeneratorParams(u=u, v=u * [1.0, 0.0])
 
 
 def unblocked_monte_carlo(m, p, s, n, rng):
@@ -226,9 +238,8 @@ class TestWassersteinReport:
     def test_off_stiefel_generator_rejected(self):
         # U = 2 e0 gives C = 4 e0 e0^T at distance 1 from E E^T; the trace identity assumes U^T U = I
         m = LinearModel(basis=np.eye(3)[:, :1], sigma=0.2)
-        p = GeneratorParams(u=2.0 * np.eye(3)[:, :1], v=np.eye(3)[:, :1])
         with pytest.raises(PreconditionError):
-            wasserstein_report(m, p)
+            wasserstein_report(m, GeneratorParams(u=2.0 * np.eye(3)[:, :1], v=np.eye(3)[:, :1]))
 
     def test_non_commuting_rejected(self):
         d, r = 4, 1

@@ -6,7 +6,9 @@ up, not imported) by package or benchmark code that is itself reached: module-
 level statements, the benchmark scripts, and the bodies of reached functions.
 A name inside a string (the benchmark tracer's targets, such as
 ``"DenseNet.forward_cached"``) counts as a use.  Names are matched without
-types, so two methods of one name share a verdict.
+types, so two methods of one name share a verdict.  A class's dunder methods
+(``__init__``, ``__post_init__``) are filed under the class name, since
+calling the class runs them.
 """
 
 import ast
@@ -44,14 +46,19 @@ def used_names(node):
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
+def is_dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
 def definitions(tree):
     """(name, def node) of each module-level function and each method of a
-    module-level class."""
+    module-level class; a dunder method goes by its class's name."""
     for node in tree.body:
         if isinstance(node, FUNCTIONS):
             yield node.name, node
         elif isinstance(node, ast.ClassDef):
-            yield from ((item.name, item) for item in node.body if isinstance(item, FUNCTIONS))
+            yield from ((node.name if is_dunder(item.name) else item.name, item)
+                        for item in node.body if isinstance(item, FUNCTIONS))
 
 
 def import_time_code(tree):
@@ -83,8 +90,7 @@ def unreached_functions(package=PACKAGE, bench=BENCH):
             if name in reached and not used_names(node) <= reached:
                 reached |= used_names(node)
                 grown = True
-    return sorted(f"{module}.{name}" for module, name, _ in defs
-                  if name not in reached and not (name.startswith("__") and name.endswith("__")))
+    return sorted({f"{module}.{name}" for module, name, _ in defs if name not in reached})
 
 
 def test_every_function_is_reached_by_the_program():
@@ -111,8 +117,14 @@ def test_check_flags_a_function_only_a_test_calls(tmp_path):
         "def traced():\n    return 3\n"
         "class Net:\n    def forward(self):\n        return 4\n"
         "    def orphan(self):\n        return 5\n"
+        "class Params:\n    def __post_init__(self):\n        validate()\n"
+        "class Unused:\n    def __post_init__(self):\n        only_unused()\n"
+        "def validate():\n    return 7\n"
+        "def only_unused():\n    return 8\n"
         "RUN = run\n"
+        "PARAMS = Params()\n"
     )
     (package / "other.py").write_text("def helper():\n    return 6\n")
     (bench / "tracer.py").write_text('TARGETS = ["mod.traced", "Net.forward"]\n')
-    assert unreached_functions(package, bench) == ["mod.chained", "mod.orphan", "mod.test_only", "other.helper"]
+    assert unreached_functions(package, bench) == [
+        "mod.Unused", "mod.chained", "mod.only_unused", "mod.orphan", "mod.test_only", "other.helper"]

@@ -14,6 +14,7 @@ from noisedistill.linear_theory import (
 from noisedistill.rng import make_rng
 from noisedistill.schedule import NoiseSchedule
 from noisedistill.stiefel import (
+    VTV_FLOOR,
     euclidean_gradient,
     optimize,
     random_params,
@@ -119,6 +120,18 @@ class TestRiemannianStep:
         # the step-level contract: zero direction keeps the point bit-exact
         q = retract(u, 0.0 * u)
         assert np.allclose(q @ (q.T @ u), u, atol=1e-14)
+
+    def test_floor_rejects_a_trial_step_before_it_becomes_params(self):
+        # the full step zeroes V's first column exactly, so V^T V is singular;
+        # the floor must reject it and the half step must be taken
+        m = model(16, sigma=0.5)
+        e = m.basis
+        p = GeneratorParams(u=e, v=2.0 * e)
+        grads = (np.zeros_like(e), 4.0 * p.v * [1.0, 0.0])
+        p2, step, after = riemannian_step(m, p, grads, SCHED, 0.25, loss_closed_form(m, p, SCHED))
+        assert step == 0.125
+        assert np.linalg.eigvalsh(p2.gram())[0] >= VTV_FLOOR  # p2 is params, so U is on the manifold
+        assert after == loss_closed_form(m, p2, SCHED)
 
     def test_stall_raises_on_ascent_direction(self):
         rng = make_rng(150)
