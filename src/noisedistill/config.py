@@ -368,7 +368,8 @@ def write_csv_atomic(path: str, cfg: ExperimentConfig, columns, rows) -> None:
     """Pinned CSV dialect: comma, '.' decimals, LF endings, mandatory header,
     preceded by one comment line carrying the provenance triple."""
     lines = [f"# {provenance(cfg)}", ",".join(columns)]
+    width = len(columns)
     for row in rows:
-        lines.append(",".join(format_cell(row[c] if isinstance(row, dict) else row[i])
-                              for i, c in enumerate(columns)))
+        cells = [row[c] for c in columns] if isinstance(row, dict) else row[:width]
+        lines.append(",".join(map(format_cell, cells)))
     write_text_atomic(path, "\n".join(lines) + "\n")

@@ -26,12 +26,14 @@ COMMUTE_TOL = 1e-8
 
 
 def check_orthonormal(f: np.ndarray, name: str = "factor") -> None:
-    """Raise unless ``f`` has orthonormal columns within ``ORTHONORMAL_TOL`` (max-norm)."""
+    """Raise unless ``f`` is finite with orthonormal columns within ``ORTHONORMAL_TOL`` (max-norm)."""
     f = np.asarray(f, dtype=float)
     if f.ndim != 2 or f.shape[0] < f.shape[1]:
         raise PreconditionError(f"{name} must be a tall d x r matrix, got shape {f.shape}")
+    if not np.all(np.isfinite(f)):
+        raise PreconditionError(f"{name} contains non-finite entries")
     gram_err = np.max(np.abs(f.T @ f - np.eye(f.shape[1])))
-    if gram_err > ORTHONORMAL_TOL:
+    if not gram_err <= ORTHONORMAL_TOL:
         raise PreconditionError(
             f"{name} columns are not orthonormal: max |F^T F - I| = {gram_err:.3e} > {ORTHONORMAL_TOL:.0e}"
         )
@@ -51,8 +53,6 @@ class LowRankGaussian:
 
     def __post_init__(self):
         f = np.asarray(self.factor, dtype=float)
-        if not np.all(np.isfinite(f)):
-            raise PreconditionError("factor contains non-finite entries")
         check_orthonormal(f)
         if self.spike < 0 or self.floor < 0 or self.spike + self.floor <= 0:
             raise PreconditionError(

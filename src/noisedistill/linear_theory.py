@@ -11,7 +11,8 @@ between the perturbed generator's score and the exact noisy-data score.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,7 +37,7 @@ class LinearModel:
         check_orthonormal(b, name="basis")
         if b.shape[1] >= b.shape[0]:
             raise PreconditionError("latent rank must be strictly below the ambient dimension")
-        if self.sigma < 0:
+        if not self.sigma >= 0:
             raise PreconditionError(f"sigma must be nonnegative, got {self.sigma}")
         object.__setattr__(self, "basis", b)
 
@@ -51,11 +52,16 @@ class LinearModel:
 
 @dataclass(frozen=True)
 class GeneratorParams:
-    """Linear generator G(z) = U V^T z, checked to lie in Theta when built: U has
-    orthonormal columns within ``ORTHONORMAL_TOL`` (max-norm), V^T V is positive definite."""
+    """Linear generator G(z) = U V^T z, checked to lie in Theta when built: U and V
+    are finite, U has orthonormal columns within ``ORTHONORMAL_TOL`` (max-norm),
+    V^T V is positive definite.  The check's symmetrised V^T V and its
+    ascending eigenvalues (``spectrum``) are kept, read-only; like the check,
+    they assume U and V are not written to afterwards."""
 
     u: np.ndarray  # d x r
     v: np.ndarray  # d x r
+    spectrum: np.ndarray = field(init=False, repr=False, compare=False)
+    _gram: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         u = np.asarray(self.u, dtype=float)
@@ -63,57 +69,90 @@ class GeneratorParams:
         if u.shape != v.shape or u.ndim != 2:
             raise PreconditionError(f"U and V must be d x r with equal shapes, got {u.shape}, {v.shape}")
         check_orthonormal(u, name="U")
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "v", v)
-        lam_min = float(np.linalg.eigvalsh(self.gram())[0])
-        if lam_min <= 0:
-            raise PreconditionError(f"V^T V must be positive definite, smallest eigenvalue {lam_min:.3e}")
+        if not np.all(np.isfinite(v)):
+            raise PreconditionError("V contains non-finite entries")
+        w = v.T @ v
+        w = (w + w.T) / 2.0
+        lam = np.linalg.eigvalsh(w)
+        if not lam[0] > 0:
+            raise PreconditionError(f"V^T V must be positive definite, smallest eigenvalue {lam[0]:.3e}")
+        w.flags.writeable = lam.flags.writeable = False
+        for name, value in (("u", u), ("v", v), ("spectrum", lam), ("_gram", w)):
+            object.__setattr__(self, name, value)
 
     @property
     def rank(self) -> int:
         return self.u.shape[1]
 
     def gram(self) -> np.ndarray:
-        """V^T V, the Gram matrix that carries the generator's spectrum."""
-        w = self.v.T @ self.v
-        return (w + w.T) / 2.0
+        """V^T V, symmetrised, read-only: the Gram matrix that carries the generator's spectrum."""
+        return self._gram
 
 
-def loss_integrand(m: LinearModel, p: GeneratorParams, sigma_t):
-    """The fixed-t Fisher divergence between generator and noisy-data scores.
+@dataclass(frozen=True)
+class QuadratureTerms:
+    """The terms of the loss and its gradient that depend on t alone, at the 64
+    quadrature nodes of one schedule, for one (sigma, d, r); with
+    beta_t^2 = sigma^2 + sigma_t^2, gamma_t = 1/(beta_t^2 (beta_t^2 + 1)) and
+    S_t the noisy-data covariance.  Every array is read-only."""
+
+    st2: np.ndarray  # sigma_t^2
+    d_st2: np.ndarray  # d sigma_t^2
+    beta4: np.ndarray  # beta_t^4
+    c: np.ndarray  # c_t = gamma_t^2 - 2 gamma_t / beta_t^2
+    r_st2: np.ndarray  # r sigma_t^2
+    two_tr_sinv: np.ndarray  # 2 tr S_t^{-1} = 2 (d / beta_t^2 - r gamma_t)
+    d_over_st2: np.ndarray  # d / sigma_t^2
+    c_sum: float  # E_t[c_t]
+    a_sum: float  # E_t[beta_t^{-4}]
+
+
+@functools.lru_cache(maxsize=64)  # shared between calls, hence read-only
+def quadrature_terms(sigma: float, d: int, r: int, s: NoiseSchedule) -> QuadratureTerms:
+    """The terms of ``loss_integrand`` and ``stiefel.euclidean_gradient`` that do
+    not depend on the generator, computed once per (sigma, d, r, schedule) with
+    the operations those formulas would otherwise repeat on every call, so
+    every value keeps its bits."""
+    nodes, weights = s.quadrature()
+    st2 = s.sigma(nodes) ** 2
+    beta2 = sigma**2 + st2
+    gamma = 1.0 / (beta2 * (beta2 + 1.0))
+    beta4 = beta2**2
+    c = gamma**2 - 2.0 * gamma / beta2
+    arrays = dict(st2=st2, d_st2=st2 * d, beta4=beta4, c=c, r_st2=st2 * r,
+                  two_tr_sinv=2.0 * (d / beta2 - r * gamma), d_over_st2=d / st2)
+    for a in arrays.values():
+        a.flags.writeable = False
+    return QuadratureTerms(**arrays, c_sum=float(np.dot(weights, c)), a_sum=float(np.dot(weights, 1.0 / beta4)))
+
+
+def loss_integrand(m: LinearModel, p: GeneratorParams, s: NoiseSchedule) -> np.ndarray:
+    """The fixed-t Fisher divergence between generator and noisy-data scores,
+    at each node of the schedule's quadrature rule.
 
     Equals tr(S^{-2} T) - 2 tr(S^{-1}) + tr(T^{-1}) for S the noisy-data
     covariance and T the perturbed generator covariance at level sigma_t,
-    assembled from the factored forms in O(d r + r^3).  The constant term is
-    kept so the value matches the Monte Carlo estimator, not merely its
+    assembled from the factored forms in O(d r + r^3) per node, the
+    t-only terms read from ``quadrature_terms``.  The constant term is kept
+    so the value matches the Monte Carlo estimator, not merely its
     theta-dependent part, and is a squared Frobenius norm, hence nonnegative.
-    Accepts a scalar or an array of noise levels.
     """
-    d, r = m.dim, m.rank
-    sigma_t = np.asarray(sigma_t, dtype=float)
-    beta2 = m.sigma**2 + sigma_t**2
-    gamma = 1.0 / (beta2 * (beta2 + 1.0))
-    st2 = sigma_t**2
-
-    w = p.gram()
-    lam = np.linalg.eigvalsh(w)
+    t = quadrature_terms(m.sigma, m.dim, m.rank, s)
+    w, lam = p.gram(), p.spectrum[:, None]
     proj = m.basis.T @ p.u  # r x r overlap E^T U
     tr_w = float(np.trace(w))
     tr_pwp = float(np.sum((proj @ w) * proj))
 
-    tr_sinv2_t = (tr_w + st2 * d) / beta2**2 + (gamma**2 - 2.0 * gamma / beta2) * (tr_pwp + st2 * r)
-    tr_sinv = d / beta2 - r * gamma
-    lam_term = lam[..., None] / (st2 * (lam[..., None] + st2))
-    tr_tinv = d / st2 - np.sum(lam_term, axis=0)
-    out = tr_sinv2_t - 2.0 * tr_sinv + tr_tinv
-    return float(out) if out.ndim == 0 else out
+    tr_sinv2_t = (tr_w + t.d_st2) / t.beta4 + t.c * (tr_pwp + t.r_st2)
+    tr_tinv = t.d_over_st2 - np.sum(lam / (t.st2 * (lam + t.st2)), axis=0)
+    return tr_sinv2_t - t.two_tr_sinv + tr_tinv
 
 
 def loss_closed_form(m: LinearModel, p: GeneratorParams, s: NoiseSchedule) -> float:
     """Schedule-averaged loss: the exact integrand over t, averaged with the
     schedule's fixed 64-node Gauss-Legendre rule (``NoiseSchedule.quadrature``)."""
-    nodes, weights = s.quadrature()
-    return float(np.dot(weights, loss_integrand(m, p, s.sigma(nodes))))
+    _, weights = s.quadrature()
+    return float(np.dot(weights, loss_integrand(m, p, s)))
 
 
 def loss_monte_carlo(

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import StalledOptimizationError
-from .linear_theory import GeneratorParams, LinearModel, loss_closed_form
+from .linear_theory import GeneratorParams, LinearModel, loss_closed_form, quadrature_terms
 from .rng import make_rng
 from .schedule import NoiseSchedule
 
@@ -45,23 +45,19 @@ def euclidean_gradient(m: LinearModel, p: GeneratorParams, s: NoiseSchedule) -> 
         dU = E_t[ 2 c_t ] * E P W,                 c_t = gamma_t^2 - 2 gamma_t / beta_t^2,
         dV = 2 V ( E_t[beta_t^{-4}] I + E_t[c_t] P^T P - S E_t[diag 1/(sigma_t^2+lam)^2] S^T ),
 
-    with (lam, S) the eigendecomposition of W.
+    with (lam, S) the eigendecomposition of W; sigma_t^2 and the two sums over t
+    come from ``quadrature_terms``.
     """
-    nodes, weights = s.quadrature()
+    _, weights = s.quadrature()
+    t = quadrature_terms(m.sigma, m.dim, m.rank, s)
 
     w = p.gram()
     lam, sw = np.linalg.eigh(w)
     proj = m.basis.T @ p.u
+    diag_sum = weights @ (1.0 / (t.st2[:, None] + lam[None, :]) ** 2)
 
-    st2 = s.sigma(nodes) ** 2
-    beta2 = m.sigma**2 + st2
-    gamma = 1.0 / (beta2 * (beta2 + 1.0))
-    c_sum = float(np.dot(weights, gamma**2 - 2.0 * gamma / beta2))
-    a_sum = float(np.dot(weights, 1.0 / beta2**2))
-    diag_sum = weights @ (1.0 / (st2[:, None] + lam[None, :]) ** 2)
-
-    du = 2.0 * c_sum * (m.basis @ (proj @ w))
-    dv = 2.0 * (a_sum * p.v + c_sum * p.v @ (proj.T @ proj) - (p.v @ sw) * diag_sum @ sw.T)
+    du = 2.0 * t.c_sum * (m.basis @ (proj @ w))
+    dv = 2.0 * (t.a_sum * p.v + t.c_sum * p.v @ (proj.T @ proj) - (p.v @ sw) * diag_sum @ sw.T)
     return du, dv
 
 
@@ -83,22 +79,23 @@ def retract(u: np.ndarray, direction: np.ndarray) -> np.ndarray:
 def riemannian_step(
     m: LinearModel,
     p: GeneratorParams,
-    grads: tuple[np.ndarray, np.ndarray],
+    direction: tuple[np.ndarray, np.ndarray],
+    slope: float,
     s: NoiseSchedule,
     step_size: float,
     loss_current: float,
 ) -> tuple[GeneratorParams, float, float]:
     """One backtracked descent step; returns (new params, accepted step, new loss).
 
-    The U-gradient is projected to the tangent space and retracted (QR with a
-    positive-diagonal fix); V moves by plain descent.  A trial step is accepted
-    when its V^T V has no eigenvalue below ``VTV_FLOOR`` (tested before its
-    params are built) and it satisfies the Armijo condition with c1 = 1e-4;
-    otherwise the step is halved, and below 1e-14 it raises ``StalledOptimizationError``.
+    ``direction`` is the Riemannian gradient (xi, dV): the U-gradient projected
+    to the tangent space at U, and the V-gradient; ``slope`` is its squared
+    norm.  U is retracted along -xi (QR with a positive-diagonal fix); V moves
+    by plain descent.  A trial step is accepted when its V^T V has no
+    eigenvalue below ``VTV_FLOOR`` (tested before its params are built) and it
+    satisfies the Armijo condition with c1 = 1e-4; otherwise the step is
+    halved, and below 1e-14 it raises ``StalledOptimizationError``.
     """
-    du, dv = grads
-    xi = tangent_project(p.u, du)
-    slope = float(np.sum(xi * xi) + np.sum(dv * dv))
+    xi, dv = direction
     if slope == 0.0:
         return p, step_size, loss_current
 
@@ -150,16 +147,16 @@ def optimize(
     for it in range(max_iters + 1):
         du, dv = euclidean_gradient(m, p, s)
         xi = tangent_project(p.u, du)
-        grad_norm = float(np.sqrt(np.sum(xi * xi) + np.sum(dv * dv)))
+        slope = float(np.sum(xi * xi) + np.sum(dv * dv))
         trace.append(it, loss)
 
-        if grad_norm <= GRAD_TOL:
+        if np.sqrt(slope) <= GRAD_TOL:
             trace.converged = True
             return p, trace
         if it == max_iters:
             break
         try:
-            p, accepted, loss = riemannian_step(m, p, (du, dv), s, eta, loss)
+            p, accepted, loss = riemannian_step(m, p, (xi, dv), slope, s, eta, loss)
         except StalledOptimizationError:
             # No further float-representable decrease; stop here
             # (typically this happens sitting on the minimizer).

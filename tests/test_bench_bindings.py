@@ -124,12 +124,37 @@ def test_line_search_reaches_retract_through_the_module_name_once_per_trial_step
 
     m = LinearModel(basis=retract(np.zeros((6, 2)), derive(0, 1).standard_normal((6, 2))), sigma=0.5)
     p = GeneratorParams(u=m.basis, v=2.0 * m.basis)
-    grads = (np.zeros_like(p.u), 4.0 * p.v * [1.0, 0.0])
+    dv = 4.0 * p.v * [1.0, 0.0]
     sched = NoiseSchedule()
     monkeypatch.setattr(stiefel, "retract", retract_spy)
-    _, step, _ = stiefel.riemannian_step(m, p, grads, sched, 0.25, loss_closed_form(m, p, sched))
+    _, step, _ = stiefel.riemannian_step(m, p, (np.zeros_like(p.u), dv), float(np.sum(dv * dv)), sched, 0.25,
+                                         loss_closed_form(m, p, sched))
     assert step == 0.125
     assert len(calls) == 2
+
+
+def test_descent_reaches_the_loss_and_gradient_through_the_module_name(monkeypatch):
+    """The tracer wraps ``loss_closed_form`` and ``euclidean_gradient`` where
+    ``stiefel`` bound them; the verify trace's ``linear_theory.loss_closed_form.*``
+    and ``stiefel.euclidean_gradient.*`` metrics need one ``optimize`` call to
+    look up the loss once at its start and once per trial step that passes
+    the V^T V floor (each becomes params), and the gradient once per iterate."""
+    counts = {"loss_closed_form": 0, "euclidean_gradient": 0, "GeneratorParams": 0, "retract": 0}
+    for name in counts:
+        original = getattr(stiefel, name)
+
+        def spy(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(stiefel, name, spy)
+    m = LinearModel(basis=stiefel.retract(np.zeros((8, 2)), derive(0, 1).standard_normal((8, 2))), sigma=0.5)
+    p0 = stiefel.random_params(8, 2, seed=1000)
+    counts.update(retract=0, GeneratorParams=0)  # random_params' own QR and params
+    _, trace = stiefel.optimize(m, p0, NoiseSchedule(), 2000)
+    assert counts["euclidean_gradient"] == len(trace.iters) > 1
+    assert counts["loss_closed_form"] == 1 + counts["GeneratorParams"]
+    assert len(trace.iters) - 1 <= counts["GeneratorParams"] <= counts["retract"]
 
 
 @pytest.fixture

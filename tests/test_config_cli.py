@@ -367,6 +367,26 @@ class TestAtomicWrites:
         assert lines[3] == "2,1.25"
         assert "\r" not in text
 
+    @pytest.mark.parametrize("columns, rows", [
+        (["a", "b"], [{"b": 0.1, "a": 3, "extra": 9}, {"a": "x y", "b": np.float64(-0.0)}]),
+        (["step", "loss"], list(enumerate([0.5, np.float64(1e-300), float("inf")]))),
+        (["source", "n", "ok"], [["noisy", 16384, True], ("one_step", np.int64(7), False, "dropped")]),
+        (["x", "y"], np.random.default_rng(0).standard_normal((16384, 2)).tolist()),
+    ])
+    def test_csv_rows_match_the_per_cell_line_builder(self, tmp_path, columns, rows):
+        """The cells of a row are chosen once (a dict's values in column order, a
+        sequence's first ``len(columns)`` items); the bytes are those of the
+        builder that looked up every cell on its own."""
+        def per_cell_line(row):
+            return ",".join(format_cell(row[c] if isinstance(row, dict) else row[i])
+                            for i, c in enumerate(columns))
+
+        cfg = parse_config(verify_config())
+        path = tmp_path / "rows.csv"
+        write_csv_atomic(str(path), cfg, columns, rows)
+        expected = [f"# {provenance(cfg)}", ",".join(columns), *map(per_cell_line, rows)]
+        assert path.read_bytes() == ("\n".join(expected) + "\n").encode()
+
     def test_numpy_float_cell_is_plain_repr(self):
         value = np.float64(2.7755575615628914e-07)
         assert format_cell(value) == "2.7755575615628914e-07"

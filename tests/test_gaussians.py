@@ -37,6 +37,11 @@ class TestLowRankGaussian:
         with pytest.raises(PreconditionError):
             LowRankGaussian(np.array([[1.0], [1.0]]), 1.0, 0.1)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_factor(self, bad):
+        with pytest.raises(PreconditionError, match="factor contains non-finite entries"):
+            LowRankGaussian(np.array([[bad], [0.0]]), 1.0, 0.1)
+
     def test_rejects_all_zero_scales(self):
         f = np.array([[1.0], [0.0]])
         with pytest.raises(PreconditionError):

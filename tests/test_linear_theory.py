@@ -49,7 +49,8 @@ class TestClosedFormLoss:
             t_half = (vecs * np.sqrt(vals)) @ vecs.T
             diff = np.linalg.inv(s_cov) - np.linalg.inv(t_cov)
             dense = float(np.sum((diff @ t_half) ** 2))
-            assert loss_integrand(m, p, st) == pytest.approx(dense, rel=1e-10)
+            # a constant schedule puts every quadrature node at sigma_t = st
+            assert loss_integrand(m, p, NoiseSchedule(st, st)) == pytest.approx(dense, rel=1e-10)
 
     def test_minimizer_aligned_constant_schedule_oracle(self):
         # U = E, V^T V = (1 + sigma^2) I under a constant schedule
@@ -115,6 +116,36 @@ class TestGeneratorParams:
         u = np.eye(5)[:, :2]
         with pytest.raises(PreconditionError, match=r"V\^T V must be positive definite"):
             GeneratorParams(u=u, v=u * [1.0, 0.0])
+
+    def test_rejects_nan_in_u(self):
+        with pytest.raises(PreconditionError, match="U contains non-finite entries"):
+            GeneratorParams(u=[[np.nan], [0.0], [0.0]], v=[[1.0], [0.0], [0.0]])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_v(self, bad):
+        with pytest.raises(PreconditionError, match="V contains non-finite entries"):
+            GeneratorParams(u=[[1.0], [0.0], [0.0]], v=[[bad], [0.0], [0.0]])
+
+    def test_rejects_a_finite_v_whose_gram_overflows_to_a_nan_spectrum(self):
+        v = np.array([[1e200, 1e200], [1e200, -1e200], [0.0, 0.0]])
+        with np.errstate(over="ignore"), pytest.raises(PreconditionError, match="smallest eigenvalue nan"):
+            GeneratorParams(u=np.eye(3)[:, :2], v=v)
+
+    def test_keeps_the_checked_gram_and_spectrum(self):
+        p = random_params(make_rng(3), 5, 2)
+        w = p.v.T @ p.v
+        assert np.array_equal(p.gram(), (w + w.T) / 2.0)
+        assert np.array_equal(p.spectrum, np.linalg.eigvalsh(p.gram()))
+
+
+class TestLinearModel:
+    def test_rejects_nan_in_basis(self):
+        with pytest.raises(PreconditionError, match="basis contains non-finite entries"):
+            LinearModel(basis=[[np.nan], [0.0], [0.0]], sigma=0.5)
+
+    def test_rejects_nan_sigma(self):
+        with pytest.raises(PreconditionError, match="sigma must be nonnegative, got nan"):
+            LinearModel(basis=np.eye(3)[:, :1], sigma=float("nan"))
 
 
 def unblocked_monte_carlo(m, p, s, n, rng):

@@ -36,6 +36,13 @@ SCHED = NoiseSchedule()
 ITERS = 2000  # the verify battery's budget per descent
 
 
+def line_search(m, p, grads, step_size, loss):
+    """``riemannian_step`` along the Euclidean gradient ``grads``, projected and
+    measured as ``optimize`` does."""
+    xi, dv = tangent_project(p.u, grads[0]), grads[1]
+    return riemannian_step(m, p, (xi, dv), float(np.sum(xi * xi) + np.sum(dv * dv)), SCHED, step_size, loss)
+
+
 class TestEuclideanGradient:
     def test_finite_difference_agreement_on_v(self):
         rng = make_rng(1)
@@ -90,7 +97,7 @@ class TestRiemannianStep:
         p = GeneratorParams(u=frame(6, 2, rng), v=rng.standard_normal((6, 2)))
         zeros = (np.zeros_like(p.u), np.zeros_like(p.v))
         loss = loss_closed_form(m, p, SCHED)
-        p2, step, after = riemannian_step(m, p, zeros, SCHED, 0.2, loss)
+        p2, step, after = line_search(m, p, zeros, 0.2, loss)
         assert p2 is p and step == 0.2 and after == loss
 
     def test_step_from_perturbed_minimizer_decreases_loss(self):
@@ -103,7 +110,7 @@ class TestRiemannianStep:
         )
         before = loss_closed_form(m, p, SCHED)
         grads = euclidean_gradient(m, p, SCHED)
-        _, _, after = riemannian_step(m, p, grads, SCHED, 0.2, before)
+        _, _, after = line_search(m, p, grads, 0.2, before)
         assert after < before
 
     def test_feasibility_after_step(self):
@@ -111,7 +118,7 @@ class TestRiemannianStep:
         m = model(12)
         p = random_params(6, 2, seed=5)
         grads = euclidean_gradient(m, p, SCHED)
-        p2, _, _ = riemannian_step(m, p, grads, SCHED, 0.2, loss_closed_form(m, p, SCHED))
+        p2, _, _ = line_search(m, p, grads, 0.2, loss_closed_form(m, p, SCHED))
         assert np.max(np.abs(p2.u.T @ p2.u - np.eye(2))) <= 1e-10
 
     def test_retraction_idempotent_on_zero_tangent(self):
@@ -128,7 +135,7 @@ class TestRiemannianStep:
         e = m.basis
         p = GeneratorParams(u=e, v=2.0 * e)
         grads = (np.zeros_like(e), 4.0 * p.v * [1.0, 0.0])
-        p2, step, after = riemannian_step(m, p, grads, SCHED, 0.25, loss_closed_form(m, p, SCHED))
+        p2, step, after = line_search(m, p, grads, 0.25, loss_closed_form(m, p, SCHED))
         assert step == 0.125
         assert np.linalg.eigvalsh(p2.gram())[0] >= VTV_FLOOR  # p2 is params, so U is on the manifold
         assert after == loss_closed_form(m, p2, SCHED)
@@ -141,7 +148,7 @@ class TestRiemannianStep:
         # feeding the negated gradient makes every trial step go uphill, so
         # backtracking can never satisfy Armijo and must underflow
         with pytest.raises(StalledOptimizationError):
-            riemannian_step(m, p, (-du, -dv), SCHED, 0.2, loss_closed_form(m, p, SCHED))
+            line_search(m, p, (-du, -dv), 0.2, loss_closed_form(m, p, SCHED))
 
 
 class TestOptimize:
