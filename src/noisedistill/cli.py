@@ -12,8 +12,8 @@ import os
 import sys
 
 # One BLAS thread per call unless the user set otherwise: forward passes and the
-# verify battery's Monte Carlo instances already run on every CPU
-# (parallel.CPUS), and BLAS threads would compete.
+# verify battery's Monte Carlo instances and descent starts already run on every
+# CPU (parallel.CPUS), and BLAS threads would compete.
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")  # before numpy is first imported
 

@@ -39,6 +39,8 @@ class LinearModel:
             raise PreconditionError("latent rank must be strictly below the ambient dimension")
         if not self.sigma >= 0:
             raise PreconditionError(f"sigma must be nonnegative, got {self.sigma}")
+        if not np.isfinite(self.sigma):
+            raise PreconditionError(f"sigma must be finite, got {self.sigma}")
         object.__setattr__(self, "basis", b)
 
     @property
@@ -64,21 +66,40 @@ class GeneratorParams:
     _gram: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        u = np.asarray(self.u, dtype=float)
-        v = np.asarray(self.v, dtype=float)
+        self._check_and_fill(self.u, self.v, floor=None)
+
+    @classmethod
+    def above_floor(cls, u, v, floor: float) -> GeneratorParams | None:
+        """``GeneratorParams(u=u, v=v)``, or None when V is not finite or V^T V
+        has an eigenvalue below ``floor``: one Gram matrix and one ``eigvalsh``
+        serve both the floor and the Theta check."""
+        p = object.__new__(cls)
+        return p if p._check_and_fill(u, v, floor) else None
+
+    def _check_and_fill(self, u, v, floor: float | None) -> bool:
+        """Check (u, v) against Theta and set every field; with a ``floor``,
+        return False instead, setting nothing, when V is not finite or V^T V
+        has an eigenvalue below it."""
+        u = np.asarray(u, dtype=float)
+        v = np.asarray(v, dtype=float)
         if u.shape != v.shape or u.ndim != 2:
             raise PreconditionError(f"U and V must be d x r with equal shapes, got {u.shape}, {v.shape}")
         check_orthonormal(u, name="U")
         if not np.all(np.isfinite(v)):
+            if floor is not None:
+                return False
             raise PreconditionError("V contains non-finite entries")
         w = v.T @ v
         w = (w + w.T) / 2.0
         lam = np.linalg.eigvalsh(w)
+        if floor is not None and not lam[0] >= floor:
+            return False
         if not lam[0] > 0:
             raise PreconditionError(f"V^T V must be positive definite, smallest eigenvalue {lam[0]:.3e}")
         w.flags.writeable = lam.flags.writeable = False
         for name, value in (("u", u), ("v", v), ("spectrum", lam), ("_gram", w)):
             object.__setattr__(self, name, value)
+        return True
 
     @property
     def rank(self) -> int:

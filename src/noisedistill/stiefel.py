@@ -90,8 +90,9 @@ def riemannian_step(
     ``direction`` is the Riemannian gradient (xi, dV): the U-gradient projected
     to the tangent space at U, and the V-gradient; ``slope`` is its squared
     norm.  U is retracted along -xi (QR with a positive-diagonal fix); V moves
-    by plain descent.  A trial step is accepted when its V^T V has no
-    eigenvalue below ``VTV_FLOOR`` (tested before its params are built) and it
+    by plain descent.  A trial step is accepted when its V is finite, its
+    V^T V has no eigenvalue below ``VTV_FLOOR`` (``GeneratorParams.above_floor``
+    tests this with the Gram matrix and spectrum the params keep) and it
     satisfies the Armijo condition with c1 = 1e-4; otherwise the step is
     halved, and below 1e-14 it raises ``StalledOptimizationError``.
     """
@@ -101,11 +102,8 @@ def riemannian_step(
 
     eta = step_size
     while True:
-        u_new = retract(p.u, -eta * xi)
-        v_new = p.v - eta * dv
-        w = v_new.T @ v_new  # symmetrised as GeneratorParams.gram does
-        if np.linalg.eigvalsh((w + w.T) / 2.0)[0] >= VTV_FLOOR:
-            candidate = GeneratorParams(u=u_new, v=v_new)
+        candidate = GeneratorParams.above_floor(retract(p.u, -eta * xi), p.v - eta * dv, VTV_FLOOR)
+        if candidate is not None:
             loss_new = loss_closed_form(m, candidate, s)
             if loss_new <= loss_current - ARMIJO_C1 * eta * slope:
                 return candidate, eta, loss_new

@@ -139,8 +139,8 @@ def test_descent_reaches_the_loss_and_gradient_through_the_module_name(monkeypat
     and ``stiefel.euclidean_gradient.*`` metrics need one ``optimize`` call to
     look up the loss once at its start and once per trial step that passes
     the V^T V floor (each becomes params), and the gradient once per iterate."""
-    counts = {"loss_closed_form": 0, "euclidean_gradient": 0, "GeneratorParams": 0, "retract": 0}
-    for name in counts:
+    counts = {"loss_closed_form": 0, "euclidean_gradient": 0, "retract": 0, "params": 0}
+    for name in ("loss_closed_form", "euclidean_gradient", "retract"):
         original = getattr(stiefel, name)
 
         def spy(*args, _name=name, _original=original, **kwargs):
@@ -148,13 +148,21 @@ def test_descent_reaches_the_loss_and_gradient_through_the_module_name(monkeypat
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(stiefel, name, spy)
+    above_floor = GeneratorParams.above_floor
+
+    def params_spy(cls, *args):
+        p = above_floor(*args)
+        counts["params"] += p is not None
+        return p
+
+    monkeypatch.setattr(GeneratorParams, "above_floor", classmethod(params_spy))
     m = LinearModel(basis=stiefel.retract(np.zeros((8, 2)), derive(0, 1).standard_normal((8, 2))), sigma=0.5)
     p0 = stiefel.random_params(8, 2, seed=1000)
-    counts.update(retract=0, GeneratorParams=0)  # random_params' own QR and params
+    counts.update(retract=0)  # random_params' own QR
     _, trace = stiefel.optimize(m, p0, NoiseSchedule(), 2000)
     assert counts["euclidean_gradient"] == len(trace.iters) > 1
-    assert counts["loss_closed_form"] == 1 + counts["GeneratorParams"]
-    assert len(trace.iters) - 1 <= counts["GeneratorParams"] <= counts["retract"]
+    assert counts["loss_closed_form"] == 1 + counts["params"]
+    assert len(trace.iters) - 1 <= counts["params"] <= counts["retract"]
 
 
 @pytest.fixture

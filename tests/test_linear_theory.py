@@ -131,6 +131,25 @@ class TestGeneratorParams:
         with np.errstate(over="ignore"), pytest.raises(PreconditionError, match="smallest eigenvalue nan"):
             GeneratorParams(u=np.eye(3)[:, :2], v=v)
 
+    @pytest.mark.parametrize("entry", [1e-6, np.nan, np.inf])
+    def test_above_floor_rejects_a_v_below_the_floor_or_not_finite(self, entry):
+        u = np.eye(3)[:, :2]
+        v = u.copy()
+        v[1, 1] = entry  # V^T V = diag(1, 1e-12) with 1e-6
+        assert GeneratorParams.above_floor(u, v, 1e-10) is None
+
+    def test_above_floor_builds_the_same_params_as_the_constructor(self):
+        p = random_params(make_rng(4), 5, 2)
+        q = GeneratorParams.above_floor(p.u, p.v, 1e-10)
+        assert q == p
+        assert np.array_equal(q.gram(), p.gram()) and np.array_equal(q.spectrum, p.spectrum)
+        assert not q.gram().flags.writeable and not q.spectrum.flags.writeable
+
+    def test_above_floor_still_checks_u(self):
+        u = np.eye(3)[:, :1] * 2.0
+        with pytest.raises(PreconditionError, match="U columns are not orthonormal"):
+            GeneratorParams.above_floor(u, u, 1e-10)
+
     def test_keeps_the_checked_gram_and_spectrum(self):
         p = random_params(make_rng(3), 5, 2)
         w = p.v.T @ p.v
@@ -146,6 +165,10 @@ class TestLinearModel:
     def test_rejects_nan_sigma(self):
         with pytest.raises(PreconditionError, match="sigma must be nonnegative, got nan"):
             LinearModel(basis=np.eye(3)[:, :1], sigma=float("nan"))
+
+    def test_rejects_infinite_sigma(self):
+        with pytest.raises(PreconditionError, match="sigma must be finite, got inf"):
+            LinearModel(basis=np.eye(3)[:, :1], sigma=float("inf"))
 
 
 def unblocked_monte_carlo(m, p, s, n, rng):

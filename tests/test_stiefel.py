@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from noisedistill import stiefel
 from noisedistill.errors import StalledOptimizationError
 from noisedistill.linear_theory import (
     GeneratorParams,
@@ -139,6 +140,24 @@ class TestRiemannianStep:
         assert step == 0.125
         assert np.linalg.eigvalsh(p2.gram())[0] >= VTV_FLOOR  # p2 is params, so U is on the manifold
         assert after == loss_closed_form(m, p2, SCHED)
+
+    def test_each_trial_step_computes_one_spectrum(self, monkeypatch):
+        """The floor test and the params share one ``eigvalsh`` per trial."""
+        m = model(22, d=8, sigma=0.5)
+        p0 = random_params(8, 2, seed=1000)
+        calls = {"retract": 0, "eigvalsh": 0}
+
+        def counted(name, fn):
+            def spy(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return spy
+
+        monkeypatch.setattr(stiefel, "retract", counted("retract", retract))
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
+        _, trace = optimize(m, p0, SCHED, 40)
+        assert calls["retract"] >= len(trace.iters) - 1 > 0
+        assert calls["eigvalsh"] == calls["retract"]
 
     def test_stall_raises_on_ascent_direction(self):
         rng = make_rng(150)
