@@ -82,7 +82,7 @@ def _pretrain(cfg: ExperimentConfig, data, out: str, section: dict):
     ``load_checkpoint`` does, (net, mode, sigma_hat, schedule)."""
     tcfg = _train_config(cfg, section)
     dim = data.points.shape[1]
-    net = DenseNet([dim + 1, *tcfg.hidden, dim], derive(cfg.seed, 201))
+    net = DenseNet.initialized([dim + 1, *tcfg.hidden, dim], derive(cfg.seed, 201))
     curve = pretrain(net, data, tcfg)
 
     save_checkpoint(os.path.join(out, "teacher.json"), net, tcfg.mode, tcfg.sigma_hat,

@@ -206,8 +206,9 @@ def save_checkpoint(
 
 
 def load_checkpoint(path) -> tuple[DenseNet, str, float, NoiseSchedule]:
-    """Read a checkpoint as (net, mode, sigma_hat, schedule); every array must
-    have the shape ``layer_sizes`` gives it and hold finite values."""
+    """Read a checkpoint as (net, mode, sigma_hat, schedule); the arrays must
+    make a net (see ``DenseNet``) of the checkpoint's ``layer_sizes`` and hold
+    finite values."""
     with open(path) as fh:
         payload = json.load(fh)
     if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
@@ -220,14 +221,9 @@ def load_checkpoint(path) -> tuple[DenseNet, str, float, NoiseSchedule]:
     sizes = payload["layer_sizes"]
     if not isinstance(sizes, list) or not all(type(v) is int and v >= 1 for v in sizes):
         raise PreconditionError(f"{path}: layer_sizes must be a list of positive integers")
-    net = object.__new__(DenseNet)
-    net.layer_sizes = sizes
-    net.weights = [np.array(w, dtype=float) for w in payload["weights"]]
-    net.biases = [np.array(b, dtype=float) for b in payload["biases"]]
-    fans = list(zip(net.layer_sizes[:-1], net.layer_sizes[1:]))
-    if (not fans or [w.shape for w in net.weights] != [(fan_out, fan_in) for fan_in, fan_out in fans]
-            or [b.shape for b in net.biases] != [(fan_out,) for _, fan_out in fans]):
-        raise PreconditionError(f"{path}: parameter shapes do not match layer_sizes {net.layer_sizes}")
+    net = DenseNet(payload["weights"], payload["biases"])
+    if net.layer_sizes != sizes:
+        raise PreconditionError(f"{path}: parameter shapes give layer sizes {net.layer_sizes}, not {sizes}")
     if not all(np.all(np.isfinite(p)) for p in net.parameters()):
         raise PreconditionError(f"{path}: non-finite parameters")
     sigma_hat = float(payload["sigma_hat"])

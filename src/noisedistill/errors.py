@@ -25,6 +25,10 @@ class DivergenceError(RuntimeError):
         self.diagnostics = diagnostics
         self.checkpoint = checkpoint
 
+    def __reduce__(self):
+        """Pickle through the constructor, so the error crosses a process pipe."""
+        return type(self), (self.args[0], self.diagnostics, self.checkpoint)
+
 
 class ConfigError(ValueError):
     """An experiment configuration failed schema or semantic validation."""

@@ -54,24 +54,35 @@ class DenseNet:
     """Fully-connected net: Linear -> SiLU blocks, linear output layer.
 
     ``layer_sizes[0]`` counts the noise-level channel, so a 2-D denoiser with
-    three hidden layers of 64 units is ``[3, 64, 64, 64, 2]``.  Parameters are
-    float64 arrays; ``weights[i]`` has shape (fan_out, fan_in).
+    three hidden layers of 64 units is ``[3, 64, 64, 64, 2]``.  Every net is
+    built from its parameters, float64 arrays with ``weights[i]`` of shape
+    (fan_out, fan_in) and ``biases[i]`` of length fan_out; ``layer_sizes`` is
+    read off their shapes, and a layout that does not chain into a net raises
+    ``PreconditionError``.  ``initialized`` draws a fresh net.
     """
 
-    # The reverse pass's buffers.  A net sets its own on its first ``backward``,
-    # so nets made without ``__init__`` (copies, loaded checkpoints) share none.
-    _reverse: tuple = ()
+    def __init__(self, weights: list, biases: list):
+        self.weights = [np.asarray(w, dtype=np.float64) for w in weights]
+        self.biases = [np.asarray(b, dtype=np.float64) for b in biases]
+        if not self.weights or any(w.ndim != 2 for w in self.weights):
+            raise PreconditionError(f"a net needs 2-D weights, got shapes {[w.shape for w in self.weights]}")
+        self.layer_sizes = [self.weights[0].shape[1]] + [w.shape[0] for w in self.weights]
+        fans = list(zip(self.layer_sizes[:-1], self.layer_sizes[1:]))
+        if (min(self.layer_sizes) < 1 or [w.shape for w in self.weights] != [(out, in_) for in_, out in fans]
+                or [b.shape for b in self.biases] != [(out,) for _, out in fans]):
+            raise PreconditionError(f"weights {[w.shape for w in self.weights]} and biases "
+                                    f"{[b.shape for b in self.biases]} do not chain into a net")
+        self._reverse = ()  # the reverse pass's buffers, set by the first ``backward``
 
-    def __init__(self, layer_sizes: list[int], rng: np.random.Generator):
-        if len(layer_sizes) < 2 or any(n < 1 for n in layer_sizes):
+    @classmethod
+    def initialized(cls, layer_sizes: list[int], rng: np.random.Generator) -> DenseNet:
+        """A fresh net: He-scaled Gaussian weights drawn from ``rng`` layer by
+        layer, zero biases."""
+        if len(layer_sizes) < 2 or min(layer_sizes) < 1:
             raise PreconditionError(f"bad layer sizes {layer_sizes}")
-        self.layer_sizes = list(layer_sizes)
-        self.weights = []
-        self.biases = []
-        for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):
-            scale = np.sqrt(2.0 / fan_in)
-            self.weights.append(scale * rng.standard_normal((fan_out, fan_in)))
-            self.biases.append(np.zeros(fan_out))
+        weights = [np.sqrt(2.0 / fan_in) * rng.standard_normal((fan_out, fan_in))
+                   for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:])]
+        return cls(weights, [np.zeros(len(w)) for w in weights])
 
     @property
     def data_dim(self) -> int:
@@ -85,12 +96,8 @@ class DenseNet:
     def n_params(self) -> int:
         return sum(w.size for w in self.weights) + sum(b.size for b in self.biases)
 
-    def copy(self) -> "DenseNet":
-        dup = object.__new__(DenseNet)
-        dup.layer_sizes = list(self.layer_sizes)
-        dup.weights = [w.copy() for w in self.weights]
-        dup.biases = [b.copy() for b in self.biases]
-        return dup
+    def copy(self) -> DenseNet:
+        return DenseNet([w.copy() for w in self.weights], [b.copy() for b in self.biases])
 
     # -- forward / backward ------------------------------------------------
 

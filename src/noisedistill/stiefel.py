@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import StalledOptimizationError
+from .errors import PreconditionError, StalledOptimizationError
 from .linear_theory import GeneratorParams, LinearModel, loss_closed_form, quadrature_terms
 from .rng import make_rng
 from .schedule import NoiseSchedule
@@ -90,11 +90,12 @@ def riemannian_step(
     ``direction`` is the Riemannian gradient (xi, dV): the U-gradient projected
     to the tangent space at U, and the V-gradient; ``slope`` is its squared
     norm.  U is retracted along -xi (QR with a positive-diagonal fix); V moves
-    by plain descent.  A trial step is accepted when its V is finite, its
-    V^T V has no eigenvalue below ``VTV_FLOOR`` (``GeneratorParams.above_floor``
-    tests this with the Gram matrix and spectrum the params keep) and it
-    satisfies the Armijo condition with c1 = 1e-4; otherwise the step is
-    halved, and below 1e-14 it raises ``StalledOptimizationError``.
+    by plain descent.  A trial step is rejected when it leaves Theta (building
+    its ``GeneratorParams`` raises ``PreconditionError``) or when its V^T V has
+    an eigenvalue below ``VTV_FLOOR`` (read off the params' ``spectrum``); it
+    is accepted when it then satisfies the Armijo condition with c1 = 1e-4.
+    Otherwise the step is halved, and below 1e-14 it raises
+    ``StalledOptimizationError``.
     """
     xi, dv = direction
     if slope == 0.0:
@@ -102,8 +103,11 @@ def riemannian_step(
 
     eta = step_size
     while True:
-        candidate = GeneratorParams.above_floor(retract(p.u, -eta * xi), p.v - eta * dv, VTV_FLOOR)
-        if candidate is not None:
+        try:
+            candidate = GeneratorParams(u=retract(p.u, -eta * xi), v=p.v - eta * dv)
+        except PreconditionError:  # the trial left Theta
+            candidate = None
+        if candidate is not None and candidate.spectrum[0] >= VTV_FLOOR:
             loss_new = loss_closed_form(m, candidate, s)
             if loss_new <= loss_current - ARMIJO_C1 * eta * slope:
                 return candidate, eta, loss_new

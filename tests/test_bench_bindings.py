@@ -61,7 +61,7 @@ def test_forward_reaches_forward_cached_once_with_the_whole_batch(monkeypatch):
         return original(self, x, sigma, keep_cache)
 
     monkeypatch.setattr(DenseNet, "forward_cached", spy)
-    net = DenseNet([3, 8, 8, 2], derive(0, 1))
+    net = DenseNet.initialized([3, 8, 8, 2], derive(0, 1))
     net.forward(np.zeros((3000, 2)), 0.5)
     assert calls == [3000]
 
@@ -84,7 +84,7 @@ def test_forward_worker_threads_reach_silu_through_the_module_name(monkeypatch):
 
     monkeypatch.setattr(nets, "silu", silu_spy)
     monkeypatch.setattr(DenseNet, "forward_cached", forward_cached_spy)
-    net = DenseNet([3, 8, 8, 2], derive(0, 1))
+    net = DenseNet.initialized([3, 8, 8, 2], derive(0, 1))
     net.forward(np.zeros((3 * nets.ROW_BLOCK + 5, 2)), 0.5)
     assert len(silu_threads) == 2 * 3  # hidden layers x blocks
     assert len(set(silu_threads)) == 2  # the caller and one worker
@@ -103,7 +103,7 @@ def test_backward_reaches_silu_grad_through_the_module_name(monkeypatch):
         return silu_grad(*args, **kwargs)
 
     monkeypatch.setattr(nets, "silu_grad", silu_grad_spy)
-    net = DenseNet([3, 8, 6, 5, 2], derive(0, 1))
+    net = DenseNet.initialized([3, 8, 6, 5, 2], derive(0, 1))
     _, cache = net.forward_cached(np.zeros((7, 2)), 0.5)
     net.backward(cache, np.ones((7, 2)))
     net.backward(cache, np.ones((7, 2)), params=False)
@@ -138,31 +138,36 @@ def test_descent_reaches_the_loss_and_gradient_through_the_module_name(monkeypat
     ``stiefel`` bound them; the verify trace's ``linear_theory.loss_closed_form.*``
     and ``stiefel.euclidean_gradient.*`` metrics need one ``optimize`` call to
     look up the loss once at its start and once per trial step that passes
-    the V^T V floor (each becomes params), and the gradient once per iterate."""
-    counts = {"loss_closed_form": 0, "euclidean_gradient": 0, "retract": 0, "params": 0}
-    for name in ("loss_closed_form", "euclidean_gradient", "retract"):
-        original = getattr(stiefel, name)
+    the V^T V floor, and the gradient once per iterate.  Each line-search
+    trial computes one spectrum, in the constructor of its params."""
+    counts = {"loss_closed_form": 0, "euclidean_gradient": 0, "retract": 0, "eigvalsh": 0, "passed": 0}
 
-        def spy(*args, _name=name, _original=original, **kwargs):
-            counts[_name] += 1
-            return _original(*args, **kwargs)
+    def spy_on(owner, name):
+        original = getattr(owner, name)
 
-        monkeypatch.setattr(stiefel, name, spy)
-    above_floor = GeneratorParams.above_floor
+        def spy(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
 
-    def params_spy(cls, *args):
-        p = above_floor(*args)
-        counts["params"] += p is not None
+        monkeypatch.setattr(owner, name, spy)
+
+    def params_spy(**fields):
+        p = GeneratorParams(**fields)
+        counts["passed"] += bool(p.spectrum[0] >= stiefel.VTV_FLOOR)
         return p
 
-    monkeypatch.setattr(GeneratorParams, "above_floor", classmethod(params_spy))
+    for name in ("loss_closed_form", "euclidean_gradient", "retract"):
+        spy_on(stiefel, name)
+    spy_on(np.linalg, "eigvalsh")
+    monkeypatch.setattr(stiefel, "GeneratorParams", params_spy)
     m = LinearModel(basis=stiefel.retract(np.zeros((8, 2)), derive(0, 1).standard_normal((8, 2))), sigma=0.5)
     p0 = stiefel.random_params(8, 2, seed=1000)
-    counts.update(retract=0)  # random_params' own QR
+    counts.update(retract=0, eigvalsh=0, passed=0)  # random_params' own QR and params
     _, trace = stiefel.optimize(m, p0, NoiseSchedule(), 2000)
     assert counts["euclidean_gradient"] == len(trace.iters) > 1
-    assert counts["loss_closed_form"] == 1 + counts["params"]
-    assert len(trace.iters) - 1 <= counts["params"] <= counts["retract"]
+    assert counts["loss_closed_form"] == 1 + counts["passed"]
+    assert len(trace.iters) - 1 <= counts["passed"] <= counts["retract"]
+    assert counts["eigvalsh"] == counts["retract"]
 
 
 @pytest.fixture
@@ -188,7 +193,7 @@ def bench_run(monkeypatch):
 def test_stage_table_times_every_estimator_on_a_distillation_state(bench_run):
     """``stage_table`` deep-copies the state ``run_distillation`` returns, swaps
     the estimator with ``dataclasses.replace`` and times generator updates."""
-    teacher = DenseNet([3, 4, 2], derive(0, 1))
+    teacher = DenseNet.initialized([3, 4, 2], derive(0, 1))
     cfg = DistillConfig(mode="adjusted", sigma_hat=0.1, schedule=NoiseSchedule(0.05, 2.0), seed=0,
                         steps=2, batch_size=8, eval_every=1)
     result = run_distillation(teacher, cfg, teacher_mode="ambient", eval_hook=lambda state: {},

@@ -949,7 +949,7 @@ class TestCliFuzz:
 
 def save_net(path, layer_sizes):
     """A freshly initialised net of ``layer_sizes`` saved as a valid checkpoint."""
-    net = DenseNet(list(layer_sizes), derive(0, 1))
+    net = DenseNet.initialized(list(layer_sizes), derive(0, 1))
     save_checkpoint(str(path), net, "ambient", 0.05, NoiseSchedule(0.035, 1.0), "test")
     return str(path)
 

@@ -25,7 +25,7 @@ SCHED = NoiseSchedule(0.02, 2.5)
 
 
 def tiny_net(seed=0, sizes=(3, 16, 16, 2)):
-    return DenseNet(list(sizes), derive(seed, 1))
+    return DenseNet.initialized(list(sizes), derive(seed, 1))
 
 
 class TestLossDegenerations:
@@ -102,7 +102,7 @@ class TestMemorizationFloor:
 
         # a trained net on the repeated point approaches the floor, far below
         # the identity predictor's residual level
-        net = DenseNet([3, 16, 16, 2], derive(21, 1))
+        net = DenseNet.initialized([3, 16, 16, 2], derive(21, 1))
         data = np.tile(point, (512, 1))
 
         class _Data:
@@ -152,7 +152,7 @@ class TestAmbientPosteriorMean:
             points = noisy
 
         sched = NoiseSchedule(0.05, 2.0)
-        net = DenseNet([3, 64, 64, 2], derive(30, 2))
+        net = DenseNet.initialized([3, 64, 64, 2], derive(30, 2))
         cfg = TrainConfig(batch_size=384, lr=1e-3, steps=20000, schedule=sched,
                           sigma_hat=sigma_data, seed=5, mode="ambient")
         pretrain(net, _Data(), cfg)

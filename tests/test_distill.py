@@ -27,7 +27,7 @@ SCHED = NoiseSchedule(0.05, 2.0)
 
 
 def tiny_teacher(seed=0, sizes=(3, 4, 2)):
-    return DenseNet(list(sizes), derive(seed, 1))
+    return DenseNet.initialized(list(sizes), derive(seed, 1))
 
 
 def config(**kw):
@@ -75,7 +75,7 @@ class TestInit:
 
     def test_non_square_teacher_rejected(self):
         with pytest.raises(PreconditionError):
-            init_distillation(DenseNet([3, 4, 1], derive(0, 1)), config())
+            init_distillation(DenseNet.initialized([3, 4, 1], derive(0, 1)), config())
 
 
 class TestEstimatorZeros:
@@ -283,7 +283,7 @@ class TestAlternation:
 
     def test_fake_loss_decreases_on_frozen_generator(self):
         cfg = config(steps=500, batch_size=64, lr_fake=2e-3, lr_gen=1e-3, sigma_hat=0.05)
-        state = init_distillation(DenseNet([3, 24, 24, 2], derive(23, 1)), cfg)
+        state = init_distillation(DenseNet.initialized([3, 24, 24, 2], derive(23, 1)), cfg)
         rng = make_rng(3)
         losses = [fake_update(state, rng) for _ in range(500)]
         # monotone trend with tolerance; the loss keeps an irreducible

@@ -19,11 +19,57 @@ from noisedistill.toydata import make_dataset
 
 
 def tiny_net(seed=0, sizes=(3, 6, 5, 2)):
-    return DenseNet(list(sizes), derive(seed, 1))
+    return DenseNet.initialized(list(sizes), derive(seed, 1))
 
 
 def flat_grads(grads):
     return np.concatenate([g.ravel() for g in grads])
+
+
+class TestConstructor:
+    W = [np.ones((4, 3)), np.ones((2, 4))]
+    B = [np.zeros(4), np.zeros(2)]
+
+    def test_layer_sizes_are_read_off_the_shapes(self):
+        net = DenseNet(self.W, self.B)
+        assert net.layer_sizes == [3, 4, 2] and all(type(n) is int for n in net.layer_sizes)
+        assert all(p.dtype == np.float64 for p in net.parameters())
+
+    @pytest.mark.parametrize("weights, biases", [
+        ([], []),  # no layer
+        ([np.float64(1.0), np.ones((2, 4))], B),  # 0-d weight
+        ([np.ones(3), np.ones((2, 4))], B),  # 1-d weight
+        ([np.ones((4, 3, 1)), np.ones((2, 4))], B),  # 3-d weight
+        (W, [np.zeros(4), np.zeros(3)]),  # bias of the wrong length
+        (W, [np.zeros(4)]),  # a layer without its bias
+        ([np.ones((4, 3)), np.ones((2, 5))], [np.zeros(4), np.zeros(2)]),  # fan_in != previous fan_out
+        ([np.ones((0, 3)), np.ones((2, 0))], [np.zeros(0), np.zeros(2)]),  # a zero-size layer
+        ([np.ones((4, 0))], [np.zeros(4)]),  # a zero-size input
+    ])
+    def test_rejects_arrays_that_do_not_chain_into_a_net(self, weights, biases):
+        with pytest.raises(PreconditionError):
+            DenseNet(weights, biases)
+
+    @pytest.mark.parametrize("sizes", [[3], [3, 0, 2], [3, 4, -1]])
+    def test_initialized_rejects_bad_layer_sizes_before_drawing(self, sizes):
+        with pytest.raises(PreconditionError, match="bad layer sizes"):
+            DenseNet.initialized(sizes, derive(6, 1))
+
+    def test_initialized_draws_he_scaled_weights_and_zero_biases(self):
+        sizes = [3, 8, 5, 2]
+        net = DenseNet.initialized(sizes, derive(6, 1))
+        rng = derive(6, 1)
+        for fan_in, fan_out, w, b in zip(sizes[:-1], sizes[1:], net.weights, net.biases):
+            assert np.array_equal(w, np.sqrt(2.0 / fan_in) * rng.standard_normal((fan_out, fan_in)))
+            assert np.array_equal(b, np.zeros(fan_out))
+        assert net.layer_sizes == sizes
+
+    def test_copy_equals_its_source_and_shares_no_memory(self):
+        net = tiny_net(2)
+        dup = net.copy()
+        assert dup.layer_sizes == net.layer_sizes
+        assert all(np.array_equal(a, b) for a, b in zip(dup.parameters(), net.parameters()))
+        assert not any(np.shares_memory(a, b) for a in dup.parameters() for b in net.parameters())
 
 
 class TestForward:
@@ -77,7 +123,7 @@ class TestForward:
 class TestBackward:
     def test_single_linear_layer_analytic_gradient(self):
         # one affine layer, squared loss: dW = 2 (Wx + b - y) x^T
-        net = DenseNet([3, 2], derive(7, 1))
+        net = DenseNet.initialized([3, 2], derive(7, 1))
         x = np.array([[0.3, -1.2]])
         sigma = 0.8
         y = np.array([[1.0, 0.5]])
@@ -89,7 +135,7 @@ class TestBackward:
         assert np.allclose(grads[1], upstream[0], atol=1e-12)
 
     def test_finite_difference_agreement(self):
-        net = DenseNet([3, 16, 16, 2], derive(8, 1))
+        net = DenseNet.initialized([3, 16, 16, 2], derive(8, 1))
         rng = derive(8, 2)
         x = rng.standard_normal((6, 2))
         sigma = rng.uniform(0.1, 2.0, 6)
@@ -138,9 +184,7 @@ class ReferenceNet(DenseNet):
 
     @classmethod
     def sharing(cls, net):
-        ref = object.__new__(cls)
-        ref.layer_sizes, ref.weights, ref.biases = net.layer_sizes, net.weights, net.biases
-        return ref
+        return cls(net.weights, net.biases)
 
     def forward(self, x, sigma):
         return self.forward_cached(x, sigma)[0]
@@ -430,7 +474,7 @@ class TestReferenceContract:
 
     def run(self, as_net):
         data = make_dataset("ring", 512, 0.05, seed=4)
-        teacher = as_net(DenseNet(self.SIZES, derive(4, 1)))
+        teacher = as_net(DenseNet.initialized(self.SIZES, derive(4, 1)))
         tcfg = TrainConfig(batch_size=64, lr=1e-3, steps=20, schedule=self.SCHED, sigma_hat=0.05, seed=4,
                            mode="ambient")
         curve = pretrain(teacher, data, tcfg)
@@ -472,7 +516,7 @@ class TestParams:
         assert net.params_digest() != d1
 
     def test_param_count(self):
-        net = DenseNet([3, 4, 2], derive(0, 1))
+        net = DenseNet.initialized([3, 4, 2], derive(0, 1))
         assert net.n_params() == 4 * 3 + 4 + 2 * 4 + 2
 
 

@@ -2,6 +2,7 @@
 
 import gc
 import os
+import pickle
 import signal
 import threading
 import time
@@ -11,8 +12,9 @@ import numpy as np
 import pytest
 
 from noisedistill import parallel
-from noisedistill.errors import PreconditionError
+from noisedistill.errors import DivergenceError, PreconditionError
 from noisedistill.linear_theory import GeneratorParams, LinearModel, loss_closed_form, loss_monte_carlo
+from noisedistill.nets import DenseNet
 from noisedistill.rng import derive
 from noisedistill.schedule import NoiseSchedule
 from noisedistill.stiefel import retract
@@ -130,6 +132,18 @@ class TestMapProcesses:
         with pytest.raises(PreconditionError, match="^bad group starting at 2$"):
             parallel.map_processes(work, list(range(6)))
 
+    def test_a_divergence_error_in_a_child_arrives_with_its_diagnostics(self, set_cpus):
+        set_cpus(2)
+
+        def work(group):
+            if group[0] != 0:
+                raise DivergenceError("child diverged", diagnostics={"step": 7})
+            return list(group)
+
+        with pytest.raises(DivergenceError, match="^child diverged$") as info:
+            parallel.map_processes(work, [0, 1])
+        assert info.value.diagnostics == {"step": 7} and info.value.checkpoint is None
+
     def test_an_error_in_the_callers_group_wins_and_kills_the_children(self, set_cpus):
         set_cpus(3)
 
@@ -166,6 +180,19 @@ class TestMapProcesses:
         got = parallel.map_processes(lambda group: [float(np.linalg.eigvalsh(np.diag([k, 1.0]))[0])
                                                     for k in group], [0.5, 2.0, 3.0, 0.25])
         assert got == [[0.5, 1.0], [1.0, 0.25]]
+
+
+@pytest.mark.parametrize("checkpoint", [None, DenseNet.initialized([3, 4, 2], derive(0, 1))])
+def test_a_divergence_error_survives_pickling(checkpoint):
+    """``map_processes`` sends a child's error back pickled."""
+    err = pickle.loads(pickle.dumps(DivergenceError("m", {"step": 3, "loss": 1e12}, checkpoint)))
+    assert type(err) is DivergenceError and err.args == ("m",)
+    assert err.diagnostics == {"step": 3, "loss": 1e12}
+    if checkpoint is None:
+        assert err.checkpoint is None
+    else:
+        assert err.checkpoint.layer_sizes == checkpoint.layer_sizes
+        assert err.checkpoint.params_digest() == checkpoint.params_digest()
 
 
 def serial_closed_vs_monte_carlo(seed, schedule, instances, n):

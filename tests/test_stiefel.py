@@ -15,6 +15,7 @@ from noisedistill.linear_theory import (
 from noisedistill.rng import make_rng
 from noisedistill.schedule import NoiseSchedule
 from noisedistill.stiefel import (
+    MIN_STEP,
     VTV_FLOOR,
     euclidean_gradient,
     optimize,
@@ -140,6 +141,35 @@ class TestRiemannianStep:
         assert step == 0.125
         assert np.linalg.eigvalsh(p2.gram())[0] >= VTV_FLOOR  # p2 is params, so U is on the manifold
         assert after == loss_closed_form(m, p2, SCHED)
+
+    def test_floor_rejects_a_trial_whose_gram_is_positive_definite_but_below_it(self):
+        # the full step shrinks V's first column to 1e-6 e_1, so V^T V has the
+        # eigenvalue 1e-12: inside Theta, below the floor, and rejected
+        m = model(16, sigma=0.5)
+        e = m.basis
+        p = GeneratorParams(u=e, v=2.0 * e)
+        dv = (p.v - e * [1e-6, 2.0]) / 0.25
+        assert 0 < GeneratorParams(u=e, v=p.v - 0.25 * dv).spectrum[0] < VTV_FLOOR
+        p2, step, after = line_search(m, p, (np.zeros_like(e), dv), 0.25, loss_closed_form(m, p, SCHED))
+        assert step == 0.125
+        assert p2.spectrum[0] >= VTV_FLOOR
+        assert after == loss_closed_form(m, p2, SCHED)
+
+    @pytest.mark.parametrize("factor, bad", [("v", np.nan), ("v", np.inf), ("u", np.nan)])
+    def test_a_trial_that_leaves_theta_is_rejected_and_the_step_halves(self, factor, bad, monkeypatch):
+        """A trial whose U or V is not finite is rejected, not raised: with
+        every trial outside Theta the step halves from 0.25 until it
+        underflows."""
+        m = model(16, sigma=0.5)
+        p = GeneratorParams(u=m.basis, v=2.0 * m.basis)
+        xi, dv = np.zeros_like(p.u), p.v.copy()
+        (dv if factor == "v" else xi)[0, 0] = bad
+        trials = []
+        monkeypatch.setattr(stiefel, "retract", lambda u, d: trials.append(1) or retract(u, d))
+        with pytest.raises(StalledOptimizationError):
+            riemannian_step(m, p, (xi, dv), 1.0, SCHED, 0.25, loss_closed_form(m, p, SCHED))
+        steps = [0.25 * 0.5**k for k in range(60)]
+        assert len(trials) == sum(step >= MIN_STEP for step in steps)
 
     def test_each_trial_step_computes_one_spectrum(self, monkeypatch):
         """The floor test and the params share one ``eigvalsh`` per trial."""
