@@ -279,12 +279,25 @@ def test_cli_import_pins_blas_threads_unless_set(preset, expected):
     assert result.stdout.strip() == expected
 
 
-def test_cli_import_does_not_load_scipy():
+def test_cli_import_does_not_load_scipy(tmp_path):
+    """Neither the import nor a verify battery loads scipy: numpy is the only
+    runtime dependency."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
-    code = "import sys, noisedistill.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    verify = write_cfg(tmp_path, verify_config(linear={"dim": 3, "rank": 1, "sigma": 0.3, "mc_instances": 1,
+                                                       "mc_samples": 100, "opt": {"seeds": 1, "max_iters": 5}}))
+    code = (
+        "import json, sys\n"
+        "import noisedistill.cli as cli\n"
+        "def loaded():\n"
+        "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "seen = [loaded()]\n"
+        f"assert cli.main(['verify', '--config', {verify!r}, '--out', {str(tmp_path / 'verify')!r}]) in (0, 1)\n"
+        "seen.append(loaded())\n"
+        "print(json.dumps(seen))\n"
+    )
     env = {**os.environ, "PYTHONPATH": src}
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert result.stdout.strip() == "[]"
+    assert json.loads(result.stdout.splitlines()[-1]) == [[], []]
 
 
 def test_valid_runs_do_not_load_jsonschema(tmp_path):
@@ -478,6 +491,14 @@ class TestCliVerify:
     def test_large_sigma_verify_passes(self, tmp_path, capsys):
         raw = verify_config()
         raw["linear"]["sigma"] = 3.5
+        cfg = write_cfg(tmp_path, raw)
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        assert "[FAIL]" not in capsys.readouterr().out
+
+    def test_wide_schedule_verify_passes(self, tmp_path, capsys):
+        # the profile is flat near u* on this schedule: only the sign of its slope resolves u* to 1e-6
+        raw = verify_config(schedule={"sigma_min": 0.001, "sigma_max": 80.0})
+        raw["linear"].update(dim=8, rank=2, sigma=0.5)
         cfg = write_cfg(tmp_path, raw)
         assert main(["verify", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
         assert "[FAIL]" not in capsys.readouterr().out

@@ -1,4 +1,5 @@
-"""The package imports exactly the third-party modules it declares."""
+"""The package imports exactly the third-party modules it declares, and the
+tests import only what the package or its ``test`` extra declares."""
 
 import ast
 import re
@@ -11,6 +12,8 @@ tomllib = pytest.importorskip("tomllib")  # Python 3.11+
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "noisedistill"
+TESTS = ROOT / "tests"
+PROJECT = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
 
 
 def imported_top_levels(path):
@@ -22,10 +25,22 @@ def imported_top_levels(path):
             yield node.module.split(".")[0]
 
 
+def third_party_imports(directory, own):
+    """Top-level names imported under ``directory`` that are neither stdlib nor in ``own``."""
+    return {name for path in directory.rglob("*.py") for name in imported_top_levels(path)
+            if name not in sys.stdlib_module_names and name not in own}
+
+
+def declared(specs):
+    """Module names of the requirement ``specs``."""
+    return {re.match(r"[\w.-]+", spec).group().lower().replace("-", "_") for spec in specs}
+
+
 def test_third_party_imports_are_the_declared_dependencies():
-    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
-    declared = {re.match(r"[\w.-]+", spec).group().lower().replace("-", "_")
-                for spec in project["dependencies"]}
-    imported = {name for path in PACKAGE.rglob("*.py") for name in imported_top_levels(path)
-                if name not in sys.stdlib_module_names and name != PACKAGE.name}
-    assert imported == declared
+    assert third_party_imports(PACKAGE, {PACKAGE.name}) == declared(PROJECT["dependencies"])
+
+
+def test_tests_import_only_declared_modules():
+    own = {PACKAGE.name} | {path.stem for path in TESTS.rglob("*.py")}
+    allowed = declared(PROJECT["dependencies"]) | declared(PROJECT["optional-dependencies"]["test"])
+    assert third_party_imports(TESTS, own) <= allowed

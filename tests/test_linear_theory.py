@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
+from noisedistill import verify
 from noisedistill.errors import PreconditionError
 from noisedistill.linear_theory import (
     GeneratorParams,
@@ -334,10 +335,22 @@ class TestEigenvalueProfile:
         )
         assert abs(res.x - (1 + sigma**2)) <= 1e-6
 
-    @pytest.mark.parametrize("sigma", [2.0, 3.5, 5.0, 10.0])
+    @pytest.mark.parametrize("sigma", [2.0, 3.5, 5.0, 10.0, 100.0])
     def test_verify_locates_minimizer_at_large_sigma(self, sigma):
         # u* = 1 + sigma^2 exceeds 10 from sigma = 3, where the profile is flat
         assert check_profile_minimizer(NoiseSchedule(), sigmas=(sigma,)).passed
+
+    @pytest.mark.parametrize("shift", [0.0, 2e-6])
+    def test_verify_row_fails_on_a_shifted_minimizer(self, shift, monkeypatch):
+        # a profile whose minimizer sits at u* / (1 - shift) reads a relative error of ~shift
+        orig = verify.eigenvalue_loss_profile
+        monkeypatch.setattr(verify, "eigenvalue_loss_profile",
+                            lambda u, sigma, s: orig(u * (1.0 - shift), sigma, s))
+        row = check_profile_minimizer(NoiseSchedule(), sigmas=(0.1, 0.2, 0.5))
+        if shift:
+            assert not row.passed and row.value == pytest.approx(shift, rel=0.1)
+        else:
+            assert row.passed
 
     def test_convexity_by_finite_differences(self):
         sched = NoiseSchedule()
