@@ -149,32 +149,47 @@ def guard_samples(x: np.ndarray, source: str) -> np.ndarray:
 def ambient_sample(
     net: DenseNet,
     sigma_hat: float,
-    mode: str,
+    mode: str | tuple[str, ...],
     n: int,
     rng: np.random.Generator,
     schedule: NoiseSchedule,
     steps: int = SAMPLER_STEPS,
-) -> np.ndarray:
+) -> np.ndarray | tuple[np.ndarray, ...]:
     """Reverse-process sampling over a decreasing geometric noise grid.
 
     Each step moves x along the denoiser direction,
     x <- x - (sigma_t - sigma_prev)/sigma_t * (x - f(x, sigma_t)).
-    In ``truncated`` mode the walk exits with the denoised estimate
-    f(x, sigma_t) the first time the next level drops below sigma_hat;
-    ``full`` mode iterates all the way down to sigma_min.  Non-finite or
+    The ``truncated`` sampler returns the denoised estimate f(x, sigma_t) of
+    the first step whose next level drops below sigma_hat (the ``full``
+    result when none does); the ``full`` sampler iterates all the way down to
+    sigma_min.  ``mode`` names one sampler, or a tuple of them: then one walk
+    from one draw serves them all and their samples come back as a tuple in
+    that order.  The walk stops once it has each sample set, so a truncated
+    walk alone stops at its truncation step.  A first draw that overflows
+    (sigma_max too large) raises ``PreconditionError``; non-finite or
     blown-up samples raise ``DivergenceError``.
     """
-    if mode not in ("full", "truncated"):
+    modes = (mode,) if isinstance(mode, str) else tuple(mode)
+    if not modes or not set(modes) <= {"full", "truncated"}:
         raise PreconditionError(f"unknown sampling mode {mode!r}")
     grid = schedule.sampling_grid(steps)
-    x = rng.standard_normal((n, net.data_dim)) * grid[0]
+    with np.errstate(over="ignore"):
+        x = rng.standard_normal((n, net.data_dim)) * grid[0]
+    if not np.all(np.isfinite(x)):
+        raise PreconditionError(f"sigma_max {schedule.sigma_max!r} is too large to sample from: "
+                                "the reverse walk's first draw overflows")
+    truncated = None
     for i in range(len(grid) - 1):
         sig, sig_prev = grid[i], grid[i + 1]
         x0_hat = net.forward(x, sig)
-        if mode == "truncated" and sig_prev < sigma_hat:
-            return guard_samples(x0_hat, f"{mode} sampler")
+        if truncated is None and sig_prev < sigma_hat and "truncated" in modes:
+            truncated = x0_hat
+            if "full" not in modes:
+                break
         x = x - ((sig - sig_prev) / sig) * (x - x0_hat)
-    return guard_samples(x, f"{mode} sampler")
+    found = {"full": x, "truncated": x if truncated is None else truncated}
+    samples = tuple(guard_samples(found[m], f"{m} sampler") for m in modes)
+    return samples[0] if isinstance(mode, str) else samples
 
 
 # -- checkpoints -------------------------------------------------------------

@@ -132,7 +132,10 @@ def evaluate_sources(
     Sources: the noisy training points themselves, the teacher run as a full
     and as a truncated sampler, and the one-step generator; a ``None`` teacher
     or generator adds no row.  All rows share one clean reference fit and one
-    evaluation seed.
+    evaluation seed.  Both teacher rows come from one reverse walk on one
+    noise draw (``sample_steps - 1`` teacher passes): the truncated samples
+    are that walk's denoised estimate at its truncation step, so the two rows
+    are a paired comparison.
     """
     score = _scorer(dataset, sigma_hat, n_eval, eval_seed)
 
@@ -147,10 +150,8 @@ def evaluate_sources(
 
     rows = [row("raw_noisy", dataset.points, dataset.n)]
     if teacher is not None:
-        full = ambient_sample(teacher, sigma_hat, "full", n_eval, derive(eval_seed, 104),
-                              schedule, sample_steps)
-        trunc = ambient_sample(teacher, sigma_hat, "truncated", n_eval, derive(eval_seed, 105),
-                               schedule, sample_steps)
+        full, trunc = ambient_sample(teacher, sigma_hat, ("full", "truncated"), n_eval,
+                                     derive(eval_seed, 104), schedule, sample_steps)
         rows.append(row("teacher_full", full, n_eval))
         rows.append(row("teacher_truncated", trunc, n_eval))
     if generator is not None:

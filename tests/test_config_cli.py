@@ -1056,6 +1056,14 @@ def blown_up_checkpoint(tmp_path):
     return str(blown)
 
 
+def huge_sigma_max_checkpoint(tmp_path, sigma_max):
+    """A fresh [3, 4, 2] net saved with the schedule (0.035, sigma_max)."""
+    path = str(tmp_path / "huge_sigma_max.json")
+    save_checkpoint(path, DenseNet.initialized([3, 4, 2], derive(0, 1)), "ambient", 0.05,
+                    NoiseSchedule(0.035, sigma_max), "test")
+    return path
+
+
 class TestCliDivergence:
     @pytest.mark.parametrize("command,section", [
         ("sample", lambda ckpt: {"sample": {"source": ckpt, "sampler": "one_step", "n": 200}}),
@@ -1076,6 +1084,31 @@ class TestCliDivergence:
         err = capsys.readouterr().err
         assert err.startswith("divergence:")
         assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command,sections", [
+        ("sample", lambda ckpt: {"sample": {"source": ckpt, "sampler": "full", "n": 64, "steps": 8}}),
+        ("sample", lambda ckpt: {"sample": {"source": ckpt, "sampler": "truncated", "n": 64, "steps": 8}}),
+        ("eval", lambda ckpt: {"eval": {"teacher": ckpt, "n_eval": 256, "sample_steps": 8},
+                               "schedule": {"sigma_min": 0.035, "sigma_max": 1e308}}),
+    ], ids=["sample_full", "sample_truncated", "eval_teacher"])
+    def test_sigma_max_overflowing_the_first_draw_exits_2(self, command, sections, tmp_path, capsys):
+        ckpt = huge_sigma_max_checkpoint(tmp_path, 1e308)
+        cfg = write_cfg(tmp_path, pipeline_config(command, **sections(ckpt)))
+        capsys.readouterr()
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith("config error: sigma_max 1e+308 is too large")
+        assert not (tmp_path / "out").exists()
+
+    def test_huge_finite_first_draw_that_blows_up_exits_3(self, tmp_path, capsys):
+        """At sigma_max 1e200 the first draw is finite; the full walk's samples
+        then really pass the divergence threshold."""
+        ckpt = huge_sigma_max_checkpoint(tmp_path, 1e200)
+        cfg = write_cfg(tmp_path, pipeline_config("sample", sample={"source": ckpt, "sampler": "full",
+                                                                    "n": 64}))
+        capsys.readouterr()
+        assert main(["sample", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+        assert capsys.readouterr().err.startswith("divergence: full sampler samples diverged")
         assert not (tmp_path / "out").exists()
 
     def test_generator_blown_up_at_an_eval_leaves_the_last_healthy_checkpoint(self, tmp_path, capsys):

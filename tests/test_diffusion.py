@@ -324,8 +324,75 @@ class TestAmbientSampling:
     def test_bad_mode_and_steps_rejected(self):
         with pytest.raises(PreconditionError):
             ambient_sample(_ZeroNet(), 0.0, "full", 8, make_rng(0), SCHED, 1)
-        with pytest.raises(PreconditionError):
-            ambient_sample(_ZeroNet(), 0.0, "midway", 8, make_rng(0), SCHED, 16)
+        for mode in ("midway", (), ("full", "midway")):
+            with pytest.raises(PreconditionError, match="unknown sampling mode"):
+                ambient_sample(_ZeroNet(), 0.0, mode, 8, make_rng(0), SCHED, 16)
+
+
+def reference_walk(net, sigma_hat, mode, n, rng, schedule, steps):
+    """The reverse walk written out step by step, one sampler per walk."""
+    grid = schedule.sampling_grid(steps)
+    x = rng.standard_normal((n, net.data_dim)) * grid[0]
+    for i in range(len(grid) - 1):
+        x0_hat = net.forward(x, grid[i])
+        if mode == "truncated" and grid[i + 1] < sigma_hat:
+            return x0_hat
+        x = x - ((grid[i] - grid[i + 1]) / grid[i]) * (x - x0_hat)
+    return x
+
+
+class _CountingNet:
+    """A net whose ``forward`` calls are counted."""
+
+    def __init__(self, net):
+        self.net, self.data_dim, self.calls = net, net.data_dim, 0
+
+    def forward(self, x, sigma):
+        self.calls += 1
+        return self.net.forward(x, sigma)
+
+
+class TestOneWalk:
+    """One reverse walk serves both samplers, bit for bit as separate walks."""
+
+    STEPS = 12
+    GRID = SCHED.sampling_grid(STEPS)
+    # below sigma_min (no truncation), inside the grid, just below and above
+    # its second level (truncation at the last or the first step)
+    SIGMA_HATS = (0.0, 0.01, 0.05, 0.3, float(GRID[1]), float(GRID[1]) * 1.001, 3.0)
+
+    @pytest.mark.parametrize("sigma_hat", SIGMA_HATS)
+    def test_joint_walk_equals_single_walks(self, sigma_hat):
+        net = tiny_net(70)
+        full, trunc = ambient_sample(net, sigma_hat, ("full", "truncated"), 300, make_rng(71),
+                                     SCHED, self.STEPS)
+        for mode, got in (("full", full), ("truncated", trunc)):
+            alone = ambient_sample(net, sigma_hat, mode, 300, make_rng(71), SCHED, self.STEPS)
+            expected = reference_walk(net, sigma_hat, mode, 300, make_rng(71), SCHED, self.STEPS)
+            assert np.array_equal(alone, expected)
+            assert np.array_equal(got, expected)
+        trunc_first, full_second = ambient_sample(net, sigma_hat, ("truncated", "full"), 300,
+                                                  make_rng(71), SCHED, self.STEPS)
+        assert np.array_equal(trunc_first, trunc) and np.array_equal(full_second, full)
+
+    @pytest.mark.parametrize("sigma_hat", SIGMA_HATS)
+    def test_forward_counts(self, sigma_hat):
+        """The truncated walk stops after its truncation step; a walk that
+        serves the full sampler makes every one of the steps - 1 passes."""
+        below = [i for i in range(self.STEPS - 1) if self.GRID[i + 1] < sigma_hat]
+        stop = below[0] + 1 if below else self.STEPS - 1
+        for mode, calls in (("truncated", stop), ("full", self.STEPS - 1),
+                            (("full", "truncated"), self.STEPS - 1)):
+            net = _CountingNet(_ZeroNet())
+            ambient_sample(net, sigma_hat, mode, 16, make_rng(73), SCHED, self.STEPS)
+            assert net.calls == calls, mode
+
+    @pytest.mark.parametrize("mode", ["full", "truncated", ("full", "truncated")])
+    def test_overflowing_first_draw_names_sigma_max(self, mode):
+        net = _CountingNet(tiny_net(74, (3, 4, 2)))
+        with pytest.raises(PreconditionError, match=r"sigma_max 1e\+308 is too large"):
+            ambient_sample(net, 0.05, mode, 64, make_rng(75), NoiseSchedule(0.035, 1e308), 8)
+        assert net.calls == 0
 
 
 class TestCheckpoints:

@@ -3,16 +3,21 @@
 import numpy as np
 import pytest
 
+from noisedistill.diffusion import ambient_sample
 from noisedistill.errors import PreconditionError
-from noisedistill.gaussians import LowRankGaussian, sample, w2_commuting
+from noisedistill.gaussians import LowRankGaussian, fit_gaussian, sample, w2_commuting
 from noisedistill.metrics import (
+    evaluate_sources,
     frechet_between_samples,
     frechet_gaussian,
     proximal_fid,
     select_best_checkpoint,
 )
+from noisedistill.nets import DenseNet
 from noisedistill.rng import derive, make_rng
+from noisedistill.schedule import NoiseSchedule
 from noisedistill.stiefel import retract
+from noisedistill.toydata import make_dataset, sample_clean
 
 
 class TestFrechetGaussian:
@@ -164,3 +169,57 @@ class TestSampleSize:
             xs = sample(g, n, derive(20, 1))
             vals.append(frechet_between_samples(xs[:n], ref))
         assert vals[1] <= vals[0] * 1.5
+
+
+class TestEvaluateSources:
+    """Both teacher rows come from one reverse walk on the derive(seed, 104) draw."""
+
+    SCHED = NoiseSchedule(0.035, 1.0)
+    SEED, N_EVAL, STEPS = 5, 512, 12
+    DATA = make_dataset("ring", 256, 0.05, seed=5)
+    TEACHER = DenseNet.initialized([3, 16, 16, 2], derive(5, 1))
+
+    def teacher_rows(self, sigma_hat):
+        rows = evaluate_sources(self.DATA, self.SCHED, sigma_hat, self.TEACHER, None, self.SEED,
+                                self.N_EVAL, self.STEPS)
+        assert [r["source"] for r in rows] == ["raw_noisy", "teacher_full", "teacher_truncated"]
+        return {r["source"]: {k: r[k] for k in ("frechet_clean", "proximal_fid", "w2_fit")}
+                for r in rows[1:]}
+
+    def scores(self, samples, sigma_hat):
+        """The row metrics of ``samples``, computed from the public functions."""
+        mu_c, cov_c = fit_gaussian(sample_clean("ring", self.N_EVAL, derive(self.SEED, 101)))
+        mu, cov = fit_gaussian(samples)
+        return {"frechet_clean": frechet_gaussian(mu, cov, mu_c, cov_c),
+                "proximal_fid": proximal_fid(samples, sigma_hat, self.DATA.points,
+                                             derive(self.SEED, 103)),
+                "w2_fit": frechet_between_samples(samples, self.DATA.points)}
+
+    def walk(self, mode, sigma_hat):
+        return ambient_sample(self.TEACHER, sigma_hat, mode, self.N_EVAL, derive(self.SEED, 104),
+                              self.SCHED, self.STEPS)
+
+    @pytest.mark.parametrize("sigma_hat", [0.05, 0.3])
+    def test_rows_equal_single_walks_on_one_draw(self, sigma_hat):
+        rows = self.teacher_rows(sigma_hat)
+        assert rows["teacher_full"] == self.scores(self.walk("full", sigma_hat), sigma_hat)
+        assert rows["teacher_truncated"] == self.scores(self.walk("truncated", sigma_hat), sigma_hat)
+        assert rows["teacher_full"] != rows["teacher_truncated"]
+
+    def test_one_walk_of_sample_steps_minus_one_passes(self, monkeypatch):
+        levels, forward = [], self.TEACHER.forward
+        monkeypatch.setattr(self.TEACHER, "forward",
+                            lambda x, sigma: levels.append(sigma) or forward(x, sigma))
+        self.teacher_rows(0.05)
+        assert levels == list(self.SCHED.sampling_grid(self.STEPS)[:-1])
+
+    def test_sigma_hat_below_sigma_min_gives_equal_rows(self):
+        rows = self.teacher_rows(0.02)
+        assert rows["teacher_truncated"] == rows["teacher_full"]
+
+    def test_sigma_hat_above_the_second_level_truncates_at_the_first_denoise(self):
+        grid = self.SCHED.sampling_grid(self.STEPS)
+        sigma_hat = 0.5 * (grid[0] + grid[1])
+        x = derive(self.SEED, 104).standard_normal((self.N_EVAL, 2)) * grid[0]
+        rows = self.teacher_rows(sigma_hat)
+        assert rows["teacher_truncated"] == self.scores(self.TEACHER.forward(x, grid[0]), sigma_hat)
