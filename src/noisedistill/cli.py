@@ -202,17 +202,22 @@ def cmd_sample(cfg: ExperimentConfig, out: str) -> int:
 
 
 def cmd_eval(cfg: ExperimentConfig, out: str) -> int:
+    """Score each checkpoint on the schedule it records, as ``sample`` does; a
+    ``schedule`` section may only restate that schedule."""
     data = _dataset(cfg)
-    schedule = _schedule(cfg)
     esec = cfg.section("eval")
-    teacher = generator = None
+    stated = _schedule(cfg) if "schedule" in cfg.raw else None
+    models = {}
     sigma_hat = data.sigma_data  # unless a checkpoint records one: the teacher's, else the generator's
-    if "generator" in esec:
-        generator, _, sigma_hat, _ = _load_checkpoint_input(esec["generator"])
-    if "teacher" in esec:
-        teacher, _, sigma_hat, _ = _load_checkpoint_input(esec["teacher"])
-    rows = from_section(evaluate_sources, esec, dataset=data, schedule=schedule,
-                        sigma_hat=sigma_hat, teacher=teacher, generator=generator,
+    for role in ("generator", "teacher"):
+        if role in esec:
+            net, _, sigma_hat, schedule = _load_checkpoint_input(esec[role])
+            if stated is not None and stated != schedule:
+                raise ConfigError(f"the config's schedule {stated} differs from {schedule}, which the "
+                                  f"{role} checkpoint {esec[role]!r} records and eval runs it on")
+            models[role] = (net, schedule)
+    rows = from_section(evaluate_sources, esec, dataset=data, sigma_hat=sigma_hat,
+                        teacher=models.get("teacher"), generator=models.get("generator"),
                         eval_seed=cfg.seed)
     write_csv_atomic(os.path.join(out, "eval.csv"), cfg,
                      ["source", "frechet_clean", "proximal_fid", "w2_fit", "n_samples", "seed"],

@@ -149,72 +149,56 @@ def loss_weights(
     return (sigma_t**2)[:, None] / scale
 
 
-def generator_grad_sds(
-    state: DistillState, z: np.ndarray, rng: np.random.Generator
-) -> list[np.ndarray]:
-    """Noise-residual estimator: w_t (eps_teacher(x_t) - eps) through dG/dtheta,
-    with the teacher's noise prediction eps_teacher = (x_t - f_teacher) / sigma_t.
+def x_g_grad_sds(state: DistillState, p: _Perturbation) -> np.ndarray:
+    """Noise-residual estimator: w_t (eps_teacher(x_t) - eps) at x_g, with the
+    teacher's noise prediction eps_teacher = (x_t - f_teacher) / sigma_t.
 
-    The teacher is a constant; only the generator is differentiated, and no
-    fake net participates.
+    The teacher is a constant, and no fake net participates.
     """
-    p = draw_perturbation(state, z, rng)
-    n = z.shape[0]
     f_phi = state.teacher.forward(p.x_t, p.sigma_t)
     eps_phi = (p.x_t - f_phi) / p.sigma_t[:, None]
     w = loss_weights(state.cfg.weighting, p.sigma_t, f_phi, p.x_g)
-    upstream = w * (eps_phi - p.eps) / n
-    return state.generator.backward(p.cache_g, upstream)
+    return w * (eps_phi - p.eps) / p.x_g.shape[0]
 
 
-def generator_grad_dmd(
-    state: DistillState, z: np.ndarray, rng: np.random.Generator
-) -> list[np.ndarray]:
-    """Score-difference estimator: w_t (s_fake(x_t) - s_teacher(x_t)) through dG/dtheta.
+def x_g_grad_dmd(state: DistillState, p: _Perturbation) -> np.ndarray:
+    """Score-difference estimator: w_t (s_fake(x_t) - s_teacher(x_t)) at x_g.
 
     A denoiser f implies the score -(x_t - f) / sigma_t^2, so x_t cancels and
     the difference is (f_fake - f_teacher) / sigma_t^2.
     """
-    p = draw_perturbation(state, z, rng)
-    n = z.shape[0]
     f_phi = state.teacher.forward(p.x_t, p.sigma_t)
     f_psi = state.fake.forward(p.x_t, p.sigma_t)
     w = loss_weights(state.cfg.weighting, p.sigma_t, f_phi, p.x_g)
-    upstream = w * (f_psi - f_phi) / (p.sigma_t**2)[:, None] / n
-    return state.generator.backward(p.cache_g, upstream)
+    return w * (f_psi - f_phi) / (p.sigma_t**2)[:, None] / p.x_g.shape[0]
 
 
-def generator_grad_sid(
-    state: DistillState, z: np.ndarray, rng: np.random.Generator
-) -> list[np.ndarray]:
+def x_g_grad_sid(state: DistillState, p: _Perturbation) -> np.ndarray:
     """Fisher-divergence estimator with mixing weight alpha.
 
     Differentiates  w [ (1-alpha) ||f_fake - f_teacher||^2
                         + (f_teacher - f_fake)^T (f_fake - x_g) ]
-    through x_t = base(x_g) + sigma_t eps and through the direct x_g term;
-    both nets' parameters and the weights are constants.
+    with respect to x_g, through x_t = base(x_g) + sigma_t eps and through the
+    direct x_g term; both nets' parameters and the weights are constants.
     """
     cfg = state.cfg
-    p = draw_perturbation(state, z, rng)
-    n = z.shape[0]
     f_phi, cache_phi = state.teacher.forward_cached(p.x_t, p.sigma_t)
     f_psi, cache_psi = state.fake.forward_cached(p.x_t, p.sigma_t)
     diff = f_psi - f_phi
     resid = f_psi - p.x_g
-    w = loss_weights(cfg.weighting, p.sigma_t, f_phi, p.x_g) / n
+    w = loss_weights(cfg.weighting, p.sigma_t, f_phi, p.x_g) / p.x_g.shape[0]
 
     vec_fake = w * (2.0 * (1.0 - cfg.alpha) * diff - resid - diff)
     vec_teacher = w * (resid - 2.0 * (1.0 - cfg.alpha) * diff)
     dxt_fake = state.fake.backward(cache_psi, vec_fake, params=False)
     dxt_teacher = state.teacher.backward(cache_phi, vec_teacher, params=False)
-    upstream_xg = dxt_fake + dxt_teacher + w * diff
-    return state.generator.backward(p.cache_g, upstream_xg)
+    return dxt_fake + dxt_teacher + w * diff
 
 
 _GRAD_FNS = {
-    "sds": generator_grad_sds,
-    "dmd": generator_grad_dmd,
-    "sid": generator_grad_sid,
+    "sds": x_g_grad_sds,
+    "dmd": x_g_grad_dmd,
+    "sid": x_g_grad_sid,
 }
 
 
@@ -236,10 +220,13 @@ def fake_update(state: DistillState, rng: np.random.Generator) -> float:
 
 
 def generator_update(state: DistillState, rng: np.random.Generator) -> float:
-    """One optimizer step of the generator along the configured estimator."""
+    """One optimizer step of the generator: the configured estimator's gradient
+    at the generated points x_g of one perturbed batch, carried back through
+    the generator.  Returns the norm of the parameter gradient."""
     cfg = state.cfg
     z = rng.standard_normal((cfg.batch_size, state.generator.data_dim))
-    grads = _GRAD_FNS[cfg.method](state, z, rng)
+    p = draw_perturbation(state, z, rng)
+    grads = state.generator.backward(p.cache_g, _GRAD_FNS[cfg.method](state, p))
     grad_norm = float(np.sqrt(sum(np.sum(g * g) for g in grads)))
     state.gen_opt.step(grads)
     return grad_norm

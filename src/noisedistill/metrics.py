@@ -119,7 +119,6 @@ def make_eval_hook(dataset, sigma_hat: float, schedule, eval_seed: int, n_eval: 
 
 def evaluate_sources(
     dataset,
-    schedule,
     sigma_hat: float,
     teacher,
     generator,
@@ -130,12 +129,13 @@ def evaluate_sources(
     """Metric rows for the raw noisy data and every available model.
 
     Sources: the noisy training points themselves, the teacher run as a full
-    and as a truncated sampler, and the one-step generator; a ``None`` teacher
-    or generator adds no row.  All rows share one clean reference fit and one
-    evaluation seed.  Both teacher rows come from one reverse walk on one
-    noise draw (``sample_steps - 1`` teacher passes): the truncated samples
-    are that walk's denoised estimate at its truncation step, so the two rows
-    are a paired comparison.
+    and as a truncated sampler, and the one-step generator.  ``teacher`` and
+    ``generator`` are each a ``(net, schedule)`` pair, the schedule being the
+    one the net was trained on, or ``None``, which adds no row.  All rows
+    share one clean reference fit and one evaluation seed.  Both teacher rows
+    come from one reverse walk on one noise draw (``sample_steps - 1`` teacher
+    passes): the truncated samples are that walk's denoised estimate at its
+    truncation step, so the two rows are a paired comparison.
     """
     score = _scorer(dataset, sigma_hat, n_eval, eval_seed)
 
@@ -150,12 +150,13 @@ def evaluate_sources(
 
     rows = [row("raw_noisy", dataset.points, dataset.n)]
     if teacher is not None:
-        full, trunc = ambient_sample(teacher, sigma_hat, ("full", "truncated"), n_eval,
+        net, schedule = teacher
+        full, trunc = ambient_sample(net, sigma_hat, ("full", "truncated"), n_eval,
                                      derive(eval_seed, 104), schedule, sample_steps)
         rows.append(row("teacher_full", full, n_eval))
         rows.append(row("teacher_truncated", trunc, n_eval))
     if generator is not None:
-        rows.append(row("generator", _one_step_samples(generator, schedule, n_eval, eval_seed), n_eval))
+        rows.append(row("generator", _one_step_samples(*generator, n_eval, eval_seed), n_eval))
     return rows
 
 

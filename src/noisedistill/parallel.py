@@ -57,7 +57,8 @@ def map_groups(fn, items: list, scratch) -> list:
     numpy's error state.  Every group is waited for before this returns or
     raises, so no worker still runs on the caller's data; the first error in
     item order is re-raised.  Results come back in item order.  ``fn`` must
-    call neither map: a worker that waits on its own pool can deadlock.
+    call neither map: a pool worker that waits on its own pool can deadlock,
+    and one that forks breaks the rule of ``map_processes``.
     """
     groups = [(group, scratch()) for group in _groups(items)]
 
@@ -87,9 +88,10 @@ def map_processes(fn, items) -> list:
     to its end and every child reaped before this returns or raises; when the
     caller's own group raises, the children are killed first.  The first
     error in group order is re-raised with its type, and a child that ended
-    without a result raises ``RuntimeError`` naming how it ended.  ``fn`` must
-    call neither map, and no other thread may be running ``map_groups`` work
-    when this is called, since a forked child keeps only the calling thread.
+    without a result raises ``RuntimeError`` naming how it ended.  ``fn`` may
+    call ``map_groups`` (the caller's group runs on the calling thread, and a
+    forked child builds its own pool), but no other thread may be running
+    ``map_groups`` work when this is called: a child keeps only that thread.
     """
     groups = _groups(items)
     children = []  # (pid, read end of its pipe), in group order

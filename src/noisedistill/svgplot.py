@@ -11,10 +11,13 @@ import numpy as np
 
 from .config import write_text_atomic
 from .errors import PreconditionError
+from .toydata import SCALE
 
 CANVAS = 640
 MARGIN = 40
-DATA_WINDOW = 2.5  # plots cover [-2.5, 2.5]^2
+# Plots cover [-0.625, 0.625]^2: every clean toy point plus 3 sigma of noise at
+# sigma_data 0.05 (the largest such coordinate is 0.525, on the two-moons x axis).
+DATA_WINDOW = 2.5 * SCALE
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e")
 MAX_SETS = 5
 

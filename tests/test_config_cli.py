@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from noisedistill import cli, config, parallel, stiefel
+from noisedistill import cli, config, parallel, stiefel, svgplot
 from noisedistill.cli import main
 from noisedistill.config import (
     KINDS,
@@ -36,12 +36,12 @@ from noisedistill.config import (
 from noisedistill.diffusion import TrainConfig, ambient_sample, load_checkpoint, save_checkpoint
 from noisedistill.distill import PAIRED_MODE, DistillConfig, generator_forward
 from noisedistill.errors import ConfigError
-from noisedistill.metrics import evaluate_sources, make_eval_hook
+from noisedistill.metrics import evaluate_sources, frechet_between_samples, make_eval_hook
 from noisedistill.nets import DenseNet
 from noisedistill.rng import derive
 from noisedistill.schedule import NoiseSchedule
 from noisedistill.svgplot import emit_scatter_svg
-from noisedistill.toydata import make_dataset
+from noisedistill.toydata import make_dataset, sample_clean
 from noisedistill.verify import run_verification
 
 
@@ -462,6 +462,17 @@ class TestScatterSvg:
         path = tmp_path / "big.svg"
         emit_scatter_svg([("cloud", rng.standard_normal((10000, 2)))], str(path), self.SVG_META)
         assert path.stat().st_size < 2_000_000
+
+    @pytest.mark.parametrize("point", [(0.25, 0.0), (0.0, 0.25), (-0.25, 0.0), (0.0, -0.25)])
+    def test_ring_point_lands_well_away_from_the_centre(self, point, tmp_path):
+        """A ring point (radius 0.25) is drawn at least a quarter of the way from
+        the centre of the plot to its edge, so the toy data fill the panel."""
+        path = tmp_path / "ring.svg"
+        emit_scatter_svg([("ring", np.array([point]))], str(path), self.SVG_META)
+        cx, cy = map(float, re.search(r'cx="([-\d.]+)" cy="([-\d.]+)"', path.read_text()).groups())
+        half_span = (svgplot.CANVAS - 2 * svgplot.MARGIN) / 2
+        offset = np.hypot(cx - svgplot.CANVAS / 2, cy - svgplot.CANVAS / 2)
+        assert half_span / 4 <= offset <= half_span
 
     def test_too_many_sets_rejected(self, tmp_path):
         sets = [(f"s{i}", np.zeros((1, 2))) for i in range(6)]
@@ -1297,11 +1308,71 @@ class TestCliEval:
 
         data = make_dataset("ring", 256, 0.05, raw["seed"])
         generator = load_checkpoint(out / "generator.json")[0]
-        expected = {sigma_hat: evaluate_sources(data, NoiseSchedule(0.035, 1.0), sigma_hat,
-                                                teacher=None, generator=generator, n_eval=256,
-                                                eval_seed=raw["seed"])[-1]["proximal_fid"]
+        expected = {sigma_hat: evaluate_sources(data, sigma_hat, teacher=None,
+                                                generator=(generator, NoiseSchedule(0.035, 1.0)),
+                                                n_eval=256, eval_seed=raw["seed"])[-1]["proximal_fid"]
                     for sigma_hat in (0.07, 0.05)}  # the generator's, the data's
         assert float(row[2]) == expected[0.07] != expected[0.05]
+
+    @staticmethod
+    def net_on_schedule(tmp_path, name, sigma_max):
+        """A fresh [3, 8, 2] net saved with the schedule (0.035, sigma_max)."""
+        path = str(tmp_path / name)
+        save_checkpoint(path, DenseNet.initialized([3, 8, 2], derive(0, len(name))), "ambient", 0.05,
+                        NoiseSchedule(0.035, sigma_max), "test")
+        return path
+
+    def run_eval(self, tmp_path, evaluation, restated):
+        """Exit code of ``eval`` on the ``eval`` section ``evaluation``, with
+        the config's schedule (0.035, 1.0) kept when ``restated``, else dropped."""
+        raw = pipeline_config("eval", eval={"n_eval": 256, "sample_steps": 4, **evaluation})
+        if not restated:
+            del raw["schedule"]
+        return main(["eval", "--config", write_cfg(tmp_path, raw, "e.json"), "--out", str(tmp_path / "out")])
+
+    def test_schedule_that_differs_from_the_checkpoints_exits_2(self, tmp_path, capsys):
+        teacher = self.net_on_schedule(tmp_path, "teacher.json", 1e308)
+        capsys.readouterr()
+        assert self.run_eval(tmp_path, {"teacher": teacher}, restated=True) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and len(err.splitlines()) == 1
+        assert "NoiseSchedule(sigma_min=0.035, sigma_max=1.0)" in err
+        assert "NoiseSchedule(sigma_min=0.035, sigma_max=1e+308)" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_teacher_walks_on_its_own_schedule(self, tmp_path, capsys):
+        teacher = self.net_on_schedule(tmp_path, "teacher.json", 1e308)
+        capsys.readouterr()
+        assert self.run_eval(tmp_path, {"teacher": teacher}, restated=False) == 2
+        assert capsys.readouterr().err.startswith("config error: sigma_max 1e+308 is too large")
+        assert not (tmp_path / "out").exists()
+
+    def test_each_checkpoint_runs_on_the_schedule_it_records(self, tmp_path):
+        teacher = self.net_on_schedule(tmp_path, "teacher.json", 1.0)
+        generator = self.net_on_schedule(tmp_path, "generator.json", 2.0)
+        assert self.run_eval(tmp_path, {"teacher": teacher, "generator": generator}, restated=False) == 0
+        rows = [line.split(",") for line in csv_body(tmp_path / "out" / "eval.csv")[1:]]
+        assert [row[0] for row in rows] == ["raw_noisy", "teacher_full", "teacher_truncated", "generator"]
+
+        seed = 3  # pipeline_config's
+        data = make_dataset("ring", 256, 0.05, seed)
+        z = derive(seed, 102).standard_normal((256, 2))
+        samples = generator_forward(load_checkpoint(generator)[0], z, NoiseSchedule(0.035, 2.0))
+        clean = sample_clean("ring", 256, derive(seed, 101))
+        assert float(rows[3][1]) == frechet_between_samples(samples, clean)
+        assert float(rows[3][3]) == frechet_between_samples(samples, data.points)
+        walked = evaluate_sources(data, 0.05, (load_checkpoint(teacher)[0], NoiseSchedule(0.035, 1.0)),
+                                  None, seed, n_eval=256, sample_steps=4)
+        assert [float(row[1]) for row in rows[1:3]] == [row["frechet_clean"] for row in walked[1:]]
+
+    def test_restated_schedule_must_match_every_checkpoint(self, tmp_path, capsys):
+        teacher = self.net_on_schedule(tmp_path, "teacher.json", 1.0)
+        generator = self.net_on_schedule(tmp_path, "generator.json", 2.0)
+        capsys.readouterr()
+        assert self.run_eval(tmp_path, {"teacher": teacher, "generator": generator}, restated=True) == 2
+        err = capsys.readouterr().err
+        assert "sigma_max=2.0" in err and "generator checkpoint" in err
+        assert not (tmp_path / "out").exists()
 
 
 def declared_default(build, name):

@@ -13,7 +13,8 @@ tomllib = pytest.importorskip("tomllib")  # Python 3.11+
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "noisedistill"
 TESTS = ROOT / "tests"
-PROJECT = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+PYPROJECT = tomllib.loads((ROOT / "pyproject.toml").read_text())
+PROJECT = PYPROJECT["project"]
 
 
 def imported_top_levels(path):
@@ -44,3 +45,14 @@ def test_tests_import_only_declared_modules():
     own = {PACKAGE.name} | {path.stem for path in TESTS.rglob("*.py")}
     allowed = declared(PROJECT["dependencies"]) | declared(PROJECT["optional-dependencies"]["test"])
     assert third_party_imports(TESTS, own) <= allowed
+
+
+def test_the_version_has_one_home():
+    """pyproject.toml reads the version from ``noisedistill.__version__``, the
+    copy that every artifact's provenance embeds."""
+    assert "version" not in PROJECT and PROJECT["dynamic"] == ["version"]
+    assert PYPROJECT["tool"]["setuptools"]["dynamic"]["version"] == {"attr": "noisedistill.__version__"}
+    init = ast.parse((PACKAGE / "__init__.py").read_text())
+    assigned = [node.value.value for node in init.body if isinstance(node, ast.Assign)
+                and [target.id for target in node.targets] == ["__version__"]]
+    assert len(assigned) == 1 and isinstance(assigned[0], str)

@@ -10,13 +10,13 @@ from noisedistill.distill import (
     draw_perturbation,
     fake_update,
     generator_forward,
-    generator_grad_dmd,
-    generator_grad_sds,
-    generator_grad_sid,
     generator_update,
     init_distillation,
     loss_weights,
     run_distillation,
+    x_g_grad_dmd,
+    x_g_grad_sds,
+    x_g_grad_sid,
 )
 from noisedistill.errors import DivergenceError, PreconditionError
 from noisedistill.nets import DenseNet
@@ -52,6 +52,13 @@ def perturbed_state(cfg, seed=0, scale=0.3):
     return state
 
 
+def generator_grads(x_g_grad, state, z, rng):
+    """An estimator's gradient for the generator's parameters, carried back
+    from x_g as ``generator_update`` does."""
+    p = draw_perturbation(state, z, rng)
+    return state.generator.backward(p.cache_g, x_g_grad(state, p))
+
+
 def flat(grads):
     return np.concatenate([g.ravel() for g in grads])
 
@@ -82,13 +89,13 @@ class TestEstimatorZeros:
     def test_dmd_zero_at_fake_equals_teacher(self):
         state = init_distillation(tiny_teacher(5), config(method="dmd"))
         z = derive(5, 2).standard_normal((8, 2))
-        grads = generator_grad_dmd(state, z, make_rng(1))
+        grads = generator_grads(x_g_grad_dmd, state, z, make_rng(1))
         assert all(np.all(g == 0) for g in grads)
 
     def test_sid_zero_at_fake_equals_teacher(self):
         state = init_distillation(tiny_teacher(6), config())
         z = derive(6, 2).standard_normal((8, 2))
-        grads = generator_grad_sid(state, z, make_rng(1))
+        grads = generator_grads(x_g_grad_sid, state, z, make_rng(1))
         assert all(np.all(g == 0) for g in grads)
 
     def test_sds_zero_when_teacher_predicts_noise_exactly(self):
@@ -108,26 +115,26 @@ class TestEstimatorZeros:
         rng = make_rng(3)
         perturbation = draw_perturbation(state, z, rng)
         state.teacher = ExactTeacher()
-        grads = generator_grad_sds(state, z, make_rng(3))
+        grads = generator_grads(x_g_grad_sds, state, z, make_rng(3))
         assert max(np.abs(g).max() for g in grads) <= 1e-12
 
     def test_zero_weight_gives_zero_gradient(self):
         state = perturbed_state(config(method="sds", weighting="constant"), seed=8)
         z = derive(8, 2).standard_normal((8, 2))
-        grads = generator_grad_sds(state, z, make_rng(2))
+        grads = generator_grads(x_g_grad_sds, state, z, make_rng(2))
         assert any(np.any(g != 0) for g in grads)
         # the weighting hook controls the scale: sigma2 weights differ from constant
         state2 = perturbed_state(config(method="sds", weighting="sigma2"), seed=8)
-        grads2 = generator_grad_sds(state2, z, make_rng(2))
+        grads2 = generator_grads(x_g_grad_sds, state2, z, make_rng(2))
         assert not np.allclose(flat(grads), flat(grads2))
 
     def test_dmd_antisymmetric_in_swapped_nets(self):
         cfg = config(method="dmd")
         state = perturbed_state(cfg, seed=9)
         z = derive(9, 2).standard_normal((8, 2))
-        g1 = generator_grad_dmd(state, z, make_rng(5))
+        g1 = generator_grads(x_g_grad_dmd, state, z, make_rng(5))
         state.teacher, state.fake = state.fake, state.teacher
-        g2 = generator_grad_dmd(state, z, make_rng(5))
+        g2 = generator_grads(x_g_grad_dmd, state, z, make_rng(5))
         assert np.allclose(flat(g1), -flat(g2), atol=1e-12)
 
 
@@ -170,7 +177,7 @@ class TestEstimatorFiniteDifferences:
             p = draw_perturbation(state, z, make_rng(11))
             return float(np.sum(u_frozen * p.x_g))
 
-        analytic = flat(generator_grad_sds(state, z, make_rng(11)))
+        analytic = flat(generator_grads(x_g_grad_sds, state, z, make_rng(11)))
         self._check(analytic, self._fd(state, objective))
 
     def test_dmd_vjp(self):
@@ -189,7 +196,7 @@ class TestEstimatorFiniteDifferences:
             p = draw_perturbation(state, z, make_rng(13))
             return float(np.sum(u_frozen * p.x_g))
 
-        analytic = flat(generator_grad_dmd(state, z, make_rng(13)))
+        analytic = flat(generator_grads(x_g_grad_dmd, state, z, make_rng(13)))
         self._check(analytic, self._fd(state, objective))
 
     @pytest.mark.parametrize("alpha", [1.2, 1.0])
@@ -211,7 +218,7 @@ class TestEstimatorFiniteDifferences:
             term2 = np.sum(w_frozen[:, 0] * np.sum((f_phi - f_psi) * (f_psi - p.x_g), axis=1))
             return float(term1 + term2)
 
-        analytic = flat(generator_grad_sid(state, z, make_rng(15)))
+        analytic = flat(generator_grads(x_g_grad_sid, state, z, make_rng(15)))
         self._check(analytic, self._fd(state, objective))
 
     def test_sid_alpha_one_matches_hand_product_rule(self):
@@ -241,7 +248,7 @@ class TestEstimatorFiniteDifferences:
         state.fake = LinearNet([0.8, 1.2])
 
         z = derive(16, 2).standard_normal((4, 2))
-        analytic = generator_grad_sid(state, z, make_rng(17))[0]
+        analytic = generator_grads(x_g_grad_sid, state, z, make_rng(17))[0]
 
         p = draw_perturbation(state, z, make_rng(17))
         a_phi, a_psi, a_g = state.teacher.a, state.fake.a, gen.a

@@ -180,7 +180,7 @@ class TestEvaluateSources:
     TEACHER = DenseNet.initialized([3, 16, 16, 2], derive(5, 1))
 
     def teacher_rows(self, sigma_hat):
-        rows = evaluate_sources(self.DATA, self.SCHED, sigma_hat, self.TEACHER, None, self.SEED,
+        rows = evaluate_sources(self.DATA, sigma_hat, (self.TEACHER, self.SCHED), None, self.SEED,
                                 self.N_EVAL, self.STEPS)
         assert [r["source"] for r in rows] == ["raw_noisy", "teacher_full", "teacher_truncated"]
         return {r["source"]: {k: r[k] for k in ("frechet_clean", "proximal_fid", "w2_fit")}

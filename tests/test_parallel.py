@@ -181,6 +181,25 @@ class TestMapProcesses:
                                                     for k in group], [0.5, 2.0, 3.0, 0.25])
         assert got == [[0.5, 1.0], [1.0, 0.25]]
 
+    def test_a_worker_may_call_map_groups(self, set_cpus):
+        """Each group runs a forward pass that ``map_groups`` cuts into two
+        groups of row blocks: the caller's on its own thread and pool, the
+        child's on the pool it rebuilt after the fork.  A child that deadlocks
+        dies of its alarm, and the caller raises."""
+        set_cpus(2)
+        net = DenseNet.initialized([3, 32, 32, 2], derive(0, 1))
+        x = derive(0, 2).standard_normal((3077, 2))  # three row blocks
+        expected = net.forward(x, 0.5).tobytes()
+        caller = os.getpid()
+
+        def work(group):
+            if os.getpid() != caller:
+                signal.signal(signal.SIGALRM, signal.SIG_DFL)
+                signal.alarm(30)
+            return net.forward(x, 0.5).tobytes()
+
+        assert parallel.map_processes(work, [0, 1]) == [expected, expected]
+
 
 @pytest.mark.parametrize("checkpoint", [None, DenseNet.initialized([3, 4, 2], derive(0, 1))])
 def test_a_divergence_error_survives_pickling(checkpoint):
