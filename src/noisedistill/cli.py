@@ -57,7 +57,9 @@ def _dataset(cfg: ExperimentConfig):
     return from_section(make_dataset, cfg.section("dataset"), seed=cfg.seed)
 
 
-def _load_checkpoint_input(path: str):
+def _load_checkpoint_input(cfg: ExperimentConfig, role: str, path: str):
+    """The ``role`` checkpoint at ``path`` as ``load_checkpoint`` returns it.  Every command
+    runs it on the schedule it records, which a ``schedule`` section may only restate."""
     if not os.path.exists(path):
         raise ConfigError(f"missing input: checkpoint {path!r} does not exist")
     try:
@@ -65,10 +67,13 @@ def _load_checkpoint_input(path: str):
     # ValueError covers bad JSON, OverflowError an integer past the float range
     except (OSError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"unreadable checkpoint {path!r}: {type(exc).__name__}: {exc}") from exc
-    net = loaded[0]
+    net, _, _, schedule = loaded
     if (net.data_dim, net.out_dim) != (DATA_DIM, DATA_DIM):
         raise ConfigError(f"checkpoint {path!r} maps {net.data_dim}-D points to {net.out_dim}-D "
                           f"points; the toy data are {DATA_DIM}-D")
+    if "schedule" in cfg.raw and _schedule(cfg) != schedule:
+        raise ConfigError(f"the config's schedule {_schedule(cfg)} differs from {schedule}, which "
+                          f"the {role} checkpoint {path!r} records and {cfg.kind} runs it on")
     return loaded
 
 
@@ -76,11 +81,23 @@ def _train_config(cfg: ExperimentConfig, section: dict) -> TrainConfig:
     return from_section(TrainConfig, section, schedule=_schedule(cfg), seed=cfg.seed)
 
 
-def _pretrain(cfg: ExperimentConfig, data, out: str, section: dict):
-    """Train a fresh denoiser on ``data`` as the train ``section`` says; writes
-    teacher.json and pretrain_loss.csv under ``out`` and returns the teacher as
-    ``load_checkpoint`` does, (net, mode, sigma_hat, schedule)."""
-    tcfg = _train_config(cfg, section)
+def _distill_config(cfg: ExperimentConfig, t_mode: str, sigma_hat: float,
+                    schedule: NoiseSchedule) -> DistillConfig:
+    """The distill section over a teacher pretrained in ``t_mode`` at ``sigma_hat`` on
+    ``schedule``, which the run takes: ``distill.mode`` may only restate the mode
+    ``PAIRED_MODE`` pairs with ``t_mode``, and an omitted ``distill.sigma_hat`` is the teacher's."""
+    section = cfg.section("distill")
+    mode = PAIRED_MODE[t_mode]
+    if section.get("mode", mode) != mode:
+        raise ConfigError(f"mode mismatch: a teacher pretrained in {t_mode!r} pairs with {mode!r} "
+                          f"distillation, but distill.mode is {section['mode']!r}")
+    return from_section(DistillConfig, {"sigma_hat": sigma_hat, **section}, mode=mode,
+                        schedule=schedule, seed=cfg.seed)
+
+
+def _pretrain(cfg: ExperimentConfig, data, out: str, tcfg: TrainConfig) -> DenseNet:
+    """Train a fresh denoiser on ``data`` as ``tcfg`` says; writes teacher.json
+    and pretrain_loss.csv under ``out`` and returns the net."""
     dim = data.points.shape[1]
     net = DenseNet.initialized([dim + 1, *tcfg.hidden, dim], derive(cfg.seed, 201))
     curve = pretrain(net, data, tcfg)
@@ -90,39 +107,34 @@ def _pretrain(cfg: ExperimentConfig, data, out: str, section: dict):
     write_csv_atomic(os.path.join(out, "pretrain_loss.csv"), cfg,
                      ["step", "loss"], list(enumerate(curve)))
     print(f"pretrained {tcfg.mode} teacher for {tcfg.steps} steps; final loss {curve[-1] if curve else float('nan'):.4f}")
-    return net, tcfg.mode, tcfg.sigma_hat, tcfg.schedule
+    return net
 
 
-def _distill(cfg: ExperimentConfig, data, out: str, teacher, section: dict) -> list[dict]:
-    """Distill ``teacher`` (net, mode, sigma_hat, schedule) as the distill
-    ``section`` says, with the teacher's paired mode and sigma_hat as defaults.
-    Writes metrics.csv, generator.json, fake.json, selection.csv and
-    snapshots/ under ``out`` (last_healthy.json when the run diverges) and
-    returns the metric history."""
-    net, t_mode, t_sigma_hat, _ = teacher
-    schedule = _schedule(cfg)
-    dcfg = from_section(DistillConfig, {"mode": PAIRED_MODE[t_mode], "sigma_hat": t_sigma_hat,
-                                        **section}, schedule=schedule, seed=cfg.seed)
+def _distill(cfg: ExperimentConfig, data, out: str, net: DenseNet, t_mode: str,
+             dcfg: DistillConfig) -> list[dict]:
+    """Distill the teacher ``net``, pretrained in ``t_mode``, as ``dcfg`` says; writes
+    metrics.csv, generator.json, fake.json, selection.csv and snapshots/ under ``out``
+    (last_healthy.json when the run diverges) and returns the metric history."""
     hook = from_section(make_eval_hook, cfg.section("eval"), dataset=data,
-                        sigma_hat=dcfg.sigma_hat, schedule=schedule, eval_seed=cfg.seed)
+                        sigma_hat=dcfg.sigma_hat, schedule=dcfg.schedule, eval_seed=cfg.seed)
 
     def save(name, model):
         path = os.path.join(out, name)
-        save_checkpoint(path, model, t_mode, dcfg.sigma_hat, schedule, provenance(cfg))
+        save_checkpoint(path, model, t_mode, dcfg.sigma_hat, dcfg.schedule, provenance(cfg))
         return path
 
     snap_z = derive(cfg.seed, 401).standard_normal((1024, net.data_dim))
 
     def hook_with_snapshots(state):
         metrics = hook(state)
-        snap = generator_forward(state.generator, snap_z, schedule)
+        snap = generator_forward(state.generator, snap_z, dcfg.schedule)
         write_csv_atomic(os.path.join(out, "snapshots", f"step_{state.step:06d}.csv"),
                          cfg, ["x", "y"], snap.tolist())
         return metrics
 
     try:
         state, history = run_distillation(net, dcfg, eval_hook=hook_with_snapshots,
-                                          teacher_mode=t_mode, loss_limit=divergence_limit(data.points))
+                                          loss_limit=divergence_limit(data.points))
     except DivergenceError as exc:
         if exc.checkpoint is not None:
             exc.diagnostics["checkpoint_path"] = save("last_healthy.json", exc.checkpoint)
@@ -137,7 +149,7 @@ def _distill(cfg: ExperimentConfig, data, out: str, teacher, section: dict) -> l
     write_csv_atomic(os.path.join(out, "selection.csv"), cfg, list(selection), [selection])
     if cfg.plots:
         z = derive(cfg.seed, 402).standard_normal((2048, net.data_dim))
-        emit_scatter_svg([("generator", generator_forward(state.generator, z, schedule)),
+        emit_scatter_svg([("generator", generator_forward(state.generator, z, dcfg.schedule)),
                           ("noisy data", data.points)],
                          os.path.join(out, "generator.svg"), meta=provenance(cfg))
     print(f"distilled {dcfg.method} for {dcfg.steps} steps; "
@@ -166,7 +178,7 @@ def cmd_verify(cfg: ExperimentConfig, out: str) -> int:
 
 def cmd_pretrain(cfg: ExperimentConfig, out: str) -> int:
     data = _dataset(cfg)
-    _pretrain(cfg, data, out, cfg.section("train"))
+    _pretrain(cfg, data, out, _train_config(cfg, cfg.section("train")))
     write_csv_atomic(os.path.join(out, "dataset.csv"), cfg,
                      ["x", "y", "clean_x", "clean_y"],
                      np.column_stack([data.points, data.clean]).tolist())
@@ -178,13 +190,14 @@ def cmd_pretrain(cfg: ExperimentConfig, out: str) -> int:
 
 def cmd_distill(cfg: ExperimentConfig, out: str) -> int:
     dsec = cfg.section("distill")
-    _distill(cfg, _dataset(cfg), out, _load_checkpoint_input(dsec["teacher"]), dsec)
+    net, mode, sigma_hat, schedule = _load_checkpoint_input(cfg, "teacher", dsec["teacher"])
+    _distill(cfg, _dataset(cfg), out, net, mode, _distill_config(cfg, mode, sigma_hat, schedule))
     return EXIT_OK
 
 
 def cmd_sample(cfg: ExperimentConfig, out: str) -> int:
     sec = cfg.section("sample")
-    net, _, sigma_hat, schedule = _load_checkpoint_input(sec["source"])
+    net, _, sigma_hat, schedule = _load_checkpoint_input(cfg, "source", sec["source"])
     n = sec["n"]
     sampler = sec["sampler"]
     if sampler == "one_step":
@@ -202,19 +215,15 @@ def cmd_sample(cfg: ExperimentConfig, out: str) -> int:
 
 
 def cmd_eval(cfg: ExperimentConfig, out: str) -> int:
-    """Score each checkpoint on the schedule it records, as ``sample`` does; a
-    ``schedule`` section may only restate that schedule."""
+    """Score each checkpoint on the schedule it records, as ``sample`` does
+    (``_load_checkpoint_input`` checks that a ``schedule`` section restates it)."""
     data = _dataset(cfg)
     esec = cfg.section("eval")
-    stated = _schedule(cfg) if "schedule" in cfg.raw else None
     models = {}
     sigma_hat = data.sigma_data  # unless a checkpoint records one: the teacher's, else the generator's
     for role in ("generator", "teacher"):
         if role in esec:
-            net, _, sigma_hat, schedule = _load_checkpoint_input(esec[role])
-            if stated is not None and stated != schedule:
-                raise ConfigError(f"the config's schedule {stated} differs from {schedule}, which the "
-                                  f"{role} checkpoint {esec[role]!r} records and eval runs it on")
+            net, _, sigma_hat, schedule = _load_checkpoint_input(cfg, role, esec[role])
             models[role] = (net, schedule)
     rows = from_section(evaluate_sources, esec, dataset=data, sigma_hat=sigma_hat,
                         teacher=models.get("teacher"), generator=models.get("generator"),
@@ -235,18 +244,17 @@ def cmd_sigma_sweep(cfg: ExperimentConfig, out: str) -> int:
     if sigma_hats is None:
         sd = cfg.section("dataset")["sigma_data"]
         sigma_hats = sorted({0.0, sd, 2.0 * sd})  # one level when sigma_data is 0
-    levels = [{**cfg.section("train"), "sigma_hat": sigma_hat} for sigma_hat in sigma_hats]
-    for level in levels:  # a bad level is rejected before any level writes
-        _train_config(cfg, level)
+    # every level's configs are built, so a bad level is rejected, before any level writes
+    tcfgs = [_train_config(cfg, {**cfg.section("train"), "sigma_hat": s}) for s in sigma_hats]
+    dcfgs = [_distill_config(cfg, t.mode, t.sigma_hat, t.schedule) for t in tcfgs]
     data = _dataset(cfg)
 
     rows = []
-    for sigma_hat, level in zip(sigma_hats, levels):
-        sub_out = os.path.join(out, f"sigma_hat_{float(sigma_hat)!r}")
-        teacher = _pretrain(cfg, data, sub_out, level)
-        final = _distill(cfg, data, sub_out, teacher,
-                         {**cfg.section("distill"), "sigma_hat": sigma_hat})[-1]
-        rows.append({"sigma_hat": float(sigma_hat),
+    for tcfg, dcfg in zip(tcfgs, dcfgs):
+        sub_out = os.path.join(out, f"sigma_hat_{float(tcfg.sigma_hat)!r}")
+        net = _pretrain(cfg, data, sub_out, tcfg)
+        final = _distill(cfg, data, sub_out, net, tcfg.mode, dcfg)[-1]
+        rows.append({"sigma_hat": float(tcfg.sigma_hat),
                      "frechet_clean": final["frechet_clean"],
                      "proximal_fid": final["proximal_fid"]})
 

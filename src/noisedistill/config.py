@@ -283,14 +283,15 @@ def _unread_keys(raw: dict) -> list[str]:
     """Sections and keys the schema allows in every kind that this config's
     command would drop: the sections outside its ``SECTIONS`` entry, and
     within them, ``distill`` and ``sigma_sweep`` evaluate their own generator,
-    ``sigma_sweep`` pretrains its own teachers, and the one-step sampler takes
-    no steps."""
+    ``sigma_sweep`` pretrains its own teachers at the sweep's sigma_hats, and
+    the one-step sampler takes no steps."""
     kind = raw["kind"]
     unread = [key for key in raw if key not in (*SCHEMA["required"], *SECTIONS[kind])]
     if kind in ("distill", "sigma_sweep"):
         unread += [f"eval.{key}" for key in ("teacher", "generator") if key in raw.get("eval", {})]
-    if kind == "sigma_sweep" and "teacher" in raw["distill"]:
-        unread.append("distill.teacher")
+    if kind == "sigma_sweep":
+        swept = (("train", "sigma_hat"), ("distill", "teacher"), ("distill", "sigma_hat"))
+        unread += [f"{section}.{key}" for section, key in swept if key in raw[section]]
     if kind == "sample" and raw["sample"]["sampler"] == "one_step" and "steps" in raw["sample"]:
         unread.append("sample.steps")
     return unread

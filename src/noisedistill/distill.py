@@ -235,26 +235,16 @@ def generator_update(state: DistillState, rng: np.random.Generator) -> float:
 def run_distillation(
     teacher: DenseNet,
     cfg: DistillConfig,
-    teacher_mode: str,
     eval_hook,
     loss_limit: float,
 ) -> tuple[DistillState, list[dict]]:
     """Alternate fake and generator updates for cfg.steps iterations.
 
     ``eval_hook(state) -> dict`` is sampled at the eval cadence (and at the
-    start and end) and its values land in the metric history.  The teacher's
-    pretraining mode must pair with cfg.mode as ``PAIRED_MODE`` says
-    (standard with standard, ambient with adjusted).  A fake loss above
-    ``loss_limit`` (``divergence_limit`` of the data) is divergence; that error
-    and the eval hook's carry the generator of the last completed eval.
+    start and end) and its values land in the metric history.  A fake loss
+    above ``loss_limit`` (``divergence_limit`` of the data) is divergence; that
+    error and the eval hook's carry the generator of the last completed eval.
     """
-    if teacher_mode not in PAIRED_MODE:
-        raise PreconditionError(f"unknown teacher pretraining mode {teacher_mode!r}")
-    if PAIRED_MODE[teacher_mode] != cfg.mode:
-        raise PreconditionError(
-            f"mode mismatch: teacher pretrained in {teacher_mode!r} pairs with "
-            f"{PAIRED_MODE[teacher_mode]!r} distillation, but cfg.mode is {cfg.mode!r}"
-        )
     state = init_distillation(teacher, cfg)
     rng = make_rng(cfg.seed)
     teacher_digest = teacher.params_digest()

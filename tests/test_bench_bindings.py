@@ -196,7 +196,7 @@ def test_stage_table_times_every_estimator_on_a_distillation_state(bench_run):
     teacher = DenseNet.initialized([3, 4, 2], derive(0, 1))
     cfg = DistillConfig(mode="adjusted", sigma_hat=0.1, schedule=NoiseSchedule(0.05, 2.0), seed=0,
                         steps=2, batch_size=8, eval_every=1)
-    result = run_distillation(teacher, cfg, teacher_mode="ambient", eval_hook=lambda state: {},
+    result = run_distillation(teacher, cfg, eval_hook=lambda state: {},
                               loss_limit=1e6)
     times = bench_run.stage_table(result[0], noisedistill)
     assert sorted(times) == ["dmd", "sds", "sid"]

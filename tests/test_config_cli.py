@@ -66,11 +66,13 @@ def verify_config(**overrides):
 
 def pipeline_config(kind, **sections):
     """A small ``kind`` config: the base sections that ``kind`` reads, then
-    ``sections`` (any keys, read or not) on top."""
+    ``sections`` (any keys, read or not) on top.  A sweep sets ``train.sigma_hat``
+    per level, so its base ``train`` section has none."""
     base = {
         "dataset": {"kind": "ring", "n": 256, "sigma_data": 0.05},
         "schedule": {"sigma_min": 0.035, "sigma_max": 1.0},
-        "train": {"batch_size": 64, "lr": 1e-3, "steps": 60, "sigma_hat": 0.05,
+        "train": {"batch_size": 64, "lr": 1e-3, "steps": 60,
+                  **({} if kind == "sigma_sweep" else {"sigma_hat": 0.05}),
                   "mode": "ambient", "hidden": [16, 16]},
     }
     raw = {"version": 1, "kind": kind, "seed": 3,
@@ -671,6 +673,8 @@ UNREAD_KEYS = {"distill_eval_teacher": ("distill", "eval", "teacher", "runs/teac
                "distill_eval_generator": ("distill", "eval", "generator", "no/such/file.json"),
                "sweep_eval_teacher": ("sigma-sweep", "eval", "teacher", "runs/teacher.json"),
                "sweep_eval_generator": ("sigma-sweep", "eval", "generator", "runs/generator.json"),
+               "sweep_train_sigma_hat": ("sigma-sweep", "train", "sigma_hat", 0.3),
+               "sweep_distill_sigma_hat": ("sigma-sweep", "distill", "sigma_hat", 0.7),
                "one_step_sample_steps": ("sample", "sample", "steps", 99)}
 # A section the command does not read: (command, section, its content).
 UNREAD_SECTIONS = {"sample_schedule": ("sample", "schedule", {"sigma_max": 2.0}),
@@ -749,6 +753,11 @@ def bad_input(case, tmp_path):
     if case == "sweep_with_teacher":
         return "sigma-sweep", pipeline_config("sigma_sweep",
                                               distill={"teacher": str(teacher), "steps": 1})
+    if case == "sweep_mode_unpaired_with_teacher":  # every level is checked before any writes
+        raw = pipeline_config("sigma_sweep", distill={"mode": "adjusted", "steps": 1},
+                              sweep={"sigma_hats": [0.0, 0.05]})
+        raw["train"]["mode"] = "standard"
+        return "sigma-sweep", raw
     if case in UNREAD_KEYS:
         command, section, key, value = UNREAD_KEYS[case]
         sections = {"distill": {"distill": {"teacher": str(teacher), "steps": 1}},
@@ -783,6 +792,7 @@ class TestCliBadInput:
                                       "sigma_hat_at_sigma_max", "distill_sigma_hat_at_sigma_max",
                                       "sweep_level_at_sigma_max",
                                       "distill_mode_unpaired_with_teacher", "distill_without_teacher",
+                                      "sweep_mode_unpaired_with_teacher",
                                       *NON_FINITE_LITERALS])
     def test_exits_2_without_traceback(self, case, tmp_path, capsys):
         command, raw = bad_input(case, tmp_path)
@@ -1130,14 +1140,16 @@ class TestCliDivergence:
         raw = pipeline_config("distill", seed=1, eval={"n_eval": 256}, distill={
             "teacher": str(tmp_path / "pre" / "teacher.json"), "method": "sds", "steps": 40,
             "batch_size": 16, "lr_gen": 10, "eval_every": 1})
+        del raw["schedule"]  # the run takes the teacher's, which last_healthy.json records
         out = tmp_path / "distill"
         capsys.readouterr()
         assert main(["distill", "--config", write_cfg(tmp_path, raw, "distill.json"), "--out", str(out)]) == 3
         err = capsys.readouterr().err
         assert err.startswith("divergence: one-step generator samples diverged")
         assert f"last healthy checkpoint: {out / 'last_healthy.json'}" in err
-        net = load_checkpoint(str(out / "last_healthy.json"))[0]
+        net, _, _, schedule = load_checkpoint(str(out / "last_healthy.json"))
         assert net.layer_sizes == [3, 16, 16, 2]
+        assert schedule == NoiseSchedule(0.035, 1.0)
 
     def test_large_scale_data_is_not_divergence(self, tmp_path):
         raw = pipeline_config("pretrain", dataset={"kind": "ring", "n": 256, "sigma_data": 1000})
@@ -1263,31 +1275,46 @@ class TestCliSigmaSweep:
                 assert json.loads((out / level / name).read_text())["mode"] == "standard"
 
 
-class TestCliGeneratorSchedule:
-    def test_one_step_sample_uses_the_distill_schedule(self, tmp_path):
-        teacher = pretrained_teacher(tmp_path)  # schedule sigma_max 1.0
-        distilled = pipeline_config(
-            "distill", schedule={"sigma_min": 0.035, "sigma_max": 2.0},
-            distill={"teacher": str(teacher), "method": "sds", "steps": 2, "batch_size": 8,
-                     "eval_every": 2, "sigma_hat": 0.07},
-            eval={"n_eval": 256})
-        out = tmp_path / "d"
-        assert main(["distill", "--config", write_cfg(tmp_path, distilled, "d.json"),
-                     "--out", str(out)]) == 0
-        payload = json.loads((out / "generator.json").read_text())
-        assert payload["schedule"] == {"sigma_min": 0.035, "sigma_max": 2.0}
-        assert payload["sigma_hat"] == 0.07
+def net_on_schedule(tmp_path, name, sigma_max):
+    """A fresh [3, 8, 2] net saved with the schedule (0.035, sigma_max)."""
+    path = str(tmp_path / name)
+    save_checkpoint(path, DenseNet.initialized([3, 8, 2], derive(0, len(name))), "ambient", 0.05,
+                    NoiseSchedule(0.035, sigma_max), "test")
+    return path
 
-        raw = pipeline_config("sample", sample={"source": str(out / "generator.json"),
-                                                "sampler": "one_step", "n": 50})
+
+class TestCliGeneratorSchedule:
+    def test_distill_runs_on_the_teacher_schedule(self, tmp_path):
+        """Without a schedule section, distill queries the teacher on the schedule
+        its checkpoint records, as a restated section does, and records it."""
+        teacher = pretrained_teacher(tmp_path)  # schedule (0.035, 1.0)
+        params = []
+        for name, restated in (("bare", False), ("restated", True)):
+            raw = pipeline_config("distill", distill={"teacher": str(teacher), "method": "sid", "steps": 2,
+                                                      "batch_size": 8, "eval_every": 2},
+                                  eval={"n_eval": 256})
+            if not restated:
+                del raw["schedule"]
+            out = tmp_path / name
+            assert main(["distill", "--config", write_cfg(tmp_path, raw, f"{name}.json"),
+                         "--out", str(out)]) == 0
+            for checkpoint in ("generator.json", "fake.json"):
+                payload = json.loads((out / checkpoint).read_text())
+                assert payload["schedule"] == {"sigma_min": 0.035, "sigma_max": 1.0}
+            params.append([checkpoint_params(out / c) for c in ("generator.json", "fake.json")])
+        assert params[0] == params[1]
+
+    def test_one_step_sample_uses_the_generator_schedule(self, tmp_path):
+        generator = net_on_schedule(tmp_path, "generator.json", 2.0)
+        raw = pipeline_config("sample", sample={"source": generator, "sampler": "one_step", "n": 50})
         assert main(["sample", "--config", write_cfg(tmp_path, raw, "s.json"),
                      "--out", str(tmp_path / "s")]) == 0
         rows = csv_body(tmp_path / "s" / "samples.csv")[1:]
         samples = np.array([[float(v) for v in row.split(",")] for row in rows])
-        generator = load_checkpoint(out / "generator.json")[0]
+        net = load_checkpoint(generator)[0]
         z = derive(raw["seed"], 301).standard_normal((50, 2))
-        assert np.array_equal(samples, generator_forward(generator, z, NoiseSchedule(0.035, 2.0)))
-        assert not np.array_equal(samples, generator_forward(generator, z, NoiseSchedule(0.035, 1.0)))
+        assert np.array_equal(samples, generator_forward(net, z, NoiseSchedule(0.035, 2.0)))
+        assert not np.array_equal(samples, generator_forward(net, z, NoiseSchedule(0.035, 1.0)))
 
 
 class TestCliEval:
@@ -1314,14 +1341,6 @@ class TestCliEval:
                     for sigma_hat in (0.07, 0.05)}  # the generator's, the data's
         assert float(row[2]) == expected[0.07] != expected[0.05]
 
-    @staticmethod
-    def net_on_schedule(tmp_path, name, sigma_max):
-        """A fresh [3, 8, 2] net saved with the schedule (0.035, sigma_max)."""
-        path = str(tmp_path / name)
-        save_checkpoint(path, DenseNet.initialized([3, 8, 2], derive(0, len(name))), "ambient", 0.05,
-                        NoiseSchedule(0.035, sigma_max), "test")
-        return path
-
     def run_eval(self, tmp_path, evaluation, restated):
         """Exit code of ``eval`` on the ``eval`` section ``evaluation``, with
         the config's schedule (0.035, 1.0) kept when ``restated``, else dropped."""
@@ -1331,7 +1350,7 @@ class TestCliEval:
         return main(["eval", "--config", write_cfg(tmp_path, raw, "e.json"), "--out", str(tmp_path / "out")])
 
     def test_schedule_that_differs_from_the_checkpoints_exits_2(self, tmp_path, capsys):
-        teacher = self.net_on_schedule(tmp_path, "teacher.json", 1e308)
+        teacher = net_on_schedule(tmp_path, "teacher.json", 1e308)
         capsys.readouterr()
         assert self.run_eval(tmp_path, {"teacher": teacher}, restated=True) == 2
         err = capsys.readouterr().err
@@ -1341,15 +1360,15 @@ class TestCliEval:
         assert not (tmp_path / "out").exists()
 
     def test_teacher_walks_on_its_own_schedule(self, tmp_path, capsys):
-        teacher = self.net_on_schedule(tmp_path, "teacher.json", 1e308)
+        teacher = net_on_schedule(tmp_path, "teacher.json", 1e308)
         capsys.readouterr()
         assert self.run_eval(tmp_path, {"teacher": teacher}, restated=False) == 2
         assert capsys.readouterr().err.startswith("config error: sigma_max 1e+308 is too large")
         assert not (tmp_path / "out").exists()
 
     def test_each_checkpoint_runs_on_the_schedule_it_records(self, tmp_path):
-        teacher = self.net_on_schedule(tmp_path, "teacher.json", 1.0)
-        generator = self.net_on_schedule(tmp_path, "generator.json", 2.0)
+        teacher = net_on_schedule(tmp_path, "teacher.json", 1.0)
+        generator = net_on_schedule(tmp_path, "generator.json", 2.0)
         assert self.run_eval(tmp_path, {"teacher": teacher, "generator": generator}, restated=False) == 0
         rows = [line.split(",") for line in csv_body(tmp_path / "out" / "eval.csv")[1:]]
         assert [row[0] for row in rows] == ["raw_noisy", "teacher_full", "teacher_truncated", "generator"]
@@ -1366,12 +1385,25 @@ class TestCliEval:
         assert [float(row[1]) for row in rows[1:3]] == [row["frechet_clean"] for row in walked[1:]]
 
     def test_restated_schedule_must_match_every_checkpoint(self, tmp_path, capsys):
-        teacher = self.net_on_schedule(tmp_path, "teacher.json", 1.0)
-        generator = self.net_on_schedule(tmp_path, "generator.json", 2.0)
+        teacher = net_on_schedule(tmp_path, "teacher.json", 1.0)
+        generator = net_on_schedule(tmp_path, "generator.json", 2.0)
         capsys.readouterr()
         assert self.run_eval(tmp_path, {"teacher": teacher, "generator": generator}, restated=True) == 2
         err = capsys.readouterr().err
         assert "sigma_max=2.0" in err and "generator checkpoint" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_distill_schedule_that_differs_from_the_teachers_exits_2(self, tmp_path, capsys):
+        teacher = net_on_schedule(tmp_path, "teacher.json", 1.0)
+        raw = pipeline_config("distill", schedule={"sigma_min": 0.035, "sigma_max": 3.0},
+                              distill={"teacher": teacher, "steps": 1})
+        capsys.readouterr()
+        assert main(["distill", "--config", write_cfg(tmp_path, raw, "d.json"),
+                     "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and len(err.splitlines()) == 1
+        assert "NoiseSchedule(sigma_min=0.035, sigma_max=3.0)" in err
+        assert "NoiseSchedule(sigma_min=0.035, sigma_max=1.0)" in err
         assert not (tmp_path / "out").exists()
 
 

@@ -310,7 +310,7 @@ class TestAlternation:
             monkeypatch.setattr(distill, name, recording(name, getattr(distill, name)))
         teacher = tiny_teacher(24)
         cfg = config(steps=3, eval_every=10)
-        run_distillation(teacher, cfg, teacher_mode="ambient", eval_hook=no_metrics,
+        run_distillation(teacher, cfg, eval_hook=no_metrics,
                          loss_limit=DIVERGENCE_THRESHOLD)
         per_step = {}
         for name, step in calls:
@@ -318,11 +318,6 @@ class TestAlternation:
         assert sorted(per_step) == [1, 2, 3]
         for step, names in per_step.items():
             assert names == ["fake_update", "generator_update"]
-
-    def test_mode_mismatch_rejected(self):
-        with pytest.raises(PreconditionError):
-            run_distillation(tiny_teacher(25), config(mode="adjusted"), teacher_mode="standard",
-                             eval_hook=no_metrics, loss_limit=DIVERGENCE_THRESHOLD)
 
     def test_adjusted_mode_rejects_sigma_hat_at_sigma_max(self):
         for sigma_hat in (SCHED.sigma_max, 1.5 * SCHED.sigma_max):
@@ -334,10 +329,10 @@ class TestAlternation:
         teacher = tiny_teacher(26)
         digest = teacher.params_digest()
         cfg = config(steps=6, eval_every=3)
-        _, hist1 = run_distillation(teacher, cfg, teacher_mode="ambient", eval_hook=no_metrics,
+        _, hist1 = run_distillation(teacher, cfg, eval_hook=no_metrics,
                                     loss_limit=DIVERGENCE_THRESHOLD)
         assert teacher.params_digest() == digest
-        _, hist2 = run_distillation(teacher, cfg, teacher_mode="ambient", eval_hook=no_metrics,
+        _, hist2 = run_distillation(teacher, cfg, eval_hook=no_metrics,
                                     loss_limit=DIVERGENCE_THRESHOLD)
         assert repr(hist1) == repr(hist2)  # repr-compare so nan == nan rows agree
 
@@ -351,7 +346,7 @@ class TestAlternation:
             return {}
 
         with pytest.raises(DivergenceError) as caught:
-            run_distillation(tiny_teacher(28), config(steps=6, eval_every=1), teacher_mode="ambient",
+            run_distillation(tiny_teacher(28), config(steps=6, eval_every=1),
                              eval_hook=hook, loss_limit=DIVERGENCE_THRESHOLD)
         assert sorted(seen) == [0, 1, 2, 3]
         assert caught.value.checkpoint.params_digest() == seen[3]
@@ -359,7 +354,7 @@ class TestAlternation:
 
     def test_sds_skips_fake_updates(self):
         teacher = tiny_teacher(27)
-        state, hist = run_distillation(teacher, config(method="sds", steps=3), teacher_mode="ambient",
+        state, hist = run_distillation(teacher, config(method="sds", steps=3),
                                        eval_hook=no_metrics, loss_limit=DIVERGENCE_THRESHOLD)
         assert state.fake_opt.t == 0  # the fake net never took a step
         assert state.gen_opt.t == 3
