@@ -129,7 +129,7 @@ def _distill(cfg: ExperimentConfig, data, out: str, net: DenseNet, t_mode: str,
         metrics = hook(state)
         snap = generator_forward(state.generator, snap_z, dcfg.schedule)
         write_csv_atomic(os.path.join(out, "snapshots", f"step_{state.step:06d}.csv"),
-                         cfg, ["x", "y"], snap.tolist())
+                         cfg, ["x", "y"], snap)
         return metrics
 
     try:
@@ -181,7 +181,7 @@ def cmd_pretrain(cfg: ExperimentConfig, out: str) -> int:
     _pretrain(cfg, data, out, _train_config(cfg, cfg.section("train")))
     write_csv_atomic(os.path.join(out, "dataset.csv"), cfg,
                      ["x", "y", "clean_x", "clean_y"],
-                     np.column_stack([data.points, data.clean]).tolist())
+                     np.column_stack([data.points, data.clean]))
     if cfg.plots:
         emit_scatter_svg([("noisy", data.points), ("clean", data.clean)],
                          os.path.join(out, "dataset.svg"), meta=provenance(cfg))
@@ -206,7 +206,7 @@ def cmd_sample(cfg: ExperimentConfig, out: str) -> int:
     else:
         samples = from_section(ambient_sample, sec, net=net, sigma_hat=sigma_hat, mode=sampler,
                                rng=derive(cfg.seed, 302), schedule=schedule)
-    write_csv_atomic(os.path.join(out, "samples.csv"), cfg, ["x", "y"], samples.tolist())
+    write_csv_atomic(os.path.join(out, "samples.csv"), cfg, ["x", "y"], samples)
     if cfg.plots:
         emit_scatter_svg([(sampler, samples)], os.path.join(out, "samples.svg"),
                          meta=provenance(cfg))

@@ -367,10 +367,12 @@ def format_cell(value) -> str:
 
 def write_csv_atomic(path: str, cfg: ExperimentConfig, columns, rows) -> None:
     """Pinned CSV dialect: comma, '.' decimals, LF endings, mandatory header,
-    preceded by one comment line carrying the provenance triple."""
-    lines = [f"# {provenance(cfg)}", ",".join(columns)]
+    preceded by one comment line carrying the provenance triple.  An (n, width)
+    float64 array of rows is formatted in one pass, to ``format_cell``'s bytes."""
     width = len(columns)
-    for row in rows:
-        cells = [row[c] for c in columns] if isinstance(row, dict) else row[:width]
-        lines.append(",".join(map(format_cell, cells)))
-    write_text_atomic(path, "\n".join(lines) + "\n")
+    if getattr(rows, "dtype", None) == float and rows.shape[1:] == (width,):
+        body = ("%r" + ",%r" * (width - 1) + "\n") * len(rows) % tuple(rows.ravel().tolist())
+    else:
+        cells = ([row[c] for c in columns] if isinstance(row, dict) else row[:width] for row in rows)
+        body = "".join(",".join(map(format_cell, row)) + "\n" for row in cells)
+    write_text_atomic(path, f"# {provenance(cfg)}\n{','.join(columns)}\n{body}")

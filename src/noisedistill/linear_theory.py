@@ -178,22 +178,20 @@ def loss_monte_carlo(
     sigma_ts = s.sample_sigma(rng, n)[:, None]
     starts = [k * MC_BLOCK for k in range(max(1, n // MC_BLOCK))]
     blocks = list(zip(starts, starts[1:] + [n]))
-    # The stream holds all of z before all of eps; only the r columns of z V are kept.
-    zv = np.empty((n, p.rank))
-    for start, stop in blocks:
-        np.matmul(rng.standard_normal((stop - start, d)), p.v, out=zv[start:stop])
-    e = m.basis
     lam, sw = np.linalg.eigh(p.gram())
     basis = p.u @ sw
+    # The stream holds t, then all of the rank-r latent z, then eps block by
+    # block: x = (z sqrt(lam)) basis^T has the generator's law N(0, U V^T V U^T).
+    z = rng.standard_normal((n, p.rank)) * np.sqrt(lam)
 
     sq = np.empty(n)
     for start, stop in blocks:
         st = sigma_ts[start:stop]
-        x_t = zv[start:stop] @ p.u.T + st * rng.standard_normal((stop - start, d))
+        x_t = z[start:stop] @ basis.T + st * rng.standard_normal((stop - start, d))
 
         beta2 = m.sigma**2 + st**2
         gamma = 1.0 / (beta2 * (beta2 + 1.0))
-        score_noisy = -(x_t / beta2 - gamma * (x_t @ e) @ e.T)
+        score_noisy = -(x_t / beta2 - gamma * (x_t @ m.basis) @ m.basis.T)
 
         st2 = st**2
         core = lam[None, :] / (st2 * (lam[None, :] + st2))

@@ -354,6 +354,11 @@ def test_config_documents_share_no_value_with_the_pool():
     assert not shared and ANY_VALUES == pristine
 
 
+# Floats whose repr is easy to get wrong, as an (n, 2) array.
+EDGE_FLOATS = np.array([-0.0, float("nan"), float("inf"), -float("inf"), 5e-324, 1e16, 1e-5,
+                        0.1 + 0.2, 1.7976931348623157e308, 1.0]).reshape(5, 2)
+
+
 class TestAtomicWrites:
     def test_no_partial_artifact_on_interrupted_rename(self, tmp_path, monkeypatch):
         target = tmp_path / "out.csv"
@@ -387,11 +392,16 @@ class TestAtomicWrites:
         (["step", "loss"], list(enumerate([0.5, np.float64(1e-300), float("inf")]))),
         (["source", "n", "ok"], [["noisy", 16384, True], ("one_step", np.int64(7), False, "dropped")]),
         (["x", "y"], np.random.default_rng(0).standard_normal((16384, 2)).tolist()),
+        (["x", "y"], np.random.default_rng(0).standard_normal((16384, 2))),
+        (["x", "y"], EDGE_FLOATS.tolist()),
+        (["x", "y"], EDGE_FLOATS),
+        (["x", "y"], np.empty((0, 2))),
     ])
     def test_csv_rows_match_the_per_cell_line_builder(self, tmp_path, columns, rows):
         """The cells of a row are chosen once (a dict's values in column order, a
-        sequence's first ``len(columns)`` items); the bytes are those of the
-        builder that looked up every cell on its own."""
+        sequence's first ``len(columns)`` items, an (n, len(columns)) float64
+        array in one formatting pass); the bytes are those of the builder that
+        looked up every cell on its own."""
         def per_cell_line(row):
             return ",".join(format_cell(row[c] if isinstance(row, dict) else row[i])
                             for i, c in enumerate(columns))

@@ -156,16 +156,16 @@ class TestLinearModel:
 def unblocked_monte_carlo(m, p, s, n, rng):
     """``loss_monte_carlo`` as one whole-batch pass: the reference for its blocks."""
     sigma_ts = s.sample_sigma(rng, n)[:, None]
-    z = rng.standard_normal((n, m.dim))
+    lam, sw = np.linalg.eigh(p.gram())
+    basis = p.u @ sw
+    z = rng.standard_normal((n, p.rank))
     eps = rng.standard_normal((n, m.dim))
-    x_t = z @ p.v @ p.u.T + sigma_ts * eps
+    x_t = (z * np.sqrt(lam)) @ basis.T + sigma_ts * eps
     beta2 = m.sigma**2 + sigma_ts**2
     gamma = 1.0 / (beta2 * (beta2 + 1.0))
     score_noisy = -(x_t / beta2 - gamma * (x_t @ m.basis) @ m.basis.T)
-    lam, sw = np.linalg.eigh(p.gram())
     st2 = sigma_ts**2
     core = lam[None, :] / (st2 * (lam[None, :] + st2))
-    basis = p.u @ sw
     score_gen = -(x_t / st2 - ((x_t @ basis) * core) @ basis.T)
     sq = np.sum((score_noisy - score_gen) ** 2, axis=1)
     return float(np.mean(sq)), float(np.std(sq, ddof=1) / np.sqrt(n))
@@ -202,6 +202,20 @@ class TestMonteCarloLoss:
             p = random_params(rng, 6, 2)
             got = loss_monte_carlo(m, p, sched, n, derive(1, 7, i))
             assert got == unblocked_monte_carlo(m, p, sched, n, derive(1, 7, i)), i
+
+    @pytest.mark.parametrize("n", [100, 4097, 12289])
+    def test_stream_holds_t_then_rank_r_latent_then_eps(self, n):
+        """The estimate consumes n uniforms, n r latent normals and n d noise
+        normals, and nothing else."""
+        rng = make_rng(23)
+        m = random_model(rng, 6, 2, 0.3)
+        p = random_params(rng, 6, 2)
+        used, twin = derive(23, 1), derive(23, 1)
+        loss_monte_carlo(m, p, NoiseSchedule(), n, used)
+        twin.uniform(size=n)
+        twin.standard_normal(n * p.rank)
+        twin.standard_normal(n * m.dim)
+        assert repr(used.bit_generator.state) == repr(twin.bit_generator.state)  # holds arrays
 
     def test_stderr_clt_scaling(self):
         rng = make_rng(22)
