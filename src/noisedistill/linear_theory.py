@@ -12,17 +12,19 @@ between the perturbed generator's score and the exact noisy-data score.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import PreconditionError
-from .gaussians import COMMUTE_TOL, LowRankGaussian, check_orthonormal, w2_commuting
+from .gaussians import check_orthonormal
 from .schedule import NoiseSchedule
 
 # Samples per block of the Monte Carlo loss, which draws and scores one block at
 # a time; the last block takes the remainder.
 MC_BLOCK = 4096
+COMMUTE_TOL = 1e-8  # wasserstein_report's commutator tolerance, relative to lambda_max(V^T V)
 
 
 @dataclass(frozen=True)
@@ -221,6 +223,19 @@ def principal_angles(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.arccos(np.clip(cosines, -1.0, 1.0))[::-1]
 
 
+def w2_shared_factor(d: int, r: int, a: tuple[float, float], b: tuple[float, float]) -> float:
+    """Squared W2 distance between N(0, s_a F F^T + c_a I) and N(0, s_b F F^T + c_b I)
+    for one d x r orthonormal F, given ``a = (s_a, c_a)`` and ``b = (s_b, c_b)``.
+
+    The two covariances share their eigenvectors, so W2^2 is the squared
+    distance between the eigenvalues of their square roots:
+    r (sqrt(s_a + c_a) - sqrt(s_b + c_b))^2 + (d - r) (sqrt(c_a) - sqrt(c_b))^2.
+    """
+    (s_a, c_a), (s_b, c_b) = a, b
+    return (r * (math.sqrt(s_a + c_a) - math.sqrt(s_b + c_b)) ** 2
+            + (d - r) * (math.sqrt(c_a) - math.sqrt(c_b)) ** 2)
+
+
 @dataclass(frozen=True)
 class WassersteinReport:
     w2_distilled_clean: float
@@ -231,18 +246,17 @@ def wasserstein_report(m: LinearModel, p: GeneratorParams) -> WassersteinReport:
     """Squared W2 distance of the distilled to the clean data, and its gap to
     that of the noisy data (noisy vs clean minus distilled vs clean).
 
-    Requires the generator covariance C = U W U^T, W = V^T V, to commute with
-    E E^T, i.e. the r x d block E^T C (I - E E^T) to vanish; it is rejected
-    above 1e-8 relative to the largest eigenvalue of W.  For commuting
-    covariances W2^2(C, E E^T) = tr W + r - 2 sum_i sqrt(lam_i) |E^T U s_i|^2
+    The noisy data N(0, E E^T + sigma^2 I) and the clean data share the factor
+    E, so their distance is ``w2_shared_factor``'s closed form.  The distilled
+    side requires the generator covariance C = U W U^T, W = V^T V, to commute
+    with E E^T, i.e. the r x d block E^T C (I - E E^T) to vanish; it is
+    rejected above ``COMMUTE_TOL`` relative to the largest eigenvalue of W.
+    For commuting covariances W2^2(C, E E^T) = tr W + r - 2 sum_i sqrt(lam_i) |E^T U s_i|^2
     over the eigenpairs (lam_i, s_i) of W, a sum that does not depend on the
     basis chosen inside a repeated eigenvalue.  tr C = tr W needs U^T U = I,
     which ``GeneratorParams`` checked when ``p`` was built.
     """
-    sig2 = m.sigma**2
-    clean = LowRankGaussian(m.basis, 1.0, 0.0)
-    noisy = LowRankGaussian(m.basis, 1.0, sig2)
-    w2_noisy = w2_commuting(noisy, clean)
+    w2_noisy = w2_shared_factor(m.dim, m.rank, (1.0, m.sigma**2), (1.0, 0.0))
 
     w, proj = p.gram(), m.basis.T @ p.u  # proj: the r x r overlap E^T U
     lam, s = np.linalg.eigh(w)
@@ -280,18 +294,3 @@ def eigenvalue_loss_profile(u: float, sigma: float, s: NoiseSchedule) -> float:
     vals = u / (sigma**2 + st2 + 1.0) ** 2 - u / (st2 * (u + st2))
     return float(np.dot(weights, vals))
 
-
-def trace_maximizer_check(e: np.ndarray, spd: np.ndarray, u: np.ndarray) -> bool:
-    """Whether ``u`` attains max tr(EE^T U M U^T) over the Stiefel manifold.
-
-    The maximum is tr(M), attained exactly on the frames {E Q}; the check
-    verifies both the attained value and the orthogonality of E^T U.
-    """
-    e = np.asarray(e, dtype=float)
-    spd = np.asarray(spd, dtype=float)
-    u = np.asarray(u, dtype=float)
-    proj = e.T @ u
-    value = float(np.sum((proj @ spd) * proj))
-    bound = float(np.trace(spd))
-    gram_err = float(np.max(np.abs(proj @ proj.T - np.eye(proj.shape[0]))))
-    return value >= bound - 1e-8 and gram_err <= 1e-6

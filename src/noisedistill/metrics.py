@@ -14,7 +14,7 @@ import numpy as np
 from .diffusion import SAMPLER_STEPS, ambient_sample, guard_samples
 from .distill import generator_forward
 from .errors import PreconditionError
-from .gaussians import fit_gaussian, symmetric_eigen
+from .gaussians import fit_gaussian
 from .rng import derive
 from .toydata import sample_clean
 
@@ -23,15 +23,22 @@ MIN_METRIC_SAMPLES = 100
 N_EVAL = 16384  # evaluation samples per source when a config names none
 
 
-def _psd_sqrt(cov: np.ndarray, name: str) -> np.ndarray:
+def psd_sqrt(cov: np.ndarray, name: str) -> np.ndarray:
+    """The PSD square root of a symmetric ``cov``, from its eigenpairs in
+    descending order; eigenvalues down to -tol are clamped at 0, with
+    tol = ``PSD_TOL`` relative to the largest entry."""
     tol = PSD_TOL * float(np.max(np.abs(cov), initial=1.0))
-    eig = symmetric_eigen(cov, sym_tol=tol)
-    if eig.values[-1] < -tol:
+    asym = float(np.max(np.abs(cov - cov.T), initial=0.0))
+    if asym > tol:
+        raise PreconditionError(f"matrix is not symmetric: max |A - A^T| = {asym:.3e}")
+    values, vectors = np.linalg.eigh((cov + cov.T) / 2.0)
+    values, vectors = values[::-1], vectors[:, ::-1]
+    if values[-1] < -tol:
         raise PreconditionError(
-            f"{name} is indefinite beyond tolerance: smallest eigenvalue {eig.values[-1]:.3e}"
+            f"{name} is indefinite beyond tolerance: smallest eigenvalue {values[-1]:.3e}"
         )
-    root = np.sqrt(np.clip(eig.values, 0.0, None))
-    return (eig.vectors * root) @ eig.vectors.T
+    root = np.sqrt(np.clip(values, 0.0, None))
+    return (vectors * root) @ vectors.T
 
 
 def frechet_gaussian(mu1, cov1, mu2, cov2) -> float:
@@ -44,9 +51,9 @@ def frechet_gaussian(mu1, cov1, mu2, cov2) -> float:
     mu2 = np.asarray(mu2, dtype=float)
     cov1 = np.asarray(cov1, dtype=float)
     cov2 = np.asarray(cov2, dtype=float)
-    root1 = _psd_sqrt(cov1, "cov1")
-    _psd_sqrt(cov2, "cov2")  # validates PSD-ness of the second argument
-    inner = _psd_sqrt(root1 @ cov2 @ root1, "cross term")
+    root1 = psd_sqrt(cov1, "cov1")
+    psd_sqrt(cov2, "cov2")  # validates PSD-ness of the second argument
+    inner = psd_sqrt(root1 @ cov2 @ root1, "cross term")
     value = float(np.sum((mu1 - mu2) ** 2) + np.trace(cov1) + np.trace(cov2) - 2.0 * np.trace(inner))
     return max(value, 0.0)
 

@@ -118,10 +118,15 @@ def riemannian_step(
             )
 
 
+def random_frame(rng: np.random.Generator, d: int, r: int) -> np.ndarray:
+    """A random d x r orthonormal frame: the retracted Q factor of one d x r
+    standard normal draw from ``rng``."""
+    return retract(np.zeros((d, r)), rng.standard_normal((d, r)))
+
+
 def random_params(d: int, r: int, seed: int) -> GeneratorParams:
     """Feasible random start: U from QR of a Gaussian matrix, V = U."""
-    rng = make_rng(seed)
-    u = retract(np.zeros((d, r)), rng.standard_normal((d, r)))
+    u = random_frame(make_rng(seed), d, r)
     return GeneratorParams(u=u, v=u.copy())
 
 

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 import noisedistill
-from noisedistill import config, nets, parallel, stiefel
+from noisedistill import config, nets, parallel, stiefel, verify
 from noisedistill.distill import DistillConfig, run_distillation
 from noisedistill.linear_theory import GeneratorParams, LinearModel, loss_closed_form
 from noisedistill.nets import DenseNet
@@ -48,6 +48,25 @@ def test_every_tracer_target_exists():
         if not found:
             missing.append(f"{span}: noisedistill.{home}.{attr}")
     assert not missing, f"tracer targets missing from the package: {missing}"
+
+
+def test_battery_runs_every_traced_check_once(monkeypatch):
+    """The tracer times each verify row through its ``check_*`` name, and the
+    benchmark counts the rows; a dropped or renamed check fails here."""
+    called = []
+
+    def stub(name):
+        def check(*args, **kwargs):
+            called.append(name)
+            return verify.CheckResult(name, 0.0, 0.0, True)
+        return check
+
+    names = load_tracer().VERIFY_CHECKS
+    for name in names:
+        monkeypatch.setattr(verify, name, stub(name))
+    rows = verify.run_verification(dim=4, rank=1, sigma=0.3, seed=0, schedule=NoiseSchedule())
+    assert len(rows) == len(names)
+    assert sorted(called) == sorted(names)
 
 
 def test_forward_reaches_forward_cached_once_with_the_whole_batch(monkeypatch):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
 from noisedistill import verify
@@ -15,7 +17,7 @@ from noisedistill.linear_theory import (
     loss_integrand,
     loss_monte_carlo,
     principal_angles,
-    trace_maximizer_check,
+    w2_shared_factor,
     wasserstein_report,
 )
 from noisedistill.rng import derive, make_rng
@@ -254,7 +256,64 @@ class TestAnalyticMinimizer:
             assert loss_closed_form(m, rotated, sched) == pytest.approx(base, rel=1e-10)
 
 
+def dense_bures(a, b):
+    va, qa = np.linalg.eigh(a)
+    root = (qa * np.sqrt(np.clip(va, 0, None))) @ qa.T
+    vi = np.linalg.eigvalsh(root @ b @ root)
+    return float(np.trace(a) + np.trace(b) - 2.0 * np.sum(np.sqrt(np.clip(vi, 0, None))))
+
+
+def shared_factor_cov(f, spike, floor):
+    return spike * (f @ f.T) + floor * np.eye(f.shape[0])
+
+
+class TestW2SharedFactor:
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(d=st.integers(2, 12), data=st.data())
+    def test_matches_bures_oracle(self, d, data):
+        """Spikes include 0 on either side; floors stay >= 0.01, where the dense
+        oracle is accurate."""
+        r = data.draw(st.integers(1, d - 1))
+        f = frame(d, r, make_rng(data.draw(st.integers(0, 2**16))))
+        spike, floor = st.just(0.0) | st.floats(0.0, 3.0), st.floats(0.01, 2.0)
+        a = (data.draw(spike), data.draw(floor))
+        b = (data.draw(spike), data.draw(floor))
+        expected = dense_bures(shared_factor_cov(f, *a), shared_factor_cov(f, *b))
+        assert w2_shared_factor(d, r, a, b) == pytest.approx(expected, abs=1e-9)
+
+    def test_identical_distributions_are_exactly_zero(self):
+        assert w2_shared_factor(5, 2, (1.3, 0.4), (1.3, 0.4)) == 0.0
+
+    def test_clean_vs_noisy_formula(self):
+        # r=1 spike against its sigma-noised version: 2 + s^2 - 2 sqrt(1+s^2) + (d-1) s^2
+        d, sigma = 3, 0.2
+        expected = 2 + sigma**2 - 2 * np.sqrt(1 + sigma**2) + (d - 1) * sigma**2
+        assert w2_shared_factor(d, 1, (1.0, 0.0), (1.0, sigma**2)) == pytest.approx(expected, abs=1e-12)
+
+    def test_symmetry(self):
+        rng = make_rng(22)
+        for _ in range(10):
+            a, b = tuple(rng.uniform(0, 2, 2)), tuple(rng.uniform(0.01, 2, 2))
+            assert w2_shared_factor(6, 2, a, b) == pytest.approx(w2_shared_factor(6, 2, b, a), abs=1e-10)
+
+    def test_scaling_both_covariances_scales_distance(self):
+        a, b, k = (1.1, 0.3), (0.5, 0.8), 3.7
+        scaled = w2_shared_factor(6, 2, (k * a[0], k * a[1]), (k * b[0], k * b[1]))
+        assert scaled == pytest.approx(k * w2_shared_factor(6, 2, a, b), rel=1e-10)
+
+
 class TestWassersteinReport:
+    @pytest.mark.parametrize("sigma", [0.0, 0.5, 1e3, 1e6])
+    def test_noisy_distance_is_the_shared_factor_closed_form(self, sigma):
+        """At the clean generator (V = E) the distilled distance is 0, so the
+        gap is W2^2(noisy, clean) = r (sqrt(1 + sigma^2) - 1)^2 + (d - r) sigma^2."""
+        d, r = 6, 2
+        m = LinearModel(basis=frame(d, r, make_rng(43)), sigma=sigma)
+        rep = wasserstein_report(m, GeneratorParams(u=m.basis, v=m.basis))
+        expected = r * (np.sqrt(1 + sigma**2) - 1) ** 2 + (d - r) * sigma**2
+        assert rep.w2_distilled_clean == pytest.approx(0.0, abs=1e-12)
+        assert rep.gap + rep.w2_distilled_clean == pytest.approx(expected, rel=1e-12, abs=0.0)
+
     @pytest.mark.parametrize("d,r,sigma", [(8, 2, 0.5), (16, 4, 0.2), (4, 1, 0.1)])
     def test_gap_identity(self, d, r, sigma):
         m = LinearModel(basis=frame(d, r, make_rng(d + r)), sigma=sigma)
@@ -391,23 +450,6 @@ class TestEigenvalueProfile:
 
 
 class TestTraceMaximizer:
-    def test_aligned_frame_attains(self):
-        rng = make_rng(50)
-        e = frame(6, 2, rng)
-        b = rng.standard_normal((2, 2))
-        spd = b @ b.T + 0.5 * np.eye(2)
-        q, _ = np.linalg.qr(rng.standard_normal((2, 2)))
-        assert trace_maximizer_check(e, spd, e @ q)
-
-    def test_orthogonal_frame_fails_with_zero_trace(self):
-        d = 6
-        e = np.eye(d)[:, :2]
-        u = np.eye(d)[:, 2:4]
-        spd = np.diag([2.0, 1.0])
-        assert not trace_maximizer_check(e, spd, u)
-        proj = e.T @ u
-        assert np.sum((proj @ spd) * proj) == pytest.approx(0.0)
-
     def test_bound_never_exceeded_on_rotation_grid(self):
         # d=3, r=1: brute-force grid over directions on the sphere
         e = np.eye(3)[:, :1]

@@ -5,12 +5,13 @@ import pytest
 
 from noisedistill.diffusion import ambient_sample
 from noisedistill.errors import PreconditionError
-from noisedistill.gaussians import LowRankGaussian, fit_gaussian, sample, w2_commuting
+from noisedistill.gaussians import fit_gaussian
 from noisedistill.metrics import (
     evaluate_sources,
     frechet_between_samples,
     frechet_gaussian,
     proximal_fid,
+    psd_sqrt,
     select_best_checkpoint,
 )
 from noisedistill.nets import DenseNet
@@ -35,12 +36,15 @@ class TestFrechetGaussian:
     def test_commuting_case_matches_w2_plus_mean(self):
         rng = make_rng(2)
         f = retract(np.zeros((5, 2)), rng.standard_normal((5, 2)))
-        a = LowRankGaussian(f, 1.2, 0.3)
-        b = LowRankGaussian(f, 0.4, 0.9)
+        ff = f @ f.T
+        a = 1.2 * ff + 0.3 * np.eye(5)
+        b = 0.4 * ff + 0.9 * np.eye(5)
         mu1 = rng.standard_normal(5)
         mu2 = rng.standard_normal(5)
-        expected = float(np.sum((mu1 - mu2) ** 2)) + w2_commuting(a, b)
-        got = frechet_gaussian(mu1, a.dense_cov(), mu2, b.dense_cov())
+        # shared eigenvectors: W2^2 = r (sqrt 1.5 - sqrt 1.3)^2 + (d - r) (sqrt 0.3 - sqrt 0.9)^2
+        w2 = 2 * (np.sqrt(1.5) - np.sqrt(1.3)) ** 2 + 3 * (np.sqrt(0.3) - np.sqrt(0.9)) ** 2
+        expected = float(np.sum((mu1 - mu2) ** 2)) + w2
+        got = frechet_gaussian(mu1, a, mu2, b)
         assert got == pytest.approx(expected, abs=1e-9)
 
     def test_symmetry(self):
@@ -64,7 +68,7 @@ class TestFrechetGaussian:
         assert frechet_gaussian([0, 0], cov, [0, 0], np.eye(2)) >= 0.0
 
     def test_indefinite_beyond_tolerance_rejected(self):
-        with pytest.raises(PreconditionError):
+        with pytest.raises(PreconditionError, match="cov1 is indefinite"):
             frechet_gaussian([0, 0], np.diag([1.0, -1e-3]), [0, 0], np.eye(2))
 
     def test_two_homogeneous_in_sample_scale(self):
@@ -81,8 +85,20 @@ class TestFrechetGaussian:
     def test_asymmetric_matrix_rejected_at_any_scale(self):
         asym = np.array([[1.0, 0.5], [0.0, 1.0]])
         for s in (1e-3, 1.0, 1e10):
-            with pytest.raises(PreconditionError):
+            with pytest.raises(PreconditionError, match="matrix is not symmetric"):
                 frechet_gaussian([0, 0], s * asym, [0, 0], s * np.eye(2))
+
+
+class TestPsdSqrt:
+    def test_diagonal_root_is_exact(self):
+        assert np.array_equal(psd_sqrt(np.diag([4.0, 9.0, 0.0]), "a"), np.diag([2.0, 3.0, 0.0]))
+
+    @pytest.mark.parametrize("rank", range(1, 9))
+    def test_squares_back_at_every_rank(self, rank):
+        m = derive(31, rank).standard_normal((8, rank))
+        root = psd_sqrt(m @ m.T, "a")
+        assert np.max(np.abs(root - root.T)) <= 1e-12
+        assert np.max(np.abs(root @ root - m @ m.T)) <= 1e-10
 
 
 class TestProximalFid:
@@ -162,11 +178,11 @@ class TestSampleSize:
     def test_sample_size_stability_tracked(self):
         # doubling n changes the sample-fit metric by roughly O(1/sqrt(n));
         # tracked as a sanity trend, not a hard bound
-        g = LowRankGaussian(np.eye(4)[:, :2], 1.0, 0.2)
-        ref = sample(g, 20000, derive(20, 0))
+        chol = np.linalg.cholesky(np.diag([1.2, 1.2, 0.2, 0.2])).T
+        ref = derive(20, 0).standard_normal((20000, 4)) @ chol
         vals = []
         for n in (2500, 10000):
-            xs = sample(g, n, derive(20, 1))
+            xs = derive(20, 1).standard_normal((n, 4)) @ chol
             vals.append(frechet_between_samples(xs[:n], ref))
         assert vals[1] <= vals[0] * 1.5
 
