@@ -24,12 +24,11 @@ from .diffusion import (
     TrainConfig,
     ambient_sample,
     divergence_limit,
-    guard_samples,
     load_checkpoint,
     pretrain,
     save_checkpoint,
 )
-from .distill import PAIRED_MODE, DistillConfig, generator_forward, run_distillation
+from .distill import PAIRED_MODE, DistillConfig, one_step_samples, run_distillation
 from .errors import ConfigError, DivergenceError, PreconditionError
 from .metrics import evaluate_sources, make_eval_hook, select_best_checkpoint
 from .nets import DenseNet
@@ -123,13 +122,10 @@ def _distill(cfg: ExperimentConfig, data, out: str, net: DenseNet, t_mode: str,
         save_checkpoint(path, model, t_mode, dcfg.sigma_hat, dcfg.schedule, provenance(cfg))
         return path
 
-    snap_z = derive(cfg.seed, 401).standard_normal((1024, net.data_dim))
-
     def hook_with_snapshots(state):
         metrics = hook(state)
-        snap = generator_forward(state.generator, snap_z, dcfg.schedule)
-        write_csv_atomic(os.path.join(out, "snapshots", f"step_{state.step:06d}.csv"),
-                         cfg, ["x", "y"], snap)
+        write_csv_atomic(os.path.join(out, "snapshots", f"step_{state.step:06d}.csv"), cfg, ["x", "y"],
+                         one_step_samples(state.generator, dcfg.schedule, 1024, derive(cfg.seed, 401)))
         return metrics
 
     try:
@@ -148,9 +144,8 @@ def _distill(cfg: ExperimentConfig, data, out: str, net: DenseNet, t_mode: str,
     selection = select_best_checkpoint(history)
     write_csv_atomic(os.path.join(out, "selection.csv"), cfg, list(selection), [selection])
     if cfg.plots:
-        z = derive(cfg.seed, 402).standard_normal((2048, net.data_dim))
-        emit_scatter_svg([("generator", generator_forward(state.generator, z, dcfg.schedule)),
-                          ("noisy data", data.points)],
+        samples = one_step_samples(state.generator, dcfg.schedule, 2048, derive(cfg.seed, 402))
+        emit_scatter_svg([("generator", samples), ("noisy data", data.points)],
                          os.path.join(out, "generator.svg"), meta=provenance(cfg))
     print(f"distilled {dcfg.method} for {dcfg.steps} steps; "
           f"final frechet_clean={history[-1].get('frechet_clean', float('nan')):.6f}")
@@ -201,11 +196,10 @@ def cmd_sample(cfg: ExperimentConfig, out: str) -> int:
     n = sec["n"]
     sampler = sec["sampler"]
     if sampler == "one_step":
-        z = derive(cfg.seed, 301).standard_normal((n, net.data_dim))
-        samples = guard_samples(generator_forward(net, z, schedule), "one-step generator")
+        samples = one_step_samples(net, schedule, n, derive(cfg.seed, 301))
     else:
-        samples = from_section(ambient_sample, sec, net=net, sigma_hat=sigma_hat, mode=sampler,
-                               rng=derive(cfg.seed, 302), schedule=schedule)
+        (samples,) = from_section(ambient_sample, sec, net=net, sigma_hat=sigma_hat, modes=(sampler,),
+                                  rng=derive(cfg.seed, 302), schedule=schedule)
     write_csv_atomic(os.path.join(out, "samples.csv"), cfg, ["x", "y"], samples)
     if cfg.plots:
         emit_scatter_svg([(sampler, samples)], os.path.join(out, "samples.svg"),
@@ -296,15 +290,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     kind, command = COMMANDS[args.command]
-    try:
-        cfg = load_config(args.config, seed_override=args.seed, out_override=args.out,
-                          plots_override=args.plots, expected_kind=kind)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     # The atomic writers create the output directory with the first artifact.  Overflow
     # on the way to a divergence is the program's own guards' to report (exit 3).
     try:
+        cfg = load_config(args.config, seed_override=args.seed, out_override=args.out,
+                          plots_override=args.plots, expected_kind=kind)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             return command(cfg, cfg.out_dir())
     except (ConfigError, PreconditionError) as exc:

@@ -25,7 +25,7 @@ import numpy as np
 from .config import write_text_atomic
 from .errors import DivergenceError, PreconditionError
 from .nets import Adam, DenseNet, cosine_decay
-from .rng import make_rng
+from .rng import derive
 from .schedule import NoiseSchedule
 
 DIVERGENCE_THRESHOLD = 1e6
@@ -115,7 +115,7 @@ def pretrain(
     noisy points, aborts.
     """
     sigma_hat = cfg.sigma_hat if cfg.mode == "ambient" else 0.0
-    rng = make_rng(cfg.seed)
+    rng = derive(cfg.seed)
     opt = Adam(net.parameters(), cfg.lr)
     points = data.points
     limit = divergence_limit(points)
@@ -149,12 +149,12 @@ def guard_samples(x: np.ndarray, source: str) -> np.ndarray:
 def ambient_sample(
     net: DenseNet,
     sigma_hat: float,
-    mode: str | tuple[str, ...],
+    modes: tuple[str, ...],
     n: int,
     rng: np.random.Generator,
     schedule: NoiseSchedule,
     steps: int = SAMPLER_STEPS,
-) -> np.ndarray | tuple[np.ndarray, ...]:
+) -> tuple[np.ndarray, ...]:
     """Reverse-process sampling over a decreasing geometric noise grid.
 
     Each step moves x along the denoiser direction,
@@ -162,16 +162,15 @@ def ambient_sample(
     The ``truncated`` sampler returns the denoised estimate f(x, sigma_t) of
     the first step whose next level drops below sigma_hat (the ``full``
     result when none does); the ``full`` sampler iterates all the way down to
-    sigma_min.  ``mode`` names one sampler, or a tuple of them: then one walk
-    from one draw serves them all and their samples come back as a tuple in
-    that order.  The walk stops once it has each sample set, so a truncated
-    walk alone stops at its truncation step.  A first draw that overflows
-    (sigma_max too large) raises ``PreconditionError``; non-finite or
-    blown-up samples raise ``DivergenceError``.
+    sigma_min.  One walk from one draw serves every sampler that ``modes``
+    names, and their samples come back as a tuple in that order.  The walk
+    stops once it has each sample set, so a truncated walk alone stops at its
+    truncation step.  A first draw that overflows (sigma_max too large)
+    raises ``PreconditionError``; non-finite or blown-up samples raise
+    ``DivergenceError``.
     """
-    modes = (mode,) if isinstance(mode, str) else tuple(mode)
     if not modes or not set(modes) <= {"full", "truncated"}:
-        raise PreconditionError(f"unknown sampling mode {mode!r}")
+        raise PreconditionError(f"unknown sampling modes {modes!r}")
     grid = schedule.sampling_grid(steps)
     with np.errstate(over="ignore"):
         x = rng.standard_normal((n, net.data_dim)) * grid[0]
@@ -188,8 +187,7 @@ def ambient_sample(
                 break
         x = x - ((sig - sig_prev) / sig) * (x - x0_hat)
     found = {"full": x, "truncated": x if truncated is None else truncated}
-    samples = tuple(guard_samples(found[m], f"{m} sampler") for m in modes)
-    return samples[0] if isinstance(mode, str) else samples
+    return tuple(guard_samples(found[m], f"{m} sampler") for m in modes)
 
 
 # -- checkpoints -------------------------------------------------------------

@@ -23,10 +23,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .diffusion import denoising_loss
+from .diffusion import denoising_loss, guard_samples
 from .errors import DivergenceError, PreconditionError
 from .nets import Adam, DenseNet, cosine_decay
-from .rng import make_rng
+from .rng import derive
 from .schedule import NoiseSchedule
 
 METHODS = ("sds", "dmd", "sid")
@@ -105,6 +105,14 @@ def init_distillation(teacher: DenseNet, cfg: DistillConfig) -> DistillState:
 def generator_forward(net: DenseNet, z: np.ndarray, schedule: NoiseSchedule) -> np.ndarray:
     """One-step generation: the net applied to z at the pinned top noise level."""
     return net.forward(z, schedule.sigma_max)
+
+
+def one_step_samples(net: DenseNet, schedule: NoiseSchedule, n: int,
+                     rng: np.random.Generator) -> np.ndarray:
+    """``n`` one-step samples from ``n`` standard normal latents drawn from ``rng``;
+    blown-up samples raise ``DivergenceError`` (see ``guard_samples``)."""
+    z = rng.standard_normal((n, net.data_dim))
+    return guard_samples(generator_forward(net, z, schedule), "one-step generator")
 
 
 @dataclass
@@ -246,7 +254,7 @@ def run_distillation(
     error and the eval hook's carry the generator of the last completed eval.
     """
     state = init_distillation(teacher, cfg)
-    rng = make_rng(cfg.seed)
+    rng = derive(cfg.seed)
     teacher_digest = teacher.params_digest()
     last_healthy = None
     history = []

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .diffusion import SAMPLER_STEPS, ambient_sample, guard_samples
-from .distill import generator_forward
+from .diffusion import SAMPLER_STEPS, ambient_sample
+from .distill import one_step_samples
 from .errors import PreconditionError
 from .gaussians import fit_gaussian
 from .rng import derive
@@ -58,68 +58,57 @@ def frechet_gaussian(mu1, cov1, mu2, cov2) -> float:
     return max(value, 0.0)
 
 
-def frechet_between_samples(a: np.ndarray, b: np.ndarray) -> float:
-    """Frechet distance between the Gaussian fits of two sample sets."""
-    mu_a, cov_a = fit_gaussian(a)
-    mu_b, cov_b = fit_gaussian(b)
-    return frechet_gaussian(mu_a, cov_a, mu_b, cov_b)
-
-
 def proximal_fid(
     gen_samples: np.ndarray,
     sigma_hat: float,
-    noisy_reference: np.ndarray,
+    noisy_fit: tuple[np.ndarray, np.ndarray],
     rng: np.random.Generator,
 ) -> float:
-    """Frechet distance of re-corrupted generations to the noisy training set.
+    """Frechet distance of re-corrupted generations to ``noisy_fit``, the
+    ``(mean, cov)`` fit of the noisy training set.
 
     Generated samples get one fresh corruption pass x + sigma_hat * eps, after
     which both sides live at the same noise level and the comparison needs no
     clean data.  sigma_hat = 0 reduces to the plain Frechet distance.
     """
     gen_samples = np.atleast_2d(np.asarray(gen_samples, dtype=float))
-    noisy_reference = np.atleast_2d(np.asarray(noisy_reference, dtype=float))
-    if gen_samples.shape[0] < MIN_METRIC_SAMPLES or noisy_reference.shape[0] < MIN_METRIC_SAMPLES:
-        raise PreconditionError(
-            f"need at least {MIN_METRIC_SAMPLES} points per set, got "
-            f"{gen_samples.shape[0]} and {noisy_reference.shape[0]}"
-        )
+    if gen_samples.shape[0] < MIN_METRIC_SAMPLES:
+        raise PreconditionError(f"need at least {MIN_METRIC_SAMPLES} generated points, "
+                                f"got {gen_samples.shape[0]}")
     corrupted = gen_samples + sigma_hat * rng.standard_normal(gen_samples.shape)
-    return frechet_between_samples(corrupted, noisy_reference)
+    return frechet_gaussian(*fit_gaussian(corrupted), *noisy_fit)
 
 
 def _scorer(dataset, sigma_hat: float, n_eval: int, eval_seed: int):
-    """Frechet distance to one clean reference fit and proximal FID of a sample
-    set; every row of one evaluation shares the reference."""
-    mu_c, cov_c = fit_gaussian(sample_clean(dataset.kind, n_eval, derive(eval_seed, 101)))
+    """``(score, noisy_fit)``: ``score(samples)`` fits a sample set once and
+    returns that fit with its Frechet distance to the clean reference fit and
+    its proximal FID against ``noisy_fit``, the fit of the noisy training set.
+    Each reference is fitted once, and every row of one evaluation shares it."""
+    clean_fit = fit_gaussian(sample_clean(dataset.kind, n_eval, derive(eval_seed, 101)))
+    noisy_fit = fit_gaussian(dataset.points)
 
-    def score(samples: np.ndarray) -> dict:
-        mu, cov = fit_gaussian(samples)
-        return {
-            "frechet_clean": frechet_gaussian(mu, cov, mu_c, cov_c),
-            "proximal_fid": proximal_fid(samples, sigma_hat, dataset.points, derive(eval_seed, 103)),
+    def score(samples: np.ndarray) -> tuple[tuple, dict]:
+        fit = fit_gaussian(samples)
+        return fit, {
+            "frechet_clean": frechet_gaussian(*fit, *clean_fit),
+            "proximal_fid": proximal_fid(samples, sigma_hat, noisy_fit, derive(eval_seed, 103)),
         }
 
-    return score
-
-
-def _one_step_samples(generator, schedule, n_eval: int, eval_seed: int) -> np.ndarray:
-    z = derive(eval_seed, 102).standard_normal((n_eval, generator.data_dim))
-    return guard_samples(generator_forward(generator, z, schedule), "one-step generator")
+    return score, noisy_fit
 
 
 def make_eval_hook(dataset, sigma_hat: float, schedule, eval_seed: int, n_eval: int = N_EVAL):
-    """Standard metric hook for distillation runs.
+    """Distillation's metric hook: ``frechet_clean`` and ``proximal_fid`` of one-step samples.
 
-    The clean reference fit, the evaluation latents, and the corruption
-    stream are all derived once from ``eval_seed``, so the hook is a
-    deterministic function of the model being evaluated and consecutive
-    checkpoints see identical evaluation noise.
+    The reference fits (made once), the evaluation latents, and the corruption
+    stream all derive from ``eval_seed``, so the hook is a deterministic
+    function of the model being evaluated and consecutive checkpoints see
+    identical evaluation noise.
     """
-    score = _scorer(dataset, sigma_hat, n_eval, eval_seed)
+    score, _ = _scorer(dataset, sigma_hat, n_eval, eval_seed)
 
     def hook(state) -> dict:
-        return score(_one_step_samples(state.generator, schedule, n_eval, eval_seed))
+        return score(one_step_samples(state.generator, schedule, n_eval, derive(eval_seed, 102)))[1]
 
     return hook
 
@@ -139,18 +128,20 @@ def evaluate_sources(
     and as a truncated sampler, and the one-step generator.  ``teacher`` and
     ``generator`` are each a ``(net, schedule)`` pair, the schedule being the
     one the net was trained on, or ``None``, which adds no row.  All rows
-    share one clean reference fit and one evaluation seed.  Both teacher rows
+    share one clean reference fit, one fit of the noisy training set and one
+    evaluation seed, and each row fits its samples once.  Both teacher rows
     come from one reverse walk on one noise draw (``sample_steps - 1`` teacher
     passes): the truncated samples are that walk's denoised estimate at its
     truncation step, so the two rows are a paired comparison.
     """
-    score = _scorer(dataset, sigma_hat, n_eval, eval_seed)
+    score, noisy_fit = _scorer(dataset, sigma_hat, n_eval, eval_seed)
 
     def row(source: str, samples: np.ndarray, n: int) -> dict:
+        fit, scores = score(samples)
         return {
             "source": source,
-            **score(samples),
-            "w2_fit": frechet_between_samples(samples, dataset.points),
+            **scores,
+            "w2_fit": frechet_gaussian(*fit, *noisy_fit),
             "n_samples": n,
             "seed": eval_seed,
         }
@@ -163,7 +154,7 @@ def evaluate_sources(
         rows.append(row("teacher_full", full, n_eval))
         rows.append(row("teacher_truncated", trunc, n_eval))
     if generator is not None:
-        rows.append(row("generator", _one_step_samples(*generator, n_eval, eval_seed), n_eval))
+        rows.append(row("generator", one_step_samples(*generator, n_eval, derive(eval_seed, 102)), n_eval))
     return rows
 
 

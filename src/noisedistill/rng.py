@@ -13,8 +13,8 @@ import numpy as np
 
 
 def make_rng(seed: int) -> np.random.Generator:
-    """Root stream for a run."""
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    """The root stream ``derive(seed)``, under its older name."""
+    return derive(seed)
 
 
 def derive(seed: int, *path: int) -> np.random.Generator:

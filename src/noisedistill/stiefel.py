@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import PreconditionError, StalledOptimizationError
 from .linear_theory import GeneratorParams, LinearModel, loss_closed_form, quadrature_terms
-from .rng import make_rng
+from .rng import derive
 from .schedule import NoiseSchedule
 
 ARMIJO_C1 = 1e-4
@@ -126,7 +126,7 @@ def random_frame(rng: np.random.Generator, d: int, r: int) -> np.ndarray:
 
 def random_params(d: int, r: int, seed: int) -> GeneratorParams:
     """Feasible random start: U from QR of a Gaussian matrix, V = U."""
-    u = random_frame(make_rng(seed), d, r)
+    u = random_frame(derive(seed), d, r)
     return GeneratorParams(u=u, v=u.copy())
 
 

@@ -7,7 +7,7 @@ each axis variance goes from 0.03125 to 0.03375, an expected noisy-to-clean
 Frechet distance of 2(sqrt(0.03375) - sqrt(0.03125))^2 ~ 9.6e-5, as large as
 the sampling error of a 1024-point fit (the `raw_noisy` eval row read 6.7e-5
 to 2.45e-4 on seeds 1, 2, 3 and 7).  The moment metrics alone cannot show the
-denoising effect; ROADMAP direction 2 adds metrics that can.
+denoising effect; ROADMAP direction 5 adds subspace data on which they can.
 """
 
 from __future__ import annotations

@@ -36,7 +36,8 @@ from noisedistill.config import (
 from noisedistill.diffusion import TrainConfig, ambient_sample, load_checkpoint, save_checkpoint
 from noisedistill.distill import PAIRED_MODE, DistillConfig, generator_forward
 from noisedistill.errors import ConfigError
-from noisedistill.metrics import evaluate_sources, frechet_between_samples, make_eval_hook
+from noisedistill.gaussians import fit_gaussian
+from noisedistill.metrics import evaluate_sources, frechet_gaussian, make_eval_hook
 from noisedistill.nets import DenseNet
 from noisedistill.rng import derive
 from noisedistill.schedule import NoiseSchedule
@@ -1388,8 +1389,8 @@ class TestCliEval:
         z = derive(seed, 102).standard_normal((256, 2))
         samples = generator_forward(load_checkpoint(generator)[0], z, NoiseSchedule(0.035, 2.0))
         clean = sample_clean("ring", 256, derive(seed, 101))
-        assert float(rows[3][1]) == frechet_between_samples(samples, clean)
-        assert float(rows[3][3]) == frechet_between_samples(samples, data.points)
+        assert float(rows[3][1]) == frechet_gaussian(*fit_gaussian(samples), *fit_gaussian(clean))
+        assert float(rows[3][3]) == frechet_gaussian(*fit_gaussian(samples), *fit_gaussian(data.points))
         walked = evaluate_sources(data, 0.05, (load_checkpoint(teacher)[0], NoiseSchedule(0.035, 1.0)),
                                   None, seed, n_eval=256, sample_steps=4)
         assert [float(row[1]) for row in rows[1:3]] == [row["frechet_clean"] for row in walked[1:]]

@@ -292,7 +292,7 @@ class TestAmbientSampling:
         rng = make_rng(50)
         sched = NoiseSchedule(0.05, 5.0)
         net = _ZeroNet()
-        x = ambient_sample(net, 0.0, "full", 256, rng, sched, 40)
+        (x,) = ambient_sample(net, 0.0, ("full",), 256, rng, sched, 40)
         rng2 = make_rng(50)
         x_init = rng2.standard_normal((256, 2)) * sched.sigma_max
         expected = x_init * (sched.sigma_min / sched.sigma_max)
@@ -301,14 +301,14 @@ class TestAmbientSampling:
     def test_truncated_immediate_exit_at_large_sigma_hat(self):
         sched = NoiseSchedule(0.05, 2.0)
         net = _ZeroNet()
-        out = ambient_sample(net, sched.sigma_max + 1.0, "truncated", 64, make_rng(51), sched, 16)
+        (out,) = ambient_sample(net, sched.sigma_max + 1.0, ("truncated",), 64, make_rng(51), sched, 16)
         assert np.allclose(out, 0.0)  # one-step denoise of the initial noise
 
     def test_oracle_denoiser_recovers_data_covariance(self):
         e = np.array([[0.6], [0.8]])
         sched = NoiseSchedule(0.02, 5.0)
         net = _OracleDenoiser(e)
-        x = ambient_sample(net, 0.0, "full", 10000, make_rng(52), sched, 64)
+        (x,) = ambient_sample(net, 0.0, ("full",), 10000, make_rng(52), sched, 64)
         _, cov = fit_gaussian(x)
         assert np.max(np.abs(cov - e @ e.T)) <= 0.1
 
@@ -316,17 +316,17 @@ class TestAmbientSampling:
         e = np.array([[0.6], [0.8]])
         sched = NoiseSchedule(0.02, 5.0)
         net = _OracleDenoiser(e)
-        x64 = ambient_sample(net, 0.0, "full", 512, make_rng(53), sched, 64)
-        x128 = ambient_sample(net, 0.0, "full", 512, make_rng(53), sched, 128)
+        (x64,) = ambient_sample(net, 0.0, ("full",), 512, make_rng(53), sched, 64)
+        (x128,) = ambient_sample(net, 0.0, ("full",), 512, make_rng(53), sched, 128)
         displacement = float(np.mean(np.linalg.norm(x64 - x128, axis=1)))
         assert displacement <= 0.05
 
     def test_bad_mode_and_steps_rejected(self):
         with pytest.raises(PreconditionError):
-            ambient_sample(_ZeroNet(), 0.0, "full", 8, make_rng(0), SCHED, 1)
-        for mode in ("midway", (), ("full", "midway")):
-            with pytest.raises(PreconditionError, match="unknown sampling mode"):
-                ambient_sample(_ZeroNet(), 0.0, mode, 8, make_rng(0), SCHED, 16)
+            ambient_sample(_ZeroNet(), 0.0, ("full",), 8, make_rng(0), SCHED, 1)
+        for modes in (("midway",), (), ("full", "midway"), "full"):  # a bare name is no tuple
+            with pytest.raises(PreconditionError, match="unknown sampling modes"):
+                ambient_sample(_ZeroNet(), 0.0, modes, 8, make_rng(0), SCHED, 16)
 
 
 def reference_walk(net, sigma_hat, mode, n, rng, schedule, steps):
@@ -367,7 +367,7 @@ class TestOneWalk:
         full, trunc = ambient_sample(net, sigma_hat, ("full", "truncated"), 300, make_rng(71),
                                      SCHED, self.STEPS)
         for mode, got in (("full", full), ("truncated", trunc)):
-            alone = ambient_sample(net, sigma_hat, mode, 300, make_rng(71), SCHED, self.STEPS)
+            (alone,) = ambient_sample(net, sigma_hat, (mode,), 300, make_rng(71), SCHED, self.STEPS)
             expected = reference_walk(net, sigma_hat, mode, 300, make_rng(71), SCHED, self.STEPS)
             assert np.array_equal(alone, expected)
             assert np.array_equal(got, expected)
@@ -381,17 +381,18 @@ class TestOneWalk:
         serves the full sampler makes every one of the steps - 1 passes."""
         below = [i for i in range(self.STEPS - 1) if self.GRID[i + 1] < sigma_hat]
         stop = below[0] + 1 if below else self.STEPS - 1
-        for mode, calls in (("truncated", stop), ("full", self.STEPS - 1),
-                            (("full", "truncated"), self.STEPS - 1)):
+        for modes, calls in ((("truncated",), stop), (("full",), self.STEPS - 1),
+                             (("full", "truncated"), self.STEPS - 1)):
             net = _CountingNet(_ZeroNet())
-            ambient_sample(net, sigma_hat, mode, 16, make_rng(73), SCHED, self.STEPS)
-            assert net.calls == calls, mode
+            ambient_sample(net, sigma_hat, modes, 16, make_rng(73), SCHED, self.STEPS)
+            assert net.calls == calls, modes
 
-    @pytest.mark.parametrize("mode", ["full", "truncated", ("full", "truncated")])
-    def test_overflowing_first_draw_names_sigma_max(self, mode):
+    @pytest.mark.parametrize("modes", [("full",), ("truncated",), ("full", "truncated")],
+                             ids=["full", "truncated", "full+truncated"])
+    def test_overflowing_first_draw_names_sigma_max(self, modes):
         net = _CountingNet(tiny_net(74, (3, 4, 2)))
         with pytest.raises(PreconditionError, match=r"sigma_max 1e\+308 is too large"):
-            ambient_sample(net, 0.05, mode, 64, make_rng(75), NoiseSchedule(0.035, 1e308), 8)
+            ambient_sample(net, 0.05, modes, 64, make_rng(75), NoiseSchedule(0.035, 1e308), 8)
         assert net.calls == 0
 
 

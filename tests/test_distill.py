@@ -13,6 +13,7 @@ from noisedistill.distill import (
     generator_update,
     init_distillation,
     loss_weights,
+    one_step_samples,
     run_distillation,
     x_g_grad_dmd,
     x_g_grad_sds,
@@ -83,6 +84,15 @@ class TestInit:
     def test_non_square_teacher_rejected(self):
         with pytest.raises(PreconditionError):
             init_distillation(DenseNet.initialized([3, 4, 1], derive(0, 1)), config())
+
+
+class TestOneStepSamples:
+    @pytest.mark.parametrize("shift", [2.0 * DIVERGENCE_THRESHOLD, np.nan])
+    def test_blown_up_generator_raises_divergence(self, shift):
+        net = tiny_teacher(4)
+        blown = DenseNet(net.weights, [*net.biases[:-1], net.biases[-1] + shift])
+        with pytest.raises(DivergenceError, match="one-step generator samples diverged"):
+            one_step_samples(blown, SCHED, 50, derive(4, 2))
 
 
 class TestEstimatorZeros:

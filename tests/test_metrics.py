@@ -8,8 +8,8 @@ from noisedistill.errors import PreconditionError
 from noisedistill.gaussians import fit_gaussian
 from noisedistill.metrics import (
     evaluate_sources,
-    frechet_between_samples,
     frechet_gaussian,
+    make_eval_hook,
     proximal_fid,
     psd_sqrt,
     select_best_checkpoint,
@@ -19,6 +19,11 @@ from noisedistill.rng import derive, make_rng
 from noisedistill.schedule import NoiseSchedule
 from noisedistill.stiefel import retract
 from noisedistill.toydata import make_dataset, sample_clean
+
+
+def fit_distance(a, b):
+    """The Frechet distance between the Gaussian fits of two sample sets."""
+    return frechet_gaussian(*fit_gaussian(a), *fit_gaussian(b))
 
 
 class TestFrechetGaussian:
@@ -77,10 +82,10 @@ class TestFrechetGaussian:
         rng = derive(30, 0)
         a = rng.standard_normal((4000, 2)) @ np.array([[1.0, 0.3], [0.0, 0.5]])
         b = 0.7 * rng.standard_normal((4000, 2)) + np.array([0.2, -0.1])
-        base = frechet_between_samples(a, b)
+        base = fit_distance(a, b)
         assert base > 0.1
         for s in (1.0, 1e2, 1e3, 1e5):
-            assert frechet_between_samples(s * a, s * b) == pytest.approx(s**2 * base, rel=1e-9)
+            assert fit_distance(s * a, s * b) == pytest.approx(s**2 * base, rel=1e-9)
 
     def test_asymmetric_matrix_rejected_at_any_scale(self):
         asym = np.array([[1.0, 0.5], [0.0, 1.0]])
@@ -112,26 +117,26 @@ class TestProximalFid:
         angle2 = rng.uniform(0, 2 * np.pi, n)
         reference = 0.25 * np.column_stack([np.cos(angle2), np.sin(angle2)])
         reference = reference + 0.05 * rng.standard_normal((n, 2))
-        value = proximal_fid(clean, 0.05, reference, derive(10, 1))
+        value = proximal_fid(clean, 0.05, fit_gaussian(reference), derive(10, 1))
         assert value <= 0.05
 
     def test_sigma_zero_reduces_to_plain_frechet(self):
         rng = make_rng(11)
         gen = rng.standard_normal((500, 2))
         ref = rng.standard_normal((500, 2)) + 0.3
-        assert proximal_fid(gen, 0.0, ref, make_rng(0)) == frechet_between_samples(gen, ref)
+        assert proximal_fid(gen, 0.0, fit_gaussian(ref), make_rng(0)) == fit_distance(gen, ref)
 
     def test_deterministic_for_fixed_seed(self):
         rng = make_rng(12)
         gen = rng.standard_normal((200, 2))
         ref = rng.standard_normal((200, 2))
-        a = proximal_fid(gen, 0.1, ref, make_rng(5))
-        b = proximal_fid(gen, 0.1, ref, make_rng(5))
+        a = proximal_fid(gen, 0.1, fit_gaussian(ref), make_rng(5))
+        b = proximal_fid(gen, 0.1, fit_gaussian(ref), make_rng(5))
         assert a == b
 
     def test_insufficient_samples_rejected(self):
         with pytest.raises(PreconditionError):
-            proximal_fid(np.zeros((10, 2)), 0.1, np.zeros((200, 2)), make_rng(0))
+            proximal_fid(np.zeros((10, 2)), 0.1, fit_gaussian(np.zeros((200, 2))), make_rng(0))
 
 
 class TestSelection:
@@ -183,7 +188,7 @@ class TestSampleSize:
         vals = []
         for n in (2500, 10000):
             xs = derive(20, 1).standard_normal((n, 4)) @ chol
-            vals.append(frechet_between_samples(xs[:n], ref))
+            vals.append(fit_distance(xs[:n], ref))
         assert vals[1] <= vals[0] * 1.5
 
 
@@ -207,13 +212,14 @@ class TestEvaluateSources:
         mu_c, cov_c = fit_gaussian(sample_clean("ring", self.N_EVAL, derive(self.SEED, 101)))
         mu, cov = fit_gaussian(samples)
         return {"frechet_clean": frechet_gaussian(mu, cov, mu_c, cov_c),
-                "proximal_fid": proximal_fid(samples, sigma_hat, self.DATA.points,
+                "proximal_fid": proximal_fid(samples, sigma_hat, fit_gaussian(self.DATA.points),
                                              derive(self.SEED, 103)),
-                "w2_fit": frechet_between_samples(samples, self.DATA.points)}
+                "w2_fit": fit_distance(samples, self.DATA.points)}
 
     def walk(self, mode, sigma_hat):
-        return ambient_sample(self.TEACHER, sigma_hat, mode, self.N_EVAL, derive(self.SEED, 104),
-                              self.SCHED, self.STEPS)
+        (samples,) = ambient_sample(self.TEACHER, sigma_hat, (mode,), self.N_EVAL,
+                                    derive(self.SEED, 104), self.SCHED, self.STEPS)
+        return samples
 
     @pytest.mark.parametrize("sigma_hat", [0.05, 0.3])
     def test_rows_equal_single_walks_on_one_draw(self, sigma_hat):
@@ -239,3 +245,34 @@ class TestEvaluateSources:
         x = derive(self.SEED, 104).standard_normal((self.N_EVAL, 2)) * grid[0]
         rows = self.teacher_rows(sigma_hat)
         assert rows["teacher_truncated"] == self.scores(self.TEACHER.forward(x, grid[0]), sigma_hat)
+
+
+class TestOneFitPerSet:
+    """Each reference is fitted once per evaluation, and each sample set once."""
+
+    SCHED = NoiseSchedule(0.035, 1.0)
+    DATA = make_dataset("ring", 256, 0.05, seed=6)
+    NET = DenseNet.initialized([3, 16, 16, 2], derive(6, 1))
+
+    @pytest.fixture
+    def fits(self, monkeypatch):
+        """One entry per ``fit_gaussian`` call of the metrics module: the size of the set."""
+        calls = []
+        monkeypatch.setattr("noisedistill.metrics.fit_gaussian",
+                            lambda x: calls.append(len(x)) or fit_gaussian(x))
+        return calls
+
+    def test_evaluate_sources_fits_two_references_and_each_row_twice(self, fits):
+        rows = evaluate_sources(self.DATA, 0.05, (self.NET, self.SCHED), (self.NET, self.SCHED), 6,
+                                256, 4)
+        assert len(rows) == 4
+        # the clean reference, the noisy set, then per row its samples and their re-corruption
+        assert len(fits) == 2 + 2 * len(rows) == 10
+
+    def test_hook_fits_its_samples_and_their_re_corruption(self, fits):
+        hook = make_eval_hook(self.DATA, 0.05, self.SCHED, 6, 256)
+        assert len(fits) == 2
+        state = type("State", (), {"generator": self.NET})()
+        for k in (1, 2):
+            assert list(hook(state)) == ["frechet_clean", "proximal_fid"]
+            assert len(fits) == 2 + 2 * k
